@@ -97,25 +97,28 @@ def cmd_norm(args, seed):
 
 def cmd_characters(args, seed):
     spec = _load_spec(args.spec)
-    chars = sp.graded_characters(spec, seed=seed)
+    chars = sp.graded_characters(spec)
     lines = [f"{len(chars)} characters"]
     for ch in chars:
         i, t = ch.tag
         vals = ", ".join(_fmt_complex(v) for v in ch.values)
         lines.append(f"char ({spec.L.names[i]}, {t}): [{vals}]")
     if all(c.blocks == (1,) for c in spec.components):
-        pairs = sp.finishing_correspondence(spec, seed=seed)
+        pairs = sp.finishing_correspondence(spec)
         lines.append(f"{len(pairs)} nonempty finishing sub-semilattices")
         for ch, mset in pairs:
             names = ", ".join(spec.L.names[i] for i in sorted(mset))
-            lines.append(f"finishing {{{names}}} <-> character {ch.tag}")
+            i, t = ch.tag
+            lines.append(
+                f"finishing {{{names}}} <-> character ({spec.L.names[i]}, {t})"
+            )
     return 0, lines
 
 
 def cmd_restrict(args, seed):
     spec = _load_spec(args.spec)
     M = _index_tokens(spec, args.sub)
-    rep = sp.restriction_spectrum_map(spec, M, seed=seed)
+    rep = sp.restriction_spectrum_map(spec, M)
     sub_names = rep.sub_spec.L.names
     lines = [
         "restriction onto {" + ", ".join(sub_names) + "}",
@@ -131,7 +134,7 @@ def cmd_restrict(args, seed):
 
 def cmd_k0(args, seed):
     spec = _load_spec(args.spec)
-    r = kt.verify_k0(spec, seed=seed)
+    r = kt.verify_k0(spec)
     lines = [
         f"component ranks: {r.per_component_ranks}",
         f"total rank: {r.total_rank}",

@@ -146,10 +146,6 @@ def _same_shape(x, y):
         raise ShapeMismatch(f"{x.shape} vs {y.shape}")
 
 
-def add(x, y):
-    return x + y
-
-
 def scale(scalar, x):
     return AlgElement(x.shape, [complex(scalar) * m for m in x.mats])
 

@@ -279,9 +279,6 @@ def q_from_phi(spec, i, j, x, y):
     )
 
 
-q_apply = q_from_phi
-
-
 class QFamily:
     """The bilinear family q_{i,j}: A_i x A_j -> A_{i^j}, stored as one
     tensor (dim_k, dim_i, dim_j) per ordered pair."""
@@ -497,10 +494,6 @@ def _pair_product_vectors(spec, t, i, j):
 
 # --------------------------------------------------------- total algebra
 
-def gadd(x, y):
-    return x + y
-
-
 def gmul(x, y):
     """(xy)_k = sum over i ^ j = k of q_{i,j}(x_i, y_j)."""
     _same_spec(x, y)
@@ -509,7 +502,7 @@ def gmul(x, y):
     for i in x.support():
         for j in y.support():
             k = spec.L.meet_of(i, j)
-            out.comps[k] = out.comps[k] + q_apply(spec, i, j, x.comps[i], y.comps[j])
+            out.comps[k] = out.comps[k] + q_from_phi(spec, i, j, x.comps[i], y.comps[j])
     return out
 
 
@@ -653,7 +646,7 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
                 img_a = m.psi[j].image_of_basis(a)
                 for b in range(dk):
                     yb = fd.basis_element(spec.components[k], b)
-                    lhs = m.psi[t].apply(q_apply(spec, j, k, xa, yb))
+                    lhs = m.psi[t].apply(q_from_phi(spec, j, k, xa, yb))
                     rhs = fd.mul(img_a, m.psi[k].image_of_basis(b))
                     r = fd.frob_norm(lhs - rhs)
                     if r > tol:
@@ -748,9 +741,12 @@ class FinishingSplit:
     p zeroes every component outside M and lands in the restricted spec;
     sigma is the inclusion. p o sigma is the identity exactly (both are 0/1
     coordinate selections); ker p is spanned by the components off M.
+    p is multiplicative by construction: M is upward closed, so i ^ j in M
+    forces i and j into M, and the products that p keeps come only from
+    components that p keeps.
     """
 
-    def __init__(self, spec, M, tol=AXIOM_TOL):
+    def __init__(self, spec, M):
         M = frozenset(M)
         if not spec.L.is_finishing_subsemilattice(M) or not M:
             raise NotFinishing(
@@ -762,7 +758,6 @@ class FinishingSplit:
         self.kernel_dim = sum(
             spec.components[i].dim for i in range(spec.L.n) if i not in M
         )
-        self.mult_residual = self._multiplicativity_residual(tol)
 
     def p(self, x):
         if x.spec is not self.spec:
@@ -778,29 +773,14 @@ class FinishingSplit:
             out.comps[old] = y.comps[new].copy()
         return out
 
-    def _multiplicativity_residual(self, tol):
-        worst = 0.0
-        for i, a, _ in self.spec.graded_basis():
-            xa = self.spec.basis_element(i, a)
-            pxa = self.p(xa)
-            for j, b, _ in self.spec.graded_basis():
-                yb = self.spec.basis_element(j, b)
-                lhs = self.p(gmul(xa, yb))
-                rhs = gmul(pxa, self.p(yb))
-                r = max(
-                    fd.frob_norm(c - d) for c, d in zip(lhs.comps, rhs.comps)
-                ) if lhs.comps else 0.0
-                worst = max(worst, r)
-        return worst
-
 
 def project_finishing(spec, M, x):
     """Apply the finishing projection to one element."""
     return FinishingSplit(spec, M).p(x)
 
 
-def finishing_split(spec, M, tol=AXIOM_TOL):
-    return FinishingSplit(spec, M, tol)
+def finishing_split(spec, M):
+    return FinishingSplit(spec, M)
 
 
 # --------------------------------------------------------------- ideals

@@ -5,18 +5,21 @@ recovers its block structure: minimal central projections, block sizes,
 multiplicities, and an explicit system of matrix units giving coordinates
 in the block picture. Everything downstream of a random draw is verified
 against hard residual thresholds, and the draws themselves come from a
-seeded stream with a bounded retry budget.
+seeded stream with a bounded retry budget. It serves algebras whose block
+structure is not known in advance, such as crossed products.
 
-verify_k0 checks that the rank map induced by the faithful representation
-of a graded spec is an isomorphism of free abelian groups: one generator
-per matrix block on each side, the matrix of the map computed from ranks
-of imaged minimal projections, and invertibility over the integers
-certified by an exact determinant of +-1.
+verify_k0 needs no decomposition: the total algebra of a valid spec is
+*-isomorphic to the direct sum of its components through x -> (pi_i(x))_i,
+so its blocks are the component blocks, in index order, and the rank map
+is the multiplicity matrix of that inclusion, read off the structure maps
+as exact integers. Invertibility over the integers is certified by an
+exact determinant of +-1.
 
 K_1 of a finite-dimensional C*-algebra is the trivial group; reports carry
 that as a stated zero rather than a computation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +56,18 @@ class DecompositionError(NumericFailure):
     """Internal consistency check of a decomposition failed."""
 
 
-class RankMismatch(ValidationFailure):
-    pass
-
-
 class NotUnimodular(ValidationFailure):
     pass
+
+
+def _nearest_integer(v, what):
+    """v rounded to an integer; it must be finite and within RANK_ROUND_TOL
+    of one."""
+    if not math.isfinite(v) or abs(v - round(v)) > RANK_ROUND_TOL:
+        raise NonIntegralBlock(
+            f"{what} {v!r} is not within {RANK_ROUND_TOL} of an integer"
+        )
+    return int(round(v))
 
 
 @dataclass
@@ -119,13 +128,7 @@ class WedderburnData:
         for c, proj in enumerate(self.central_projections):
             v = float(np.trace(fd.embed_ambient(proj) @ phat).real)
             v /= self.multiplicities[c]
-            r = round(v)
-            if abs(v - r) > RANK_ROUND_TOL:
-                raise NonIntegralBlock(
-                    f"projection trace {v!r} in block {c} is not within "
-                    f"{RANK_ROUND_TOL} of an integer"
-                )
-            ranks.append(int(r))
+            ranks.append(_nearest_integer(v, f"projection trace in block {c}"))
         return ranks
 
 
@@ -323,14 +326,10 @@ def _attempt_decomposition(
             raise NonIntegralBlock(
                 f"corner dimension {corner_dim} of block {c} is not a square"
             )
-        mult = float(np.trace(p).real) / n
-        m = round(mult)
-        if abs(mult - m) > RANK_ROUND_TOL:
-            raise NonIntegralBlock(
-                f"multiplicity {mult!r} of block {c} is not within "
-                f"{RANK_ROUND_TOL} of an integer"
-            )
-        blocks.append((p, n, int(m)))
+        m = _nearest_integer(
+            float(np.trace(p).real) / n, f"multiplicity of block {c}"
+        )
+        blocks.append((p, n, m))
     if sum(n * n for _, n, _ in blocks) != r:
         raise DecompositionError(
             "block dimensions do not add up to the span dimension"
@@ -477,34 +476,33 @@ def component_minimal_projections(spec):
     return out
 
 
-def verify_k0(spec, seed=None):
+def verify_k0(spec):
     """Check that the rank map of the faithful representation is an
     isomorphism of free abelian groups.
 
     Rows of phi_matrix are the generators (one per component block, in
-    index order), columns the blocks of the total algebra; the entry is
-    the rank of the imaged minimal projection in that block. Invertibility
-    over the integers is certified by an exact determinant of +-1.
+    index order), columns the blocks of the total algebra, which are the
+    component blocks in the same order; entry ((i, b), (t, c)) is the
+    trace of block c of pi_t(E^(b)_00 at i), that is of
+    phi_{t,i}(E^(b)_00) for t <= i and 0 otherwise. Each trace must land
+    on an integer. Invertibility over the integers is certified by an
+    exact determinant of +-1.
     """
     per_component = [c.nblocks for c in spec.components]
-    if spec.total_dim == 0:
-        return K0Report(per_component, 0, [], True)
-    basis_images = [
-        gr.faithful_image(spec, spec.basis_element(i, a))
-        for i, a, _ in spec.graded_basis()
-    ]
-    data = wedderburn(basis_images, seed=seed)
-    total_rank = len(data.block_dims)
-    if sum(per_component) != total_rank:
-        raise RankMismatch(
-            f"{sum(per_component)} component blocks against {total_rank} "
-            f"blocks in the total algebra"
+    phi_matrix = []
+    for i, b, p in component_minimal_projections(spec):
+        image = gr.faithful_image(spec, p)
+        phi_matrix.append(
+            [
+                _nearest_integer(
+                    float(np.trace(m).real),
+                    f"trace of block {c} of the image of generator "
+                    f"({spec.L.names[i]}, {b})",
+                )
+                for c, m in enumerate(image.mats)
+            ]
         )
-    phi_matrix = [
-        data.projection_ranks(gr.faithful_image(spec, p))
-        for _, _, p in component_minimal_projections(spec)
-    ]
     det = _integer_det(phi_matrix)
     if abs(det) != 1:
         raise NotUnimodular(f"rank matrix has determinant {det}, not +-1")
-    return K0Report(per_component, total_rank, phi_matrix, True)
+    return K0Report(per_component, sum(per_component), phi_matrix, True)

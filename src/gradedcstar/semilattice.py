@@ -102,9 +102,6 @@ class Semilattice:
     def __repr__(self):
         return f"Semilattice({self.n} elements: {', '.join(self.names)})"
 
-    def name_of(self, i):
-        return self.names[i]
-
     def index_of(self, name):
         try:
             return self.names.index(str(name))
@@ -149,10 +146,6 @@ class Semilattice:
     def finishing_set(self, k):
         """{j : k <= j}, the upward closure of k. Upward- and meet-closed."""
         return frozenset(j for j in range(self.n) if self.leq(k, j))
-
-    def commencing_complement(self, S):
-        """The complement of S; downward-closed when S is finishing."""
-        return frozenset(range(self.n)) - frozenset(S)
 
     def is_subsemilattice(self, S):
         S = frozenset(S)

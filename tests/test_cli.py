@@ -1,12 +1,16 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from gradedcstar import cli
 from gradedcstar import products as pr
+from gradedcstar import seeding
 from gradedcstar import workbench as wb
+
+GOLDEN = Path(__file__).parent / "data" / "demo_outputs.json"
 
 
 def run(capsys, *argv):
@@ -32,6 +36,15 @@ class TestValidate:
         assert "seed:" in out
         assert "check compatibility: pass" in out
         assert "elapsed:" in err
+
+    def test_default_seed_in_report_header(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(seeding.SEED_ENV_VAR, raising=False)
+        assert seeding.resolve_seed() == seeding.DEFAULT_SEED
+        path = demo_file(tmp_path, "chain-2")
+        capsys.readouterr()
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert f"seed: {seeding.DEFAULT_SEED}" in out.splitlines()
 
     def test_math_failure_exits_one(self, tmp_path, capsys):
         doc = wb.spec_to_document(wb.demo_spec("all-scalar-diamond"))
@@ -63,6 +76,11 @@ class TestAnalysis:
         assert code == 0
         assert "4 characters" in out1
         assert "4 nonempty finishing sub-semilattices" in out1
+        lines = out1.splitlines()
+        assert "finishing {1} <-> character (1, 0)" in lines
+        assert "finishing {a, 1} <-> character (a, 0)" in lines
+        assert "finishing {0, a, b, 1} <-> character (0, 0)" in lines
+        assert "None" not in out1
         code, out2, _ = run(capsys, "characters", str(path))
         assert out2 == out1
 
@@ -173,3 +191,56 @@ class TestConstructions:
         code, out, err = run(capsys, "demo", "nope")
         assert code == 2
         assert "unknown demo" in err
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN.read_text()), ids=lambda c: " ".join([c["demo"]] + c["argv"])
+)
+def test_demo_outputs_golden(tmp_path, capsys, case):
+    path = demo_file(tmp_path, case["demo"])
+    capsys.readouterr()
+    argv = case["argv"][:1] + [str(path)] + case["argv"][1:]
+    code, out, err = run(capsys, *argv)
+    assert code == case["code"]
+    assert out.splitlines() == case["stdout"]
+    if "stderr" in case:
+        assert err.splitlines()[0] == case["stderr"]
+
+
+BAD_ENTRIES = {
+    "nan": "NaN",
+    "infinity": "Infinity",
+    "minus-infinity": "-Infinity",
+    "boolean": "true",
+    "huge-integer": "1" + "0" * 400,
+}
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("token", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    @pytest.mark.parametrize("command", ["validate", "k0", "characters"])
+    def test_spec_entry_rejected(self, tmp_path, capsys, command, token):
+        # the structure map's only entry becomes [token, 0.0]
+        doc = wb.spec_to_document(wb.demo_spec("chain-2"))
+        text = json.dumps(doc).replace("[1.0, 0.0]", f"[{token}, 0.0]", 1)
+        assert token in text
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "DocumentError" in err and "phi[0]: matrix: row 0, column 0" in err
+
+    @pytest.mark.parametrize("token", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+    def test_element_entry_rejected(self, tmp_path, capsys, token):
+        spec_path = demo_file(tmp_path, "m2-chain")
+        elem = tmp_path / "x.json"
+        elem.write_text(
+            '{"components": {"0": [[%s, 0.0], [0.0, 0.0], [0.0, 0.0], '
+            "[0.0, 0.0]]}}" % token
+        )
+        capsys.readouterr()
+        code, out, err = run(capsys, "norm", str(spec_path), str(elem))
+        assert code == 2
+        assert out == ""
+        assert "DocumentError" in err and "entry 0" in err

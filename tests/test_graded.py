@@ -385,7 +385,14 @@ class TestFinishingSplit:
         new_a = split.remap[L.index_of("a")]
         assert abs(scalar_of(img.comps[new_a]) - 1.0) < 1e-12
         assert split.kernel_dim == 2
-        assert split.mult_residual <= 1e-12
+        # p is multiplicative on every basis pair
+        for i, a, _ in spec.graded_basis():
+            x = spec.basis_element(i, a)
+            for j, b, _ in spec.graded_basis():
+                y = spec.basis_element(j, b)
+                lhs = p(gr.gmul(x, y))
+                rhs = gr.gmul(p(x), p(y))
+                assert np.linalg.norm(gr.to_gvector(lhs - rhs)) <= 1e-12
 
     def test_section_is_right_inverse_exactly(self, corpus):
         for name in ("all-scalar-diamond", "all-scalar-chain4", "mixed-diamond"):

@@ -6,7 +6,9 @@ import pytest
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
 from gradedcstar import ktheory as kt
+from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
+from gradedcstar import workbench as wb
 from gradedcstar.errors import DegenerateGenerator, InputError
 
 from conftest import M2, all_scalar_spec, block_chain_spec, m2_chain_spec, \
@@ -254,27 +256,26 @@ class TestVerifyK0:
             assert report.total_rank == sum(report.per_component_ranks)
             assert report.unimodular
 
-    def test_block_count_guard_fires(self, monkeypatch):
-        # unreachable through a valid spec (the rank count always agrees
-        # there), so pad the decomposition with a phantom block to prove
-        # the guard trips before any determinant work
-        real = kt.wedderburn
-
-        def padded(basis, seed=None, tol=kt.PROJECTION_TOL):
-            data = real(basis, seed=seed, tol=tol)
-            data.block_dims = data.block_dims + [1]
-            return data
-
-        monkeypatch.setattr(kt, "wedderburn", padded)
-        with pytest.raises(kt.RankMismatch):
-            kt.verify_k0(m2_chain_spec())
-
-    def test_unimodularity_guard_fires(self, monkeypatch):
-        real = kt.WedderburnData.projection_ranks
-        monkeypatch.setattr(
-            kt.WedderburnData,
-            "projection_ranks",
-            lambda self, p: [2 * v for v in real(self, p)],
-        )
+    def test_unimodularity_guard_fires(self):
+        # deliberately invalid spec: phi_00 = 2 id doubles every trace on
+        # the diagonal, so the generator matrix is [[2]]
+        scalar = fd.AlgebraShape([1])
+        twice = fd.StarHom(scalar, scalar, np.array([[2.0]]))
+        spec = gr.GradedSpec(sl.chain(1), [scalar], {(0, 0): twice})
         with pytest.raises(kt.NotUnimodular):
-            kt.verify_k0(m2_chain_spec())
+            kt.verify_k0(spec)
+
+    def test_non_finite_trace_is_non_integral(self):
+        scalar = fd.AlgebraShape([1])
+        bad = fd.StarHom(scalar, scalar, np.array([[np.nan]]))
+        spec = gr.GradedSpec(sl.chain(2), [scalar, scalar], {(0, 1): bad})
+        with pytest.raises(kt.NonIntegralBlock):
+            kt.verify_k0(spec)
+
+    def test_coset_z4_tensor_square(self):
+        # 49 blocks, the largest generator matrix in the suite
+        z4 = wb.demo_spec("coset-z4")
+        report = kt.verify_k0(pr.tensor_spec(z4, z4))
+        assert report.total_rank == 49
+        assert report.unimodular
+        assert len(report.phi_matrix) == 49

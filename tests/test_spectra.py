@@ -94,6 +94,19 @@ class TestBruteForce:
         with pytest.raises(sp.DegenerateGenerator):
             sp.brute_force_characters(spec)
 
+    def test_product_table_matches_gmul(self, corpus):
+        # every spec, commutative or not: the table is filled in from the
+        # q tensors and must agree with gmul on every basis pair
+        for name, spec in corpus.items():
+            n = spec.total_dim
+            want = np.zeros((n, n, n), dtype=complex)
+            for i, a, g in spec.graded_basis():
+                x = spec.basis_element(i, a)
+                for j, b, h in spec.graded_basis():
+                    y = spec.basis_element(j, b)
+                    want[g, h] = gr.to_gvector(gr.gmul(x, y))
+            assert np.abs(sp._product_table(spec) - want).max() <= 1e-12, name
+
     def test_corrupted_functional_detected(self):
         spec = all_scalar_spec(sl.diamond())
         ch = sp.brute_force_characters(spec)[0]
@@ -138,6 +151,15 @@ class TestGradedCharacters:
         # both bottom points restrict the top scalar to itself
         assert abs(chars[0].values[2] - 1.0) < 1e-10
         assert abs(chars[1].values[2] - 1.0) < 1e-10
+
+    def test_non_multiplicative_row_detected(self):
+        # deliberately invalid spec: phi_01 = 2 is not a *-homomorphism,
+        # so coordinate 0 of pi_0 reads 2 on the top unit, an idempotent
+        L = sl.chain(2)
+        twice = fd.StarHom(SCALAR, SCALAR, np.array([[2.0]]))
+        spec = gr.GradedSpec(L, [SCALAR, SCALAR], {(0, 1): twice})
+        with pytest.raises(sp.NotACharacter):
+            sp.graded_characters(spec)
 
     def test_duplicate_rows_detected(self):
         # deliberately invalid spec: the diagonal map is not the identity,
