@@ -61,13 +61,12 @@ def cmd_validate(args, seed):
     doc = wb.load_document(args.spec)
     report = wb.new_report(doc, seed)
     try:
-        spec = wb.document_to_spec(doc)
+        v = gr.validate_spec(wb.parse_spec(doc))
     except ValidationFailure as exc:
         report.checks.append(
             wb.CheckResult("validate", "fail", detail=str(exc))
         )
         return 1, [report.render()]
-    v = gr.validate_spec(spec)
     report.checks.extend(
         [
             wb.CheckResult("identity-maps", "pass", v.identity_residual),

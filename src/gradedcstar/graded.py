@@ -295,16 +295,10 @@ class QFamily:
         for i in range(n):
             for j in range(n):
                 k = spec.L.meet_of(i, j)
-                di = spec.components[i].dim
-                dj = spec.components[j].dim
-                t = np.zeros((spec.components[k].dim, di, dj), dtype=complex)
-                mki = fd.ambient_images(spec.structure_map(k, i))
-                mkj = fd.ambient_images(spec.structure_map(k, j))
-                rows, cols = fd.ambient_index_maps(spec.components[k])
-                for a in range(di):
-                    prod = mki[a] @ mkj  # (dj, side, side)
-                    t[:, a, :] = prod[:, rows, cols].T
-                tensors[(i, j)] = t
+                t = fd.pair_products(
+                    spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
+                )
+                tensors[(i, j)] = t.transpose(2, 0, 1)
         return cls(spec.L, spec.components, tensors)
 
     def apply(self, i, j, x, y):
@@ -320,16 +314,11 @@ class QFamily:
         n = L.n
         for i in range(n):
             t = self.tensors[(i, i)]
-            di = comps[i].dim
-            triples = comps[i].basis_triples()
-            index = {tr: a for a, tr in enumerate(triples)}
+            a, b, c = fd.unit_products(comps[i])
             want = np.zeros_like(t)
-            for a, (k, p, q) in enumerate(triples):
-                for b, (k2, p2, q2) in enumerate(triples):
-                    if k2 == k and p2 == q:
-                        want[index[(k, p, q2)], a, b] = 1.0
-            r = float(np.abs(t - want).max()) if t.size else 0.0
-            if r > tol:
+            want[c, a, b] = 1.0
+            r = fd.maxabs(t - want)
+            if not r <= tol:
                 raise QAxiomViolation(
                     f"q_{{i,i}} is not multiplication at index {L.names[i]}, "
                     f"residual {r:.3e}"
@@ -344,8 +333,8 @@ class QFamily:
                 s = self.tensors[(j, i)]
                 # q_{i,j}(E_a, E_b) = q_{j,i}(E_b*, E_a*)*
                 want = np.conj(s[np.ix_(pk, pj, pi)]).transpose(0, 2, 1)
-                r = float(np.abs(t - want).max()) if t.size else 0.0
-                if r > tol:
+                r = fd.maxabs(t - want)
+                if not r <= tol:
                     raise QAxiomViolation(
                         f"adjoint symmetry fails for pair "
                         f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
@@ -367,8 +356,8 @@ class QFamily:
                         self.tensors[(j, k)],
                         optimize=True,
                     )
-                    r = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
-                    if r > tol:
+                    r = fd.maxabs(lhs - rhs)
+                    if not r <= tol:
                         raise QAxiomViolation(
                             f"associativity fails at indices "
                             f"({L.names[i]}, {L.names[j]}, {L.names[k]}), "
@@ -420,25 +409,33 @@ def validate_spec(spec, tol=AXIOM_TOL):
     Checks, over canonical bases: phi_{i,i} = id, every phi is a
     *-homomorphism, and the two-variable compatibility axiom for every
     (i, j) and every m below i ^ j. Raises on the first failure; returns
-    max residuals on success.
+    max residuals on success. A NaN residual fails.
     """
     L = spec.L
     id_res = 0.0
     for i in range(L.n):
         h = spec.structure_map(i, i)
-        delta = h.matrix - np.eye(spec.components[i].dim)
-        r = float(np.abs(delta).max()) if delta.size else 0.0
-        if r > tol:
+        r = fd.maxabs(h.matrix - np.eye(spec.components[i].dim))
+        if not r <= tol:
             raise AxiomAViolation(
                 f"phi[{L.names[i]},{L.names[i]}] differs from the identity "
                 f"by {r:.3e}"
             )
         id_res = max(id_res, r)
 
+    # *-hom residuals, one stacked call per (source, target) shape pair
+    groups = {}
+    for key, h in spec.phi.items():
+        groups.setdefault((h.source, h.target), []).append(key)
+    residuals = {}
+    for (source, target), keys in groups.items():
+        mats = np.stack([spec.phi[key].matrix for key in keys])
+        residuals.update(zip(keys, zip(*fd.starhom_residuals(source, target, mats))))
+
     mult_res = star_res = 0.0
     for (i, j), h in sorted(spec.phi.items()):
         try:
-            rep = fd.validate_starhom(h, tol)
+            rep = fd.check_starhom_residuals(h.source, *residuals[(i, j)], tol)
         except ValidationFailure as e:
             raise HomNotStar(
                 f"phi[{L.names[i]},{L.names[j]}]: {e}"
@@ -452,19 +449,19 @@ def validate_spec(spec, tol=AXIOM_TOL):
         for j in range(L.n):
             k = L.meet_of(i, j)
             below = [m for m in range(L.n) if L.leq(m, k)]
-            prod_k = _pair_product_vectors(spec, k, i, j)
+            prod_k = fd.pair_products(
+                spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
+            )
             for m in below:
                 pairs += 1
-                if m == k:
-                    lhs = prod_k
-                else:
-                    lhs = np.einsum(
-                        "uv,abv->abu", spec.structure_map(m, k).matrix, prod_k
-                    )
-                rhs = _pair_product_vectors(spec, m, i, j)
-                r = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
-                if r > tol:
-                    flat = int(np.abs(lhs - rhs).reshape(-1).argmax())
+                lhs = prod_k if m == k else prod_k @ spec.phi[(m, k)].matrix.T
+                rhs = fd.pair_products(
+                    spec.components[m], spec.phi[(m, i)].matrix, spec.phi[(m, j)].matrix
+                )
+                diff = np.abs(lhs - rhs)
+                r = fd.maxabs(diff)
+                if not r <= tol:
+                    flat = int(diff.reshape(-1).argmax())
                     di = spec.components[i].dim
                     dj = spec.components[j].dim
                     a, b = divmod(flat // spec.components[m].dim, dj) if dj else (0, 0)
@@ -476,20 +473,6 @@ def validate_spec(spec, tol=AXIOM_TOL):
                     )
                 b_res = max(b_res, r)
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs)
-
-
-def _pair_product_vectors(spec, t, i, j):
-    """vec(phi_{t,i}(E_a) phi_{t,j}(E_b)) for all basis pairs (a, b);
-    shape (dim_i, dim_j, dim_t). Requires t <= i and t <= j."""
-    mti = fd.ambient_images(spec.structure_map(t, i))
-    mtj = fd.ambient_images(spec.structure_map(t, j))
-    rows, cols = fd.ambient_index_maps(spec.components[t])
-    di, dj = spec.components[i].dim, spec.components[j].dim
-    out = np.zeros((di, dj, spec.components[t].dim), dtype=complex)
-    for a in range(di):
-        prod = mti[a] @ mtj
-        out[a] = prod[:, rows, cols]
-    return out
 
 
 # --------------------------------------------------------- total algebra
@@ -625,8 +608,8 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
         for i, j in L.comparable_pairs():
             lhs = m.psi[i].matrix @ spec.structure_map(i, j).matrix
             rhs = target.structure_map(i, j).matrix @ m.psi[j].matrix
-            r = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
-            if r > tol:
+            r = fd.maxabs(lhs - rhs)
+            if not r <= tol:
                 raise IncompatibleFamily(
                     f"psi does not intertwine structure maps at pair "
                     f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
@@ -640,21 +623,22 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
     for j in range(L.n):
         for k in range(L.n):
             t = L.meet_of(j, k)
-            dj, dk = spec.components[j].dim, spec.components[k].dim
-            for a in range(dj):
-                xa = fd.basis_element(spec.components[j], a)
-                img_a = m.psi[j].image_of_basis(a)
-                for b in range(dk):
-                    yb = fd.basis_element(spec.components[k], b)
-                    lhs = m.psi[t].apply(q_from_phi(spec, j, k, xa, yb))
-                    rhs = fd.mul(img_a, m.psi[k].image_of_basis(b))
-                    r = fd.frob_norm(lhs - rhs)
-                    if r > tol:
-                        raise IncompatibleFamily(
-                            f"psi_{{j^k}}(xy) != psi_j(x) psi_k(y) at "
-                            f"({spec.basis_label(j, a)}, {spec.basis_label(k, b)}), "
-                            f"residual {r:.3e}"
-                        )
+            q = fd.pair_products(
+                spec.components[t], spec.phi[(t, j)].matrix, spec.phi[(t, k)].matrix
+            )
+            resid = np.linalg.norm(
+                q @ m.psi[t].matrix.T
+                - fd.pair_products(target, m.psi[j].matrix, m.psi[k].matrix),
+                axis=-1,
+            )
+            bad = np.flatnonzero(~(resid <= tol))
+            if bad.size:
+                a, b = divmod(int(bad[0]), spec.components[k].dim)
+                raise IncompatibleFamily(
+                    f"psi_{{j^k}}(xy) != psi_j(x) psi_k(y) at "
+                    f"({spec.basis_label(j, a)}, {spec.basis_label(k, b)}), "
+                    f"residual {resid[a, b]:.3e}"
+                )
     return m
 
 
@@ -669,15 +653,6 @@ class MorphismAnalysis:
     componentwise: bool = field(default=False)
 
 
-def _rank(matrix):
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > fd.RANK_RTOL * s[0]))
-
-
 def analyze_morphism(m):
     """Injectivity/surjectivity verdicts with the ranks that support them.
 
@@ -690,9 +665,9 @@ def analyze_morphism(m):
     """
     src = m.source
     ker_dims = [fd.kernel_dim(h) for h in m.psi]
-    image_dims = [fd.image_dim(h) for h in m.psi]
+    image_dims = [fd.rank(h.matrix) for h in m.psi]
     total = m.total_matrix()
-    total_rank = _rank(total)
+    total_rank = fd.rank(total)
     total_kernel = src.total_dim - total_rank
     if m.graded_target:
         injective = all(k == 0 for k in ker_dims)
@@ -837,9 +812,9 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
                     ]
                     for blk, m in enumerate(prod.comps[k].mats):
                         if not keep[blk]:
-                            leak = max(leak, float(np.abs(m).max()) if m.size else 0.0)
+                            leak = max(leak, fd.maxabs(m))
                 max_leak = max(max_leak, leak)
-                if leak > tol:
+                if not leak <= tol:
                     raise NotAnIdeal(
                         f"product of {spec.basis_label(i, a)} and "
                         f"{spec.basis_label(j, b)} leaves the selected blocks "
@@ -873,11 +848,11 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
         if dropped.size:
             # well-definedness on the quotient: phi must map the ideal
             # coordinates at j into the ideal coordinates at i
-            leak_m = h.matrix[np.ix_(keep_coords[i], dropped)]
-            if leak_m.size and float(np.abs(leak_m).max()) > tol:
+            leak = fd.maxabs(h.matrix[np.ix_(keep_coords[i], dropped)])
+            if not leak <= tol:
                 raise NotAnIdeal(
                     f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
-                    f"itself by {float(np.abs(leak_m).max()):.3e}"
+                    f"itself by {leak:.3e}"
                 )
         quot_phi[(i, j)] = StarHom(quot_comps[j], quot_comps[i], sub)
     quotient = GradedSpec(L, quot_comps, quot_phi)
@@ -904,7 +879,7 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
         )
         cols.append(lift @ quotient_maps[i].matrix)
     stacked = np.concatenate(cols, axis=1) if cols else np.zeros((0, 0))
-    if _rank(stacked) != quotient.total_dim:
+    if fd.rank(stacked) != quotient.total_dim:
         raise QuotientDegenerate("quotient components are not in direct sum")
     validate_spec(quotient, tol)
     return IdealGradationReport(ideal_dim, max_leak, quotient, quotient_maps)
@@ -924,7 +899,7 @@ def total_commutative(spec, tol=AXIOM_TOL):
         for j, b, _ in spec.graded_basis():
             yb = spec.basis_element(j, b)
             d = gmul(xa, yb) - gmul(yb, xa)
-            if any(fd.frob_norm(c) > tol for c in d.comps):
+            if any(not fd.frob_norm(c) <= tol for c in d.comps):
                 return False
     return True
 
@@ -987,16 +962,16 @@ def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
             composed.append(h)
         base = composed[0]
         for other in composed[1:]:
-            r = float(np.abs(base.matrix - other.matrix).max()) if base.matrix.size else 0.0
-            if r > tol:
+            r = fd.maxabs(base.matrix - other.matrix)
+            if not r <= tol:
                 raise PathDependence(
                     f"chain compositions for ({L.names[i]}, {L.names[j]}) "
                     f"disagree by {r:.3e}"
                 )
         if (i, j) in partial:
             given = partial[(i, j)]
-            r = float(np.abs(base.matrix - given.matrix).max()) if base.matrix.size else 0.0
-            if r > tol:
+            r = fd.maxabs(base.matrix - given.matrix)
+            if not r <= tol:
                 raise PathDependence(
                     f"given phi for ({L.names[i]}, {L.names[j]}) disagrees "
                     f"with its chain composition by {r:.3e}"

@@ -46,10 +46,6 @@ class TransportMismatch(ValidationFailure):
     """Transported structure maps disagree with pointwise convolution."""
 
 
-def _maxabs(arr):
-    return float(np.abs(arr).max()) if arr.size else 0.0
-
-
 # ------------------------------------------------------------------ groups
 
 class FiniteGroup:
@@ -237,16 +233,16 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
                     f"map for ({group.names[g]}, {i}) is not a "
                     f"*-homomorphism: {exc}"
                 ) from exc
-            if fd.hom_rank(h) != spec.components[i].dim:
+            if fd.rank(h.matrix) != spec.components[i].dim:
                 raise ActionInvalid(
                     f"map for ({group.names[g]}, {i}) is not invertible"
                 )
     for i in range(n):
-        e_resid = _maxabs(
+        e_resid = fd.maxabs(
             full[(group.identity, i)].matrix
             - np.eye(spec.components[i].dim)
         )
-        if e_resid > tol:
+        if not e_resid <= tol:
             raise ActionInvalid(
                 f"identity element acts nontrivially on index {i} "
                 f"(residual {e_resid:.3e})"
@@ -255,11 +251,11 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
         for h in range(g_ord):
             gh = group.mul[g][h]
             for i in range(n):
-                resid = _maxabs(
+                resid = fd.maxabs(
                     full[(g, i)].matrix @ full[(h, i)].matrix
                     - full[(gh, i)].matrix
                 )
-                if resid > tol:
+                if not resid <= tol:
                     raise ActionInvalid(
                         f"composition fails on index {i}: "
                         f"{group.names[g]} after {group.names[h]} is not "
@@ -270,10 +266,10 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
             continue
         phi = spec.phi[(i, j)].matrix
         for g in range(g_ord):
-            resid = _maxabs(
+            resid = fd.maxabs(
                 full[(g, i)].matrix @ phi - phi @ full[(g, j)].matrix
             )
-            if resid > tol:
+            if not resid <= tol:
                 raise ActionInvalid(
                     f"map for {group.names[g]} does not commute with the "
                     f"structure morphism ({i}, {j}) (residual {resid:.3e})"
@@ -367,16 +363,8 @@ def tensor_intersection_dims(a, b, tensor, l, m):
         [sl.product_index(b.L, l1, m) for l1 in range(a.L.n)]
     )
 
-    def rank(rows):
-        if rows.size == 0:
-            return 0
-        s = np.linalg.svd(rows, compute_uv=False)
-        if s[0] == 0.0:
-            return 0
-        return int(np.sum(s > fd.RANK_RTOL * s[0]))
-
-    du, dv = rank(left), rank(right)
-    dsum = rank(np.concatenate([left, right], axis=0))
+    du, dv = fd.rank(left), fd.rank(right)
+    dsum = fd.rank(np.concatenate([left, right], axis=0))
     inter = du + dv - dsum
     both = tensor.components[sl.product_index(b.L, l, m)].dim
     return du, dv, inter, both
@@ -438,7 +426,7 @@ def _check_convolution_axioms(act, i, tol=CONV_TOL):
     if d == 0:
         return 0.0
     P = fd.adjoint_permutation(shape)
-    worst = 0.0
+    resids = []
 
     for s1 in range(g):
         for s2 in range(g):
@@ -450,12 +438,12 @@ def _check_convolution_axioms(act, i, tol=CONV_TOL):
             pushed = np.einsum("nm,bcm->bcn", alpha[s1], inner[..., rows, cols])
             rhs = np.zeros_like(lhs)
             rhs[..., rows, cols] = pushed
-            worst = max(worst, _maxabs(lhs - rhs))
+            resids.append(fd.maxabs(lhs - rhs))
 
     for s in range(g):
         v1 = alpha[group.inverse[s]][:, P]
         v2 = alpha[s] @ np.conj(v1)[P, :]
-        worst = max(worst, _maxabs(v2 - np.eye(d)))
+        resids.append(fd.maxabs(v2 - np.eye(d)))
 
     struct = np.einsum("auv,bvw->abuw", amb_basis, amb_basis)[..., rows, cols]
     for s1 in range(g):
@@ -471,9 +459,10 @@ def _check_convolution_axioms(act, i, tol=CONV_TOL):
             v_y = alpha[group.inverse[s2]][:, P]
             w_x = alpha[group.inverse[s2]] @ alpha[group.inverse[s1]][:, P]
             right = np.einsum("ub,va,uvn->abn", v_y, w_x, struct)
-            worst = max(worst, _maxabs(left - right))
+            resids.append(fd.maxabs(left - right))
 
-    if worst > tol:
+    worst = fd.maxabs(resids)
+    if not worst <= tol:
         raise ActionInvalid(
             f"convolution algebra laws fail on index {i} "
             f"(residual {worst:.3e})"
@@ -551,7 +540,7 @@ def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
     L = spec.L
     q_in = gr.q_family_from_spec(spec)
     q_out = gr.q_family_from_spec(out)
-    worst = 0.0
+    resids = []
     for i in range(L.n):
         for j in range(L.n):
             k = L.meet_of(i, j)
@@ -580,8 +569,9 @@ def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
                         r_k[:, u0 * d_k : (u0 + 1) * d_k],
                         mixed,
                     )
-                    worst = max(worst, _maxabs(got - want))
-    if worst > tol:
+                    resids.append(fd.maxabs(got - want))
+    worst = fd.maxabs(resids)
+    if not worst <= tol:
         raise TransportMismatch(
             f"output products deviate from convolution by {worst:.3e}"
         )
@@ -637,12 +627,7 @@ def _check_total_independence(act, rtol=fd.RANK_RTOL):
                 ] = rep_r[r][t]
             vecs.append((rho @ ubig).reshape(-1))
     stacked = np.asarray(vecs)
-    s_vals = np.linalg.svd(stacked, compute_uv=False)
-    rank = (
-        int(np.sum(s_vals > rtol * s_vals[0]))
-        if s_vals.size and s_vals[0] > 0
-        else 0
-    )
+    rank = fd.rank(stacked, rtol)
     if rank != g * n_tot:
         raise RealizationFault(
             f"component convolution algebras span rank {rank} in the total "

@@ -5,10 +5,9 @@ table is the single source of truth; the partial order is derived from it
 (i <= j iff meet[i][j] == i) and never stored separately.
 """
 
-from .errors import InputError, ValidationFailure
+import numpy as np
 
-# Subset enumerations are 2^n; anything past this bound must fail loudly.
-ENUMERATION_BOUND = 20
+from .errors import InputError, ValidationFailure
 
 
 class IdempotencyViolation(ValidationFailure):
@@ -35,10 +34,6 @@ class EmptySet(InputError):
     pass
 
 
-class BoundExceeded(InputError):
-    pass
-
-
 class NoBottom(InputError):
     pass
 
@@ -47,8 +42,8 @@ class Semilattice:
     """A validated finite meet-semilattice.
 
     Construction runs the full exhaustive check (idempotency, commutativity,
-    associativity, and the greatest-lower-bound property of the derived
-    order), so an instance in hand is always valid. Immutable by convention.
+    associativity; the glb property of the derived order follows), so an
+    instance in hand is always valid. Immutable by convention.
     """
 
     def __init__(self, meet, names=None):
@@ -82,22 +77,15 @@ class Semilattice:
             for j in range(i + 1, n):
                 if meet[i][j] != meet[j][i]:
                     raise CommutativityViolation(i, j, meet[i][j], meet[j][i])
+        # one i at a time, first violation in (i, j, k) order:
+        # left[j, k] = (i ^ j) ^ k, right[j, k] = i ^ (j ^ k)
+        table = np.asarray(meet, dtype=np.intp).reshape(n, n)
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = meet[meet[i][j]][k]
-                    right = meet[i][meet[j][k]]
-                    if left != right:
-                        raise AssociativityViolation(i, j, k, left, right)
-        # glb property of the derived order. A consequence of the three table
-        # axioms, so failures are unreachable; kept as an internal assertion.
-        for i in range(n):
-            for j in range(n):
-                m = meet[i][j]
-                assert self.leq(m, i) and self.leq(m, j)
-                for c in range(n):
-                    if self.leq(c, i) and self.leq(c, j):
-                        assert self.leq(c, m), (c, i, j, m)
+            left, right = table[table[i]], table[i][table]
+            bad = np.flatnonzero(left != right)
+            if bad.size:
+                j, k = divmod(int(bad[0]), n)
+                raise AssociativityViolation(i, j, k, left[j, k], right[j, k])
 
     def __repr__(self):
         return f"Semilattice({self.n} elements: {', '.join(self.names)})"
@@ -169,24 +157,24 @@ class Semilattice:
                 return frozenset(S)
             S |= new
 
-    def enumerate_finishing_subsemilattices(self, bound=ENUMERATION_BOUND):
-        """All nonempty finishing sub-semilattices, in sorted-bitset order."""
-        if self.n > bound:
-            raise BoundExceeded(f"n = {self.n} exceeds enumeration bound {bound}")
-        out = []
-        for mask in range(1, 1 << self.n):
-            S = frozenset(i for i in range(self.n) if mask >> i & 1)
-            if self.is_finishing_subsemilattice(S):
-                out.append(S)
-        return out
+    def enumerate_finishing_subsemilattices(self):
+        """All nonempty finishing sub-semilattices, in sorted-bitset order.
 
-    def check_good(self, bound=ENUMERATION_BOUND):
+        These are exactly the upsets of single elements: a nonempty
+        finishing set S holds its own meet m, being meet-closed, and being
+        upward closed it is then the upset of m; every upset of an element
+        is a finishing set.
+        """
+        sets = {self.finishing_set(k) for k in range(self.n)}
+        return sorted(sets, key=lambda S: sum(1 << i for i in S))
+
+    def check_good(self):
         """Every nonempty finishing sub-semilattice has a least element.
 
         True for every finite semilattice; exposed so the property can be
         exercised rather than assumed.
         """
-        for S in self.enumerate_finishing_subsemilattices(bound):
+        for S in self.enumerate_finishing_subsemilattices():
             if not any(all(self.leq(m, s) for s in S) for m in S):
                 return False
         return True

@@ -125,6 +125,15 @@ def document_to_spec(doc, tol=gr.AXIOM_TOL):
     a well-formed document whose mathematics fails raises the validation
     error itself.
     """
+    spec = parse_spec(doc, tol)
+    gr.validate_spec(spec, tol)
+    return spec
+
+
+def parse_spec(doc, tol=gr.AXIOM_TOL):
+    """Build the spec a document describes, without the numeric axiom
+    checks of validate_spec. Chain closure still insists, to tol, that
+    compositions along different chains agree (PathDependence)."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     for section in ("semilattice", "components", "phi"):
@@ -203,9 +212,7 @@ def document_to_spec(doc, tol=gr.AXIOM_TOL):
     elif closure is not None:
         raise DocumentError(f"closure: unrecognized mode {closure!r}")
 
-    spec = gr.GradedSpec(L, components, phi)
-    gr.validate_spec(spec, tol)
-    return spec
+    return gr.GradedSpec(L, components, phi)
 
 
 def group_to_document(group):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gradedcstar import cli
+from gradedcstar import graded as gr
 from gradedcstar import products as pr
 from gradedcstar import seeding
 from gradedcstar import workbench as wb
@@ -53,6 +54,32 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "validate", str(path))
         assert code == 1
+        assert "result: FAIL" in out
+
+    def test_validates_once(self, tmp_path, capsys, monkeypatch):
+        path = demo_file(tmp_path, "m2-chain")
+        capsys.readouterr()
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(1) or real(*a))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert "result: PASS" in out
+        assert len(calls) == 1
+
+    def test_path_dependence_is_a_failed_check(self, tmp_path, capsys):
+        doc = wb.spec_to_document(wb.demo_spec("all-scalar-diamond"))
+        doc["phi"] = [e for e in doc["phi"] if {e["to"], e["from"]} != {"0", "1"}]
+        for e in doc["phi"]:
+            if (e["to"], e["from"]) == ("a", "1"):
+                e["matrix"] = [[[0.0, 0.0]]]
+        doc["closure"] = "chains"
+        path = tmp_path / "paths.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "check validate: fail" in out
+        assert "disagree" in out
         assert "result: FAIL" in out
 
     def test_missing_file_exits_two(self, tmp_path, capsys):

@@ -144,19 +144,19 @@ def test_swap_blocks_is_a_star_hom():
 def test_identity_ranks():
     h = fd.identity_hom(shape(2, 1))
     assert fd.kernel_dim(h) == 0
-    assert fd.image_dim(h) == 5
+    assert fd.rank(h.matrix) == 5
 
 
 def test_zero_map_kernel_is_everything():
     h = fd.zero_hom(shape(2), shape(3))
     assert fd.kernel_dim(h) == 4
-    assert fd.image_dim(h) == 0
+    assert fd.rank(h.matrix) == 0
 
 
 def test_scalar_embedding_ranks():
     h = unital_embedding_c_to_m2()
     assert fd.kernel_dim(h) == 0
-    assert fd.image_dim(h) == 1
+    assert fd.rank(h.matrix) == 1
 
 
 def test_compose_requires_matching_shapes():
@@ -242,3 +242,125 @@ def test_projection_is_not_isometric_off_its_block():
     assert fd.op_norm(x) == 1.0
     assert fd.op_norm(proj.apply(x)) == 0.0
     assert fd.kernel_dim(proj) == 9
+
+
+# ----------------------------------------------------------- pair products
+
+block_lists = st.lists(st.integers(1, 3), min_size=0, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_lists, block_lists, block_lists, st.integers(0, 2), st.integers(0, 2**31 - 1))
+def test_pair_products_match_per_pair_products(tb, ab, bb, stack, seed):
+    target, sa, sb = AlgebraShape(tb), AlgebraShape(ab), AlgebraShape(bb)
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+
+    def maps(source):
+        size = lead + (target.dim, source.dim)
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    gm, hm = maps(sa), maps(sb)
+    got = fd.pair_products(target, gm, hm)
+    assert got.shape == lead + (sa.dim, sb.dim, target.dim)
+    for s in range(stack) if stack else [None]:
+        g = StarHom(sa, target, gm if s is None else gm[s])
+        h = StarHom(sb, target, hm if s is None else hm[s])
+        tensor = got if s is None else got[s]
+        for a in range(sa.dim):
+            for b in range(sb.dim):
+                want = fd.to_vector(fd.mul(g.image_of_basis(a), h.image_of_basis(b)))
+                assert np.allclose(tensor[a, b], want, atol=1e-12)
+
+
+def test_unit_products_is_the_product_table():
+    s = shape(2, 1, 3)
+    a, b, c = fd.unit_products(s)
+    table = {(int(x), int(y)): int(z) for x, y, z in zip(a, b, c)}
+    for x in range(s.dim):
+        for y in range(s.dim):
+            prod = fd.to_vector(fd.mul(fd.basis_element(s, x), fd.basis_element(s, y)))
+            if (x, y) in table:
+                assert np.array_equal(prod, fd.to_vector(fd.basis_element(s, table[(x, y)])))
+            else:
+                assert not prod.any()
+
+
+def test_stacked_residuals_match_single_maps():
+    homs = _sample_homs()
+    conj = homs[1]
+    broken = StarHom(conj.source, conj.target, conj.matrix + 1e-3)
+    stack = np.stack([conj.matrix, broken.matrix, fd.identity_hom(conj.source).matrix])
+    star, mult = fd.starhom_residuals(conj.source, conj.target, stack)
+    for n in range(3):
+        single = fd.starhom_residuals(conj.source, conj.target, stack[n])
+        assert np.allclose(star[n], single[0], rtol=0, atol=1e-14)
+        assert np.allclose(mult[n], single[1], rtol=0, atol=1e-14)
+    assert fd.check_starhom_residuals(conj.source, star[0], mult[0]).max_mult_residual <= 1e-12
+    with pytest.raises(NotMultiplicative):
+        fd.check_starhom_residuals(conj.source, star[1], mult[1])
+
+
+def test_nan_map_is_not_a_star_hom():
+    h = StarHom(shape(1), shape(1), np.array([[np.nan]]))
+    with pytest.raises(fd.NotStarPreserving):
+        fd.validate_starhom(h)
+
+
+def test_maxabs_propagates_nan_and_handles_empty():
+    assert fd.maxabs(np.zeros((0, 3))) == 0.0
+    assert fd.maxabs([1.0, -3.0j]) == 3.0
+    assert np.isnan(fd.maxabs([0.0, np.nan, 5.0]))
+
+
+def test_rank_helper():
+    assert fd.rank(np.zeros((0, 4))) == 0
+    assert fd.rank(np.zeros((3, 3))) == 0
+    assert fd.rank(np.diag([1.0, 1e-12, 2.0])) == 2
+    assert fd.rank(np.diag([1.0, 1e-12, 2.0]), rtol=1e-14) == 3
+
+
+def oracle_starhom_failure(h, tol=fd.BASIS_TOL):
+    """Element-by-element loop: (exception type, what it names) of the
+    first failure, star check over all elements before the product check."""
+    s = h.source
+    triples = s.basis_triples()
+    index = {t: a for a, t in enumerate(triples)}
+    for a, (k, p, q) in enumerate(triples):
+        r = fd.frob_norm(h.image_of_basis(index[(k, q, p)]) - fd.adjoint(h.image_of_basis(a)))
+        if not r <= tol:
+            return fd.NotStarPreserving, s.basis_label(a)
+    for a in range(s.dim):
+        for b in range(s.dim):
+            want = h.apply(fd.mul(fd.basis_element(s, a), fd.basis_element(s, b)))
+            got = fd.mul(h.image_of_basis(a), h.image_of_basis(b))
+            if not fd.frob_norm(got - want) <= tol:
+                return NotMultiplicative, (s.basis_label(a), s.basis_label(b))
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([0.0, 1e-3, 1.0, 1j, np.nan]),
+)
+def test_validate_starhom_matches_the_element_loop(blocks, seed, bump):
+    # block-diagonal doubling x -> (x, x) into a shape with an extra block,
+    # then one matrix entry bumped
+    s = AlgebraShape(blocks)
+    t = AlgebraShape(blocks + blocks)
+    images = [fd.AlgElement(t, 2 * fd.basis_element(s, a).mats) for a in range(s.dim)]
+    m = StarHom.from_images(s, t, images).matrix.copy()
+    rng = np.random.default_rng(seed)
+    m[rng.integers(t.dim), rng.integers(s.dim)] += bump
+    h = StarHom(s, t, m)
+    want = oracle_starhom_failure(h)
+    if want is None:
+        rep = fd.validate_starhom(h)
+        assert rep.max_mult_residual <= fd.BASIS_TOL
+        return
+    with pytest.raises(want[0]) as info:
+        fd.validate_starhom(h)
+    named = info.value.label if want[0] is fd.NotStarPreserving else info.value.pair
+    assert named == want[1]

@@ -114,6 +114,26 @@ class TestValidateSpec:
             gr.validate_spec(spec)
         assert exc.value.residual > 0.5
 
+    def test_nan_structure_map_fails(self):
+        # max(0.0, nan) is 0.0 and nan > tol is False; neither may let a
+        # non-finite map through
+        L = sl.chain(2)
+        phi = {(0, 1): fd.StarHom(SCALAR, SCALAR, np.array([[np.nan]]))}
+        spec = gr.GradedSpec(L, [SCALAR, SCALAR], phi)
+        with pytest.raises(gr.HomNotStar, match="residual nan"):
+            gr.validate_spec(spec)
+
+    def test_stacked_hom_residuals_match_single_checks(self, corpus):
+        for name, spec in corpus.items():
+            report = gr.validate_spec(spec)
+            singles = [fd.validate_starhom(h) for h in spec.phi.values()]
+            assert report.hom_mult_residual == pytest.approx(
+                max(r.max_mult_residual for r in singles), abs=1e-15
+            ), name
+            assert report.hom_star_residual == pytest.approx(
+                max(r.max_star_residual for r in singles), abs=1e-15
+            ), name
+
     def test_report_counts_pairs(self, corpus):
         spec = corpus["all-scalar-chain2"]
         report = gr.validate_spec(spec)

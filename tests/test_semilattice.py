@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gradedcstar.semilattice import (
     AssociativityViolation,
-    BoundExceeded,
     CommutativityViolation,
     EmptySet,
     IdempotencyViolation,
@@ -192,11 +191,6 @@ def test_enumerate_matches_oracle_on_fixed_corpus():
         )
 
 
-def test_enumeration_bound_is_loud():
-    with pytest.raises(BoundExceeded):
-        chain(6).enumerate_finishing_subsemilattices(bound=5)
-
-
 def test_enumeration_order_is_sorted_bitsets():
     L = diamond()
     got = L.enumerate_finishing_subsemilattices()
@@ -273,3 +267,59 @@ def test_generated_is_idempotent_and_monotone(L, raw):
     assert L.generated_subsemilattice(S) == S
     bigger = L.generated_subsemilattice(M | {0})
     assert S <= bigger or 0 in M
+
+
+@settings(max_examples=60, deadline=None)
+@given(semilattices())
+def test_meet_is_the_greatest_lower_bound(L):
+    n = L.n
+    for i in range(n):
+        for j in range(n):
+            m = L.meet_of(i, j)
+            assert L.leq(m, i) and L.leq(m, j)
+            for c in range(n):
+                if L.leq(c, i) and L.leq(c, j):
+                    assert L.leq(c, m), (c, i, j, m)
+
+
+def oracle_first_associativity_violation(table):
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = table[table[i][j]][k]
+                right = table[i][table[j][k]]
+                if left != right:
+                    return (i, j, k), left, right
+    return None
+
+
+@st.composite
+def commutative_idempotent_tables(draw):
+    n = draw(st.integers(1, 5))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = i
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(st.integers(0, n - 1))
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(commutative_idempotent_tables())
+def test_associativity_reports_the_first_violation(table):
+    first = oracle_first_associativity_violation(table)
+    if first is None:
+        assert validate_semilattice(table).n == len(table)
+        return
+    (i, j, k), left, right = first
+    with pytest.raises(AssociativityViolation) as e:
+        validate_semilattice(table)
+    assert e.value.triple == (i, j, k)
+    assert str(e.value) == f"(({i} ^ {j}) ^ {k}) = {left} but ({i} ^ ({j} ^ {k})) = {right}"
+
+
+def test_finishing_sets_of_a_large_chain_are_its_upsets():
+    L = chain(40)
+    got = L.enumerate_finishing_subsemilattices()
+    assert got == [frozenset(range(k, 40)) for k in reversed(range(40))]

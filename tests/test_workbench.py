@@ -120,6 +120,14 @@ class TestSpecDocuments:
         with pytest.raises(gr.HomNotStar):
             wb.document_to_spec(doc)
 
+    def test_parse_spec_skips_the_axioms(self):
+        doc = wb.spec_to_document(wb.demo_spec("all-scalar-diamond"))
+        doc["phi"][0]["matrix"] = [[[2.0, 0.0]]]
+        spec = wb.parse_spec(doc)
+        assert spec.phi[(0, 1)].matrix[0, 0] == 2.0
+        with pytest.raises(gr.HomNotStar):
+            gr.validate_spec(spec)
+
 
 class TestChainClosure:
     def covering_doc(self):
