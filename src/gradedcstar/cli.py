@@ -9,6 +9,7 @@ deterministic for a fixed input and seed; timing goes to stderr.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -19,7 +20,7 @@ from . import ktheory as kt
 from . import products as pr
 from . import spectra as sp
 from . import workbench as wb
-from .errors import GradedCstarError, ValidationFailure
+from .errors import GradedCstarError, NumericFailure, ValidationFailure
 from .seeding import resolve_seed
 
 
@@ -86,12 +87,15 @@ def cmd_validate(args, seed):
 def cmd_norm(args, seed):
     spec = _load_spec(args.spec)
     x = wb.document_to_element(wb.load_document(args.element), spec)
-    lines = []
-    for i in range(spec.L.n):
-        val = fd.op_norm(gr.pi_rep(spec, i, x))
-        lines.append(f"pi[{spec.L.names[i]}]: {val:.12g}")
-    lines.append(f"gnorm: {gr.gnorm(spec, x):.12g}")
-    return 0, lines
+    norms = [
+        (f"pi[{spec.L.names[i]}]", fd.op_norm(gr.pi_rep(spec, i, x)))
+        for i in range(spec.L.n)
+    ]
+    norms.append(("gnorm", gr.gnorm(spec, x)))
+    for label, val in norms:
+        if not math.isfinite(val):
+            raise NumericFailure(f"{label} is {val}: the element overflows")
+    return 0, [f"{label}: {val:.12g}" for label, val in norms]
 
 
 def cmd_characters(args, seed):

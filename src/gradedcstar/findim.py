@@ -228,12 +228,13 @@ def maxabs(arr):
 
 
 def op_norm(x):
-    """Largest singular value over all blocks (0 for the zero algebra)."""
-    best = 0.0
-    for m in x.mats:
-        if m.size:
-            best = max(best, float(np.linalg.norm(m, 2)))
-    return best
+    """Largest singular value over all blocks (0 for the zero algebra).
+    NaN if a block's SVD gives NaN or does not converge, as on non-finite
+    entries."""
+    try:
+        return maxabs([np.linalg.norm(m, 2) for m in x.mats if m.size])
+    except np.linalg.LinAlgError:
+        return np.nan
 
 
 def frob_norm(x):

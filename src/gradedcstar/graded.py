@@ -129,7 +129,7 @@ class GradedSpec:
             self.offsets.append(off)
             off += c.dim
         self.total_dim = off
-        self._pi_matrices = None
+        self._pi = None
 
     def structure_map(self, i, j):
         """phi_{i,j}: A_j -> A_i for i <= j."""
@@ -178,20 +178,22 @@ class GradedSpec:
             blocks.extend(c.blocks)
         return AlgebraShape(blocks)
 
-    def pi_matrix(self, i):
-        """Matrix of pi_i over the graded basis (dim A_i x total_dim)."""
-        if self._pi_matrices is None:
-            mats = []
-            for t in range(self.L.n):
-                m = np.zeros((self.components[t].dim, self.total_dim), dtype=complex)
-                for j in range(self.L.n):
-                    if self.L.leq(t, j):
-                        m[:, self.offsets[j] : self.offsets[j] + self.components[j].dim] = (
-                            self.phi[(t, j)].matrix
-                        )
-                mats.append(m)
-            self._pi_matrices = mats
-        return self._pi_matrices[i]
+    def span(self, i):
+        """Coordinates of index i in the graded basis, as a slice."""
+        return slice(self.offsets[i], self.offsets[i] + self.components[i].dim)
+
+    @property
+    def pi(self):
+        """Matrix of x -> (pi_t(x))_t over the graded basis, total_dim
+        square and read-only: block (t, j) is phi_{t,j} for t <= j and 0
+        otherwise, so rows span(t) are pi_t. Built on first use."""
+        if self._pi is None:
+            pi = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+            for (t, j), h in self.phi.items():
+                pi[self.span(t), self.span(j)] = h.matrix
+            pi.flags.writeable = False
+            self._pi = pi
+        return self._pi
 
     def __repr__(self):
         dims = [c.dim for c in self.components]
@@ -214,8 +216,9 @@ class GradedElement:
         self.comps = comps
 
     def support(self, tol=0.0):
+        """Indices whose component's norm exceeds tol or is NaN."""
         return frozenset(
-            i for i, c in enumerate(self.comps) if fd.op_norm(c) > tol
+            i for i, c in enumerate(self.comps) if not fd.op_norm(c) <= tol
         )
 
     def copy(self):
@@ -443,35 +446,47 @@ def validate_spec(spec, tol=AXIOM_TOL):
         mult_res = max(mult_res, rep.max_mult_residual)
         star_res = max(star_res, rep.max_star_residual)
 
+    # Axiom (b) says pi_m(E_a E_b) = pi_m(E_a) pi_m(E_b) for m <= k = i ^ j,
+    # and E_a E_b = q_{i,j}(E_a, E_b) = pi_k(E_a) pi_k(E_b) lies in A_k.
+    # One pair product over the rows of every m < k (ascending) and then
+    # of k gives both sides; m = k holds by the definition of q.
+    pi = spec.pi
+    comps = spec.components
+    below = {}  # k -> (m < k ascending, rows, shape, split, pi_{m,k} transposed)
     b_res = 0.0
     pairs = 0
     for i in range(L.n):
         for j in range(L.n):
             k = L.meet_of(i, j)
-            below = [m for m in range(L.n) if L.leq(m, k)]
-            prod_k = fd.pair_products(
-                spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
-            )
-            for m in below:
-                pairs += 1
-                lhs = prod_k if m == k else prod_k @ spec.phi[(m, k)].matrix.T
-                rhs = fd.pair_products(
-                    spec.components[m], spec.phi[(m, i)].matrix, spec.phi[(m, j)].matrix
+            if k not in below:
+                ms = [m for m in range(L.n) if m != k and L.leq(m, k)]
+                rows = np.concatenate(
+                    [spec.offsets[m] + np.arange(comps[m].dim) for m in ms + [k]]
                 )
-                diff = np.abs(lhs - rhs)
-                r = fd.maxabs(diff)
-                if not r <= tol:
-                    flat = int(diff.reshape(-1).argmax())
-                    di = spec.components[i].dim
-                    dj = spec.components[j].dim
-                    a, b = divmod(flat // spec.components[m].dim, dj) if dj else (0, 0)
-                    raise AxiomBViolation(
-                        L.names[i], L.names[j], L.names[m],
-                        spec.basis_label(i, min(a, di - 1)),
-                        spec.basis_label(j, b),
-                        r,
-                    )
-                b_res = max(b_res, r)
+                split = len(rows) - comps[k].dim
+                shape = AlgebraShape([d for m in ms + [k] for d in comps[m].blocks])
+                below[k] = (ms, rows, shape, split, pi[rows[:split], spec.span(k)].T)
+            ms, rows, shape, split, down = below[k]
+            pairs += len(ms) + 1
+            if not ms:
+                continue
+            prod = fd.pair_products(shape, pi[rows, spec.span(i)], pi[rows, spec.span(j)])
+            diff = np.abs(prod[..., split:] @ down - prod[..., :split])
+            r = fd.maxabs(diff)
+            if not r <= tol:
+                off = 0
+                for m in ms:
+                    block = diff[..., off : off + comps[m].dim]
+                    off += comps[m].dim
+                    r = fd.maxabs(block)
+                    if not r <= tol:
+                        flat = int(block.reshape(-1).argmax())
+                        a, b = divmod(flat // comps[m].dim, comps[j].dim)
+                        raise AxiomBViolation(
+                            L.names[i], L.names[j], L.names[m],
+                            spec.basis_label(i, a), spec.basis_label(j, b), r,
+                        )
+            b_res = max(b_res, r)
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs)
 
 
@@ -495,12 +510,13 @@ def gadjoint(x):
 
 def pi_rep(spec, i, x):
     """pi_i(x) = sum over j >= i of phi_{i,j}(x_j), an element of A_i."""
-    return fd.from_vector(spec.components[i], spec.pi_matrix(i) @ to_gvector(x))
+    return fd.from_vector(spec.components[i], spec.pi[spec.span(i)] @ to_gvector(x))
 
 
 def gnorm(spec, x):
-    """The C*-norm: max over indices of the operator norm of pi_i(x)."""
-    return max(fd.op_norm(pi_rep(spec, i, x)) for i in range(spec.L.n))
+    """The C*-norm: max over indices of the operator norm of pi_i(x).
+    NaN if any of them is NaN."""
+    return fd.maxabs([fd.op_norm(pi_rep(spec, i, x)) for i in range(spec.L.n)])
 
 
 def faithful_image(spec, x):
@@ -517,20 +533,10 @@ def faithful_morphism(spec):
     Injective on every valid spec; its operator norm realizes gnorm.
     """
     ambient = spec.ambient_shape()
-    amb_offsets = []
-    off = 0
-    for c in spec.components:
-        amb_offsets.append(off)
-        off += c.dim
-    psi = []
-    for j in range(spec.L.n):
-        m = np.zeros((ambient.dim, spec.components[j].dim), dtype=complex)
-        for i in range(spec.L.n):
-            if spec.L.leq(i, j):
-                m[amb_offsets[i] : amb_offsets[i] + spec.components[i].dim, :] = (
-                    spec.structure_map(i, j).matrix
-                )
-        psi.append(StarHom(spec.components[j], ambient, m))
+    psi = [
+        StarHom(spec.components[j], ambient, spec.pi[:, spec.span(j)])
+        for j in range(spec.L.n)
+    ]
     return build_morphism(spec, ambient, psi)
 
 

@@ -342,21 +342,15 @@ def tensor_intersection_dims(a, b, tensor, l, m):
 
     Returns (dim of left-slice span, dim of right-slice span, dim of
     their intersection, dim of the (l, m) component), computed from
-    ranks of faithful images: left slice = every component with first
-    coordinate l, right slice = every component with second coordinate m.
-    The intersection dimension uses dim(U) + dim(V) - dim(U + V).
+    ranks of faithful images, the columns of tensor.pi: left slice = every
+    component with first coordinate l, right slice = every component with
+    second coordinate m. The intersection dimension uses
+    dim(U) + dim(V) - dim(U + V).
     """
     nb = b.L.n
 
     def slice_vectors(indices):
-        vecs = []
-        for k in indices:
-            for a_loc in range(tensor.components[k].dim):
-                x = tensor.basis_element(k, a_loc)
-                vecs.append(
-                    fd.embed_ambient(gr.faithful_image(tensor, x)).reshape(-1)
-                )
-        return np.asarray(vecs)
+        return np.concatenate([tensor.pi[:, tensor.span(k)] for k in indices], axis=1)
 
     left = slice_vectors([sl.product_index(b.L, l, m2) for m2 in range(nb)])
     right = slice_vectors(
@@ -364,7 +358,7 @@ def tensor_intersection_dims(a, b, tensor, l, m):
     )
 
     du, dv = fd.rank(left), fd.rank(right)
-    dsum = fd.rank(np.concatenate([left, right], axis=0))
+    dsum = fd.rank(np.concatenate([left, right], axis=1))
     inter = du + dv - dsum
     both = tensor.components[sl.product_index(b.L, l, m)].dim
     return du, dv, inter, both
@@ -593,15 +587,11 @@ def _check_total_independence(act, rtol=fd.RANK_RTOL):
         return
     ambient = spec.ambient_shape()
     side_h = ambient.side
-    f_cols = np.stack(
-        [
-            fd.embed_ambient(
-                gr.faithful_image(spec, spec.basis_element(i, a))
-            ).reshape(-1)
-            for i, a, _ in spec.graded_basis()
-        ],
-        axis=1,
-    )
+    # column t: the faithful image of basis element t as a side_h x side_h
+    # block-diagonal matrix, flattened
+    rows, cols = fd.ambient_index_maps(ambient)
+    f_cols = np.zeros((side_h * side_h, n_tot), dtype=complex)
+    f_cols[rows * side_h + cols] = spec.pi
     m_s = []
     for s in range(g):
         m = np.zeros((n_tot, n_tot), dtype=complex)

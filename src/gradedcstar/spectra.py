@@ -191,7 +191,7 @@ def graded_characters(spec, tol=CHAR_TOL):
         )
     chars = []
     for i in range(spec.L.n):
-        pim = spec.pi_matrix(i)
+        pim = spec.pi[spec.span(i)]
         for t in range(spec.components[i].dim):
             chars.append(Character(values=pim[t].copy(), tag=(i, t)))
     for a in range(len(chars)):

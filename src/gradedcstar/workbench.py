@@ -342,18 +342,12 @@ class CheckResult:
 
 @dataclass
 class Report:
-    """Deterministic run summary.
-
-    Rendering excludes elapsed_ms so the emitted text is byte-identical
-    across runs with the same input and seed; callers print timing on
-    stderr instead.
-    """
+    """Deterministic run summary."""
 
     tool_version: str
     input_digest: str
     seed: int
     checks: list = field(default_factory=list)
-    elapsed_ms: float = 0.0
 
     def passed(self):
         return all(c.status != "fail" for c in self.checks)

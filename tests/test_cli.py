@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradedcstar import cli
@@ -156,6 +157,23 @@ class TestAnalysis:
         assert "pi[0]: 3" in out
         assert "pi[1]: 0" in out
         assert "gnorm: 3" in out
+
+    def test_norm_overflow_exits_three(self, tmp_path, capsys):
+        # pi[0] sums five entries of 1e308 into inf; its norm is NaN and
+        # must not print as a norm
+        path = demo_file(tmp_path, "m2-chain")
+        elem = tmp_path / "x.json"
+        elem.write_text(
+            json.dumps(
+                {"components": {"0": [[1e308, 0.0]] * 4, "1": [[1e308, 0.0]]}}
+            )
+        )
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "norm", str(path), str(elem))
+        assert code == 3
+        assert out == ""
+        assert "NumericFailure: pi[0] is nan" in err
 
     def test_genus_lines(self, capsys):
         code, out, _ = run(capsys, "genus", "4")

@@ -85,6 +85,14 @@ def test_norm_of_nilpotent_jordan_cell():
     assert fd.op_norm(x) == pytest.approx(2.0)
 
 
+def test_norm_propagates_nan():
+    # max(0.0, nan) is 0.0; a NaN block must not read as norm 0
+    x = fd.AlgElement(
+        shape(1, 1), [np.array([[np.nan]]), np.array([[1.0]])]
+    )
+    assert np.isnan(fd.op_norm(x))
+
+
 def test_zero_algebra_has_zero_norm():
     z = fd.zero(AlgebraShape(()))
     assert fd.op_norm(z) == 0.0

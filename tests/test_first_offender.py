@@ -117,6 +117,18 @@ def test_axiom_b_names_indices_and_pair():
     )
 
 
+def test_axiom_b_names_the_lowest_failing_m():
+    # at (i=2, j=3), k = 2: both m = 0 and m = 1 fail, and m = 0 is named
+    ident = fd.identity_hom(M2)
+    phi = {pair: ident for pair in sl.chain(4).comparable_pairs()}
+    phi[(0, 3)] = phi[(1, 3)] = SIGN
+    spec = gr.GradedSpec(sl.chain(4), [M2] * 4, phi)
+    assert raised(gr.AxiomBViolation, lambda: gr.validate_spec(spec)) == (
+        "compatibility fails at indices (i=2, j=3, m=0), "
+        "basis pair (2:E0[0,0], 3:E0[0,1]), residual 2.000e+00"
+    )
+
+
 def test_axiom_b_on_the_diamond():
     L = sl.diamond()
     ident = fd.identity_hom(M2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
@@ -142,6 +144,163 @@ class TestValidateSpec:
         assert report.pairs_checked == 5
 
 
+# ------------------------------------- axiom (b) against the reference loop
+
+def axiom_b_reference(spec, tol=gr.AXIOM_TOL):
+    """Axiom (b) one (i, j, m) at a time, with a pair product per triple:
+    the reference validate_spec's single pair product per (i, j) must
+    match. Returns (max residual, triples checked) or raises on the first
+    failing triple."""
+    L = spec.L
+    b_res = 0.0
+    pairs = 0
+    for i in range(L.n):
+        for j in range(L.n):
+            k = L.meet_of(i, j)
+            below = [m for m in range(L.n) if L.leq(m, k)]
+            prod_k = fd.pair_products(
+                spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
+            )
+            for m in below:
+                pairs += 1
+                lhs = prod_k if m == k else prod_k @ spec.phi[(m, k)].matrix.T
+                rhs = fd.pair_products(
+                    spec.components[m], spec.phi[(m, i)].matrix, spec.phi[(m, j)].matrix
+                )
+                diff = np.abs(lhs - rhs)
+                r = fd.maxabs(diff)
+                if not r <= tol:
+                    flat = int(diff.reshape(-1).argmax())
+                    di = spec.components[i].dim
+                    dj = spec.components[j].dim
+                    a, b = divmod(flat // spec.components[m].dim, dj) if dj else (0, 0)
+                    raise gr.AxiomBViolation(
+                        L.names[i], L.names[j], L.names[m],
+                        spec.basis_label(i, min(a, di - 1)),
+                        spec.basis_label(j, b),
+                        r,
+                    )
+                b_res = max(b_res, r)
+    return b_res, pairs
+
+
+def block_hom(source, target, parts):
+    """The *-hom that puts, down the diagonal of target block t, one copy
+    of each source block listed in parts[t], and zeros after them."""
+    images = []
+    for s, p, q in source.basis_triples():
+        mats = [np.zeros((d, d), dtype=complex) for d in target.blocks]
+        for t, blocks in enumerate(parts):
+            off = 0
+            for blk in blocks:
+                if blk == s:
+                    mats[t][off + p, off + q] = 1.0
+                off += source.blocks[blk]
+        images.append(fd.AlgElement(target, mats))
+    return fd.StarHom.from_images(source, target, images)
+
+
+def identity_chain(n, shape):
+    phi = {pair: fd.identity_hom(shape) for pair in sl.chain(n).comparable_pairs()}
+    return gr.GradedSpec(sl.chain(n), [shape] * n, phi)
+
+
+def mixed_sides_chain():
+    """chain(3) with components [3, 1] < [2, 1] < [1], unital maps."""
+    c0, c1, c2 = (fd.AlgebraShape(b) for b in ([3, 1], [2, 1], [1]))
+    p12 = block_hom(c2, c1, [[0, 0], [0]])
+    p01 = block_hom(c1, c0, [[0, 1], [1]])
+    return gr.GradedSpec(
+        sl.chain(3), [c0, c1, c2],
+        {(1, 2): p12, (0, 1): p01, (0, 2): fd.compose(p01, p12)},
+    )
+
+
+def zero_top_quotient():
+    """Quotient of chain(3) over [1, 1] < [1, 1] < [1] by the first block
+    of every index: the top component is AlgebraShape(()) and both
+    indices below it keep one block."""
+    c01, c2 = fd.AlgebraShape([1, 1]), SCALAR
+    p12 = block_hom(c2, c01, [[0], []])
+    p01 = fd.identity_hom(c01)
+    spec = gr.GradedSpec(
+        sl.chain(3), [c01, c01, c2],
+        {(1, 2): p12, (0, 1): p01, (0, 2): fd.compose(p01, p12)},
+    )
+    quotient = gr.verify_ideal_gradation(spec, {0: [0], 1: [0], 2: [0]}).quotient
+    assert quotient.components[2] == fd.AlgebraShape(())
+    return quotient
+
+
+ORACLE_SPECS = {
+    "m2-chain5": identity_chain(5, M2),
+    "block-chain5": identity_chain(5, fd.AlgebraShape([2, 1])),
+    "mixed-diamond": mixed_diamond_spec(),
+    "mixed-sides-chain3": mixed_sides_chain(),
+    "zero-top-quotient": zero_top_quotient(),
+}
+
+# conjugation angles: far below tolerance, just past it, large; None
+# replaces the map by the zero *-hom
+PERTURBATIONS = (0.0, 1e-12, 1e-6, 0.7, None)
+
+
+def conjugated(h, theta, rng):
+    """Ad(u) o h for u = exp(i theta H) blockwise, H a random Hermitian."""
+    target = h.target
+    us = []
+    for d in target.blocks:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        w, v = np.linalg.eigh(g + g.conj().T)
+        us.append((v * np.exp(1j * theta * w)) @ v.conj().T)
+    images = []
+    for a in range(target.dim):
+        e = fd.basis_element(target, a)
+        images.append(
+            fd.AlgElement(target, [u @ m @ u.conj().T for u, m in zip(us, e.mats)])
+        )
+    return fd.compose(fd.StarHom.from_images(target, target, images), h)
+
+
+@st.composite
+def perturbed_specs(draw):
+    name = draw(st.sampled_from(sorted(ORACLE_SPECS)))
+    spec = ORACLE_SPECS[name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = {}
+    for (t, j), h in sorted(spec.phi.items()):
+        theta = draw(st.sampled_from(PERTURBATIONS)) if t != j else 0.0
+        if theta is None:
+            phi[(t, j)] = fd.zero_hom(h.source, h.target)
+        elif theta:
+            phi[(t, j)] = conjugated(h, theta, rng)
+        else:
+            phi[(t, j)] = h
+    return gr.GradedSpec(spec.L, spec.components, phi)
+
+
+class TestAxiomBAgainstReference:
+    def test_oracle_specs_pass(self):
+        for name, spec in ORACLE_SPECS.items():
+            report = gr.validate_spec(spec)
+            assert report.axiom_b_residual == 0.0, name
+            assert report.pairs_checked == axiom_b_reference(spec)[1], name
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_specs())
+    def test_matches_reference(self, spec):
+        try:
+            want = axiom_b_reference(spec)
+        except gr.AxiomBViolation as exc:
+            with pytest.raises(gr.AxiomBViolation) as got:
+                gr.validate_spec(spec)
+            assert str(got.value) == str(exc)
+            return
+        report = gr.validate_spec(spec)
+        assert report.pairs_checked == want[1]
+        assert report.axiom_b_residual == pytest.approx(want[0], abs=1e-12)
+
+
 # ------------------------------------------------------------- q family
 
 class TestQFamily:
@@ -271,6 +430,15 @@ class TestArithmetic:
         assert x.support() == {1, 3}
         assert spec.zero_element().support() == frozenset()
 
+    def test_nan_component_stays_in_products(self, corpus):
+        # a NaN component has NaN norm; dropping it from the support would
+        # make its products read 0
+        spec = corpus["m2-chain"]
+        x = spec.zero_element()
+        x.comps[0].mats[0][0, 0] = np.nan
+        assert x.support() == {0}
+        assert np.isnan(gr.to_gvector(gr.gmul(x, spec.component_unit(0)))[0])
+
 
 # -------------------------------------------------------------- pi_rep
 
@@ -360,6 +528,27 @@ class TestGnorm:
         for name, spec in corpus.items():
             x = spec.random_element(rng)
             assert gr.gnorm(spec, x) == fd.op_norm(gr.faithful_image(spec, x)), name
+
+
+# --------------------------------------------------------- the pi matrix
+
+class TestPiMatrix:
+    def test_blocks_are_structure_maps(self, corpus):
+        for name, spec in corpus.items():
+            for t in range(spec.L.n):
+                for j in range(spec.L.n):
+                    block = spec.pi[spec.span(t), spec.span(j)]
+                    if spec.L.leq(t, j):
+                        want = spec.phi[(t, j)].matrix
+                    else:
+                        want = np.zeros_like(block)
+                    assert np.array_equal(block, want), (name, t, j)
+            assert not spec.pi.flags.writeable, name
+
+    def test_faithful_morphism_total_matrix_is_pi(self, corpus):
+        for name, spec in corpus.items():
+            total = gr.faithful_morphism(spec).total_matrix()
+            assert np.array_equal(total, spec.pi), name
 
 
 # ----------------------------------------------------- faithful morphism
