@@ -13,6 +13,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from . import findim as fd
 from . import graded as gr
@@ -256,7 +258,10 @@ def main(argv=None):
     seed = resolve_seed(args.seed)
     start = time.perf_counter()
     try:
-        code, lines = args.func(args, seed)
+        # every result is checked for NaN and infinity, so numpy's own
+        # warnings would only repeat those failures on stderr
+        with np.errstate(all="ignore"):
+            code, lines = args.func(args, seed)
     except GradedCstarError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

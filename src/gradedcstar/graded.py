@@ -755,15 +755,6 @@ class FinishingSplit:
         return out
 
 
-def project_finishing(spec, M, x):
-    """Apply the finishing projection to one element."""
-    return FinishingSplit(spec, M).p(x)
-
-
-def finishing_split(spec, M):
-    return FinishingSplit(spec, M)
-
-
 # --------------------------------------------------------------- ideals
 
 @dataclass

@@ -217,7 +217,7 @@ def wedderburn(basis, seed=None, tol=PROJECTION_TOL):
     )
     if star_resid > tol:
         raise NotStarClosed(f"adjoints leave the span by {star_resid:.3e}")
-    products = np.einsum("auv,bvw->abuw", onb_mats, onb_mats)
+    products = fd.pair_products(fd.AlgebraShape([side]), q, q).reshape(r, r, side, side)
     prod_resid = _in_span_residual(q, products.reshape(r * r, side * side))
     if prod_resid > tol:
         raise NotMultiplicativelyClosed(

@@ -193,11 +193,6 @@ class Semilattice:
         return frozenset(out)
 
 
-def validate_semilattice(table, names=None):
-    """Check all semilattice axioms exhaustively and wrap the table."""
-    return Semilattice(table, names)
-
-
 def product_semilattice(L1, L2):
     """Componentwise meet on L1 x L2, row-major: (i, j) -> i * L2.n + j."""
     n1, n2 = L1.n, L2.n

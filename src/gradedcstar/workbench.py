@@ -21,10 +21,9 @@ import numpy as np
 from . import __version__
 from . import findim as fd
 from . import graded as gr
-from . import ktheory as kt
 from . import products as pr
 from . import semilattice as sl
-from .errors import GradedCstarError, InputError, ValidationFailure
+from .errors import InputError
 from dataclasses import dataclass, field
 
 
@@ -375,54 +374,6 @@ def new_report(doc, seed):
         input_digest=document_digest(doc),
         seed=seed,
     )
-
-
-def check_battery(spec):
-    """Validate, characters where commutative, and the K0 report."""
-    checks = []
-    try:
-        v = gr.validate_spec(spec)
-        checks.append(
-            CheckResult(
-                "validate",
-                "pass",
-                residual=max(
-                    v.identity_residual,
-                    v.hom_mult_residual,
-                    v.hom_star_residual,
-                    v.axiom_b_residual,
-                ),
-                detail=f"{v.pairs_checked} pairs",
-            )
-        )
-    except ValidationFailure as exc:
-        checks.append(CheckResult("validate", "fail", detail=str(exc)))
-        return checks
-    if gr.components_commutative(spec):
-        from . import spectra as sp
-
-        chars = sp.graded_characters(spec)
-        checks.append(
-            CheckResult(
-                "characters", "pass", detail=f"{len(chars)} characters"
-            )
-        )
-    else:
-        checks.append(
-            CheckResult("characters", "skip", detail="not commutative")
-        )
-    k0 = kt.verify_k0(spec)
-    checks.append(
-        CheckResult(
-            "k0",
-            "pass",
-            detail=(
-                f"total rank {k0.total_rank}, "
-                f"unimodular {str(k0.unimodular).lower()}"
-            ),
-        )
-    )
-    return checks
 
 
 # -------------------------------------------------------------- builders

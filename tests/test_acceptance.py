@@ -70,7 +70,7 @@ def test_upset_projections_split_exactly(corpus):
     for spec in corpus.values():
         for k in range(spec.L.n):
             M = spec.L.finishing_set(k)
-            split = gr.finishing_split(spec, M)
+            split = gr.FinishingSplit(spec, M)
             sub = split.sub_spec
             # section followed by projection is the identity, exactly
             for i, a, _ in sub.graded_basis():

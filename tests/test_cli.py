@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gradedcstar import cli
@@ -158,9 +157,10 @@ class TestAnalysis:
         assert "pi[1]: 0" in out
         assert "gnorm: 3" in out
 
+    @pytest.mark.filterwarnings("error")
     def test_norm_overflow_exits_three(self, tmp_path, capsys):
         # pi[0] sums five entries of 1e308 into inf; its norm is NaN and
-        # must not print as a norm
+        # must not print as a norm, nor raise numpy's overflow warnings
         path = demo_file(tmp_path, "m2-chain")
         elem = tmp_path / "x.json"
         elem.write_text(
@@ -169,11 +169,13 @@ class TestAnalysis:
             )
         )
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "norm", str(path), str(elem))
+        code, out, err = run(capsys, "norm", str(path), str(elem))
         assert code == 3
         assert out == ""
-        assert "NumericFailure: pi[0] is nan" in err
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("error: NumericFailure: pi[0] is nan")
+        assert lines[1].startswith("elapsed:")
 
     def test_genus_lines(self, capsys):
         code, out, _ = run(capsys, "genus", "4")

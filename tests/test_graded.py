@@ -581,7 +581,7 @@ class TestFinishingSplit:
         spec = corpus["all-scalar-diamond"]
         L = spec.L
         M = {L.index_of("a"), L.index_of("1")}
-        split = gr.finishing_split(spec, M)
+        split = gr.FinishingSplit(spec, M)
         p = split.p
         assert all(
             fd.op_norm(c) == 0.0 for c in p(spec.component_unit(0)).comps
@@ -607,7 +607,7 @@ class TestFinishingSplit:
         for name in ("all-scalar-diamond", "all-scalar-chain4", "mixed-diamond"):
             spec = corpus[name]
             for M in spec.L.enumerate_finishing_subsemilattices():
-                split = gr.finishing_split(spec, M)
+                split = gr.FinishingSplit(spec, M)
                 for i in sorted(M):
                     for a in range(spec.components[i].dim):
                         x = split.p(spec.basis_element(i, a))
@@ -622,13 +622,13 @@ class TestFinishingSplit:
         for name, spec in corpus.items():
             for k in range(spec.L.n):
                 M = spec.L.finishing_set(k)
-                split = gr.finishing_split(spec, M)
+                split = gr.FinishingSplit(spec, M)
                 image_dim = sum(spec.components[i].dim for i in M)
                 assert split.kernel_dim + image_dim == spec.total_dim, (name, k)
 
     def test_full_set_is_identity(self, corpus, rng):
         spec = corpus["m2-chain"]
-        split = gr.finishing_split(spec, range(spec.L.n))
+        split = gr.FinishingSplit(spec, range(spec.L.n))
         x = spec.random_element(rng)
         y = split.p(x)
         assert all(
@@ -641,7 +641,7 @@ class TestFinishingSplit:
         M = {L.index_of("0"), L.index_of("a")}
         assert L.is_subsemilattice(sorted(M))
         with pytest.raises(gr.NotFinishing):
-            gr.finishing_split(spec, M)
+            gr.FinishingSplit(spec, M)
 
         # the raw truncation genuinely fails to be multiplicative there
         def truncate(x):
@@ -658,11 +658,11 @@ class TestFinishingSplit:
 
     def test_empty_set_rejected(self, corpus):
         with pytest.raises(gr.NotFinishing):
-            gr.finishing_split(corpus["all-scalar-diamond"], set())
+            gr.FinishingSplit(corpus["all-scalar-diamond"], set())
 
     def test_project_finishing_shortcut(self, corpus):
         spec = corpus["all-scalar-chain3"]
-        out = gr.project_finishing(spec, {1, 2}, spec.component_unit(0))
+        out = gr.FinishingSplit(spec, {1, 2}).p(spec.component_unit(0))
         assert all(fd.op_norm(c) == 0.0 for c in out.comps)
 
 

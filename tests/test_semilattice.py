@@ -14,7 +14,6 @@ from gradedcstar.semilattice import (
     chain,
     diamond,
     product_semilattice,
-    validate_semilattice,
 )
 
 
@@ -85,20 +84,20 @@ def test_diamond_is_valid_and_has_expected_order():
 
 def test_asymmetric_table_raises_commutativity():
     with pytest.raises(CommutativityViolation) as e:
-        validate_semilattice([[0, 1], [0, 1]])
+        Semilattice([[0, 1], [0, 1]])
     assert e.value.pair == (0, 1)
 
 
 def test_broken_diagonal_raises_idempotency():
     with pytest.raises(IdempotencyViolation):
-        validate_semilattice([[1, 0], [0, 1]])
+        Semilattice([[1, 0], [0, 1]])
 
 
 def test_nonassociative_table_names_the_triple():
     # commutative and idempotent, but (0^0)^1 = 2 while 0^(0^1) = 0
     table = [[0, 2, 0], [2, 1, 2], [0, 2, 2]]
     with pytest.raises(AssociativityViolation) as e:
-        validate_semilattice(table)
+        Semilattice(table)
     i, j, k = e.value.triple
     left = table[table[i][j]][k]
     right = table[i][table[j][k]]
@@ -109,7 +108,7 @@ def test_out_of_range_entry_rejected():
     from gradedcstar.errors import InputError
 
     with pytest.raises(InputError):
-        validate_semilattice([[0, 5], [5, 1]])
+        Semilattice([[0, 5], [5, 1]])
 
 
 # ------------------------------------------------------------ basic queries
@@ -310,11 +309,11 @@ def commutative_idempotent_tables(draw):
 def test_associativity_reports_the_first_violation(table):
     first = oracle_first_associativity_violation(table)
     if first is None:
-        assert validate_semilattice(table).n == len(table)
+        assert Semilattice(table).n == len(table)
         return
     (i, j, k), left, right = first
     with pytest.raises(AssociativityViolation) as e:
-        validate_semilattice(table)
+        Semilattice(table)
     assert e.value.triple == (i, j, k)
     assert str(e.value) == f"(({i} ^ {j}) ^ {k}) = {left} but ({i} ^ ({j} ^ {k})) = {right}"
 

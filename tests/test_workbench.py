@@ -296,16 +296,3 @@ class TestBuilders:
             wb.demo_spec("nope")
         with pytest.raises(InputError, match="chain length"):
             wb.demo_spec("chain-x")
-
-    @pytest.mark.parametrize(
-        "name",
-        ["all-scalar-diamond", "chain-4", "coset-z4", "coset-s3", "m2-chain"],
-    )
-    def test_demo_battery(self, name):
-        checks = wb.check_battery(wb.demo_spec(name))
-        assert all(c.status != "fail" for c in checks)
-        by_name = {c.name: c for c in checks}
-        commutative = name != "m2-chain"
-        assert by_name["characters"].status == (
-            "pass" if commutative else "skip"
-        )
