@@ -3,8 +3,9 @@ restriction tables, K-theory reports, tensor and crossed products,
 surface invariants, and built-in demo specs.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 malformed or
-unreadable input, 3 numeric machinery gave up. Output on stdout is
-deterministic for a fixed input and seed; timing goes to stderr.
+unreadable input, 3 numeric machinery gave up. No command draws random
+numbers: output on stdout is deterministic for a fixed input, and the seed
+is only recorded in validate's report header. Timing goes to stderr.
 """
 
 import argparse
@@ -60,9 +61,9 @@ def _index_tokens(spec, raw):
     return out
 
 
-def cmd_validate(args, seed):
+def cmd_validate(args):
     doc = wb.load_document(args.spec)
-    report = wb.new_report(doc, seed)
+    report = wb.new_report(doc, resolve_seed(args.seed))
     try:
         v = gr.validate_spec(wb.parse_spec(doc))
     except ValidationFailure as exc:
@@ -86,7 +87,7 @@ def cmd_validate(args, seed):
     return 0, [report.render()]
 
 
-def cmd_norm(args, seed):
+def cmd_norm(args):
     spec = _load_spec(args.spec)
     x = wb.document_to_element(wb.load_document(args.element), spec)
     norms = [
@@ -100,7 +101,7 @@ def cmd_norm(args, seed):
     return 0, [f"{label}: {val:.12g}" for label, val in norms]
 
 
-def cmd_characters(args, seed):
+def cmd_characters(args):
     spec = _load_spec(args.spec)
     chars = sp.graded_characters(spec)
     lines = [f"{len(chars)} characters"]
@@ -120,7 +121,7 @@ def cmd_characters(args, seed):
     return 0, lines
 
 
-def cmd_restrict(args, seed):
+def cmd_restrict(args):
     spec = _load_spec(args.spec)
     M = _index_tokens(spec, args.sub)
     rep = sp.restriction_spectrum_map(spec, M)
@@ -137,7 +138,7 @@ def cmd_restrict(args, seed):
     return 0, lines
 
 
-def cmd_k0(args, seed):
+def cmd_k0(args):
     spec = _load_spec(args.spec)
     r = kt.verify_k0(spec)
     lines = [
@@ -151,22 +152,22 @@ def cmd_k0(args, seed):
     return 0, lines
 
 
-def cmd_tensor(args, seed):
+def cmd_tensor(args):
     a = _load_spec(args.spec_a)
     b = _load_spec(args.spec_b)
     t = pr.tensor_spec(a, b)
     return 0, _emit(wb.spec_to_document(t), args.output)
 
 
-def cmd_crossed(args, seed):
+def cmd_crossed(args):
     spec = _load_spec(args.spec)
     group = wb.document_to_group(wb.load_document(args.group))
     act = wb.document_to_action(wb.load_document(args.action), group, spec)
-    out = pr.crossed_product(act, seed=seed)
+    out = pr.crossed_product(act)
     return 0, _emit(wb.spec_to_document(out), args.output)
 
 
-def cmd_genus(args, seed):
+def cmd_genus(args):
     r = sp.genus_of_line_arrangement(args.n)
     return 0, [
         f"n: {r.n}",
@@ -177,7 +178,7 @@ def cmd_genus(args, seed):
     ]
 
 
-def cmd_demo(args, seed):
+def cmd_demo(args):
     spec = wb.demo_spec(args.name)
     return 0, _emit(wb.spec_to_document(spec), args.output)
 
@@ -194,7 +195,7 @@ def build_parser():
         "--seed",
         type=int,
         default=None,
-        help="seed for randomized routines (overrides the environment)",
+        help="recorded in validate's report header; no command draws random numbers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -255,13 +256,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    seed = resolve_seed(args.seed)
     start = time.perf_counter()
     try:
         # every result is checked for NaN and infinity, so numpy's own
         # warnings would only repeat those failures on stderr
         with np.errstate(all="ignore"):
-            code, lines = args.func(args, seed)
+            code, lines = args.func(args)
     except GradedCstarError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

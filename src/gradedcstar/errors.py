@@ -30,7 +30,8 @@ class NumericFailure(GradedCstarError):
 class DegenerateGenerator(NumericFailure):
     """A randomized generic-element search ran out of retries.
 
-    Shared by the character enumeration and the Wedderburn decomposition,
-    which both draw generic elements from a seeded stream.
+    Raised only by spectra.brute_force_characters, the character oracle
+    the tests compare against, which draws generic elements from a seeded
+    stream. No command path draws random numbers.
     """
 

@@ -3,10 +3,12 @@
 wedderburn takes a spanning set of a unital *-closed matrix subalgebra and
 recovers its block structure: minimal central projections, block sizes,
 multiplicities, and an explicit system of matrix units giving coordinates
-in the block picture. Everything downstream of a random draw is verified
-against hard residual thresholds, and the draws themselves come from a
-seeded stream with a bounded retry budget. It serves algebras whose block
-structure is not known in advance, such as crossed products.
+in the block picture. It draws no random numbers. Projections are split
+by successive refinement along a fixed self-adjoint basis (_refine), and
+a projection f with fAf = Cf is minimal, so the decomposition is a
+function of the spanning set alone. Every step is verified against hard
+residual thresholds. It serves algebras whose block structure is not
+known in advance, such as crossed products.
 
 verify_k0 needs no decomposition: the total algebra of a valid spec is
 *-isomorphic to the direct sum of its components through x -> (pi_i(x))_i,
@@ -26,14 +28,16 @@ import numpy as np
 
 from . import findim as fd
 from . import graded as gr
-from .errors import DegenerateGenerator, InputError, NumericFailure, ValidationFailure
+from .errors import InputError, NumericFailure, ValidationFailure
 from .findim import AlgebraShape
-from .seeding import make_rng, resolve_seed
+
+# Nothing here draws random numbers. The name stays because the perfbench
+# tracer counts draws through it, and so reads ktheory.draws as 0.
+from .seeding import make_rng  # noqa: F401
 
 PROJECTION_TOL = 1e-7
 EIG_SEPARATION = 1e-7
 RANK_ROUND_TOL = 1e-6
-RETRY_BUDGET = 8
 
 
 class NotUnitalSpan(InputError):
@@ -96,25 +100,30 @@ class WedderburnData:
     def shape(self):
         return AlgebraShape(self.block_dims)
 
+    def _block_coordinates(self, xhat):
+        """Block-c matrices of ambient matrices xhat (any leading axes):
+        entry (a,b) pairs xhat against the (b,a) unit, tr(x e_ba)/mult."""
+        return [
+            np.einsum("...uv,bavu->...ab", xhat, units) / mult
+            for units, mult in zip(self.matrix_units, self.multiplicities)
+        ]
+
+    def _from_blocks(self, mats):
+        """Inverse of _block_coordinates on the span."""
+        return sum(
+            np.einsum("...ab,abuv->...uv", y, units)
+            for y, units in zip(mats, self.matrix_units)
+        )
+
     def coordinates(self, x):
         """Express an ambient element of the span in block coordinates."""
-        xhat = fd.embed_ambient(x)
-        mats = []
-        for c in range(len(self.block_dims)):
-            units = self.matrix_units[c]
-            # entry (a,b) pairs x against the (b,a) unit: tr(x e_ba)/mult
-            mats.append(
-                np.einsum("uv,bavu->ab", xhat, units) / self.multiplicities[c]
-            )
-        return fd.AlgElement(self.shape, mats)
+        return fd.AlgElement(
+            self.shape, self._block_coordinates(fd.embed_ambient(x))
+        )
 
     def reconstruct(self, y):
         """Inverse of coordinates on the span."""
-        side = self.ambient.side
-        out = np.zeros((side, side), dtype=complex)
-        for c in range(len(self.block_dims)):
-            out += np.einsum("ab,abuv->uv", y.mats[c], self.matrix_units[c])
-        return fd.from_ambient(self.ambient, out)
+        return fd.from_ambient(self.ambient, self._from_blocks(y.mats))
 
     def projection_ranks(self, p):
         """Rank of a projection of the span inside each block.
@@ -143,16 +152,28 @@ def _orthonormal_span(vectors, rtol=fd.RANK_RTOL):
 
 
 def _in_span_residual(q, vectors):
-    """Largest distance from the columns' span, relative to vector size."""
-    worst = 0.0
-    for v in vectors:
-        scale = max(1.0, float(np.linalg.norm(v)))
-        resid = v - q @ (q.conj().T @ v)
-        worst = max(worst, float(np.linalg.norm(resid)) / scale)
-    return worst
+    """Largest distance of the rows of vectors from the span of q's
+    columns, each relative to the row's size."""
+    resid = vectors - (vectors @ q.conj()) @ q.T
+    scale = np.maximum(1.0, np.linalg.norm(vectors, axis=1))
+    return fd.maxabs(np.linalg.norm(resid, axis=1) / scale)
 
 
-def _self_adjoint_basis(coords, onb_mats, side):
+def _worst(*parts):
+    """Largest entry over arrays of any shapes; NaN if any entry is NaN."""
+    return fd.maxabs([fd.maxabs(p) for p in parts])
+
+
+def _norms(mats):
+    """Frobenius norm of each matrix in a stack."""
+    return np.linalg.norm(mats, axis=(-2, -1))
+
+
+def _adjoints(mats):
+    return mats.conj().swapaxes(-2, -1)
+
+
+def _self_adjoint_basis(coords, onb_mats):
     """Orthonormal basis of the self-adjoint part of a *-closed subspace.
 
     coords rows give the subspace over the onb; splitting each element
@@ -161,20 +182,17 @@ def _self_adjoint_basis(coords, onb_mats, side):
     coordinates (complex combinations leave the self-adjoint cone).
     Returns a (k, side, side) array of self-adjoint ambient matrices.
     """
-    reals = []
-    for row in coords:
-        m = np.einsum("c,cuv->uv", row, onb_mats)
-        for h in ((m + m.conj().T) / 2, (m - m.conj().T) / 2j):
-            reals.append(np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)]))
-    if not reals:
+    side = onb_mats.shape[1]
+    m = np.einsum("kc,cuv->kuv", coords, onb_mats)
+    # rows in the order (hermitian part, antihermitian part) per element
+    parts = np.stack([(m + _adjoints(m)) / 2, (m - _adjoints(m)) / 2j], axis=1)
+    parts = parts.reshape(-1, side * side)
+    if not len(parts):
         return np.zeros((0, side, side), dtype=complex)
-    q = _orthonormal_span(reals)
-    out = []
+    q = _orthonormal_span(np.concatenate([parts.real, parts.imag], axis=1))
     half = side * side
-    for t in range(q.shape[1]):
-        m = q[:half, t].reshape(side, side) + 1j * q[half:, t].reshape(side, side)
-        out.append((m + m.conj().T) / 2)
-    return np.asarray(out)
+    out = (q[:half] + 1j * q[half:]).T.reshape(-1, side, side)
+    return (out + _adjoints(out)) / 2
 
 
 def _cluster_by_gap(values, separation):
@@ -192,7 +210,34 @@ def _cluster_by_gap(values, separation):
     return clusters
 
 
-def wedderburn(basis, seed=None, tol=PROJECTION_TOL):
+def _refine(w, hermitians, count):
+    """Split the range of the isometry w into minimal projections.
+
+    For each hermitian y in turn, every current piece V is split by the
+    eigenvalue clusters of V* y V, until there are count pieces. A piece
+    is a spectral projection of an algebra element compressed by an
+    earlier piece, so it lies in the algebra when w's range projection
+    does. Once every y has been applied, f y f is a multiple of f for
+    each piece f, so when the y span the self-adjoint part of the algebra
+    every piece is minimal. count is the most pieces there can be, so
+    reaching it early also means every piece is minimal. Returns the
+    pieces as isometries, in a fixed order.
+    """
+    pieces = [w]
+    for y in hermitians:
+        if len(pieces) >= count:
+            break
+        split = []
+        for v in pieces:
+            vals, vecs = np.linalg.eigh(_adjoints(v) @ y @ v)
+            split.extend(
+                v @ vecs[:, idx] for idx in _cluster_by_gap(vals, EIG_SEPARATION)
+            )
+        pieces = split
+    return pieces
+
+
+def wedderburn(basis, tol=PROJECTION_TOL):
     """Decompose the *-algebra spanned by the given elements.
 
     The spanning set need not be independent. The span must be closed
@@ -206,20 +251,21 @@ def wedderburn(basis, seed=None, tol=PROJECTION_TOL):
         if x.shape != ambient:
             raise fd.ShapeMismatch("spanning elements of mixed shapes")
     side = ambient.side
-    q = _orthonormal_span([fd.embed_ambient(x).reshape(-1) for x in basis])
+    stacked = np.asarray([fd.embed_ambient(x) for x in basis])
+    if not np.isfinite(stacked).all():
+        raise InputError("spanning set has a non-finite entry")
+    q = _orthonormal_span(stacked.reshape(len(basis), -1))
     r = q.shape[1]
     if r == 0:
         raise InputError("spanning set is zero")
     onb_mats = q.T.reshape(r, side, side)
 
-    star_resid = _in_span_residual(
-        q, onb_mats.conj().transpose(0, 2, 1).reshape(r, -1)
-    )
-    if star_resid > tol:
+    star_resid = _in_span_residual(q, _adjoints(onb_mats).reshape(r, -1))
+    if not star_resid <= tol:
         raise NotStarClosed(f"adjoints leave the span by {star_resid:.3e}")
     products = fd.pair_products(fd.AlgebraShape([side]), q, q).reshape(r, r, side, side)
     prod_resid = _in_span_residual(q, products.reshape(r * r, side * side))
-    if prod_resid > tol:
+    if not prod_resid <= tol:
         raise NotMultiplicativelyClosed(
             f"products leave the span by {prod_resid:.3e}"
         )
@@ -230,11 +276,11 @@ def wedderburn(basis, seed=None, tol=PROJECTION_TOL):
     rhs = onb_mats.reshape(-1)
     coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     unit_mat = np.einsum("c,cuv->uv", coeffs, onb_mats)
-    unit_resid = max(
-        max(float(np.linalg.norm(unit_mat @ b - b)) for b in onb_mats),
-        max(float(np.linalg.norm(b @ unit_mat - b)) for b in onb_mats),
+    unit_resid = _worst(
+        _norms(unit_mat @ onb_mats - onb_mats),
+        _norms(onb_mats @ unit_mat - onb_mats),
     )
-    if unit_resid > tol * max(1.0, float(np.linalg.norm(unit_mat))):
+    if not unit_resid <= tol * max(1.0, float(np.linalg.norm(unit_mat))):
         raise NotUnitalSpan(
             f"no unit inside the span (best residual {unit_resid:.3e})"
         )
@@ -253,178 +299,119 @@ def wedderburn(basis, seed=None, tol=PROJECTION_TOL):
         center_rank = 0
     center_coords = vh[center_rank:, :].conj()
 
-    herm_center = _self_adjoint_basis(center_coords, onb_mats, side)
+    herm_center = _self_adjoint_basis(center_coords, onb_mats)
     center_dim = r - center_rank
     if herm_center.shape[0] != center_dim:
         raise DecompositionError("center not spanned by self-adjoint elements")
-    herm_span = _self_adjoint_basis(np.eye(r, dtype=complex), onb_mats, side)
 
-    base_seed = resolve_seed(seed)
-    last = None
-    for attempt in range(RETRY_BUDGET):
-        rng = make_rng(base_seed, 2, attempt)
-        got = _attempt_decomposition(
-            ambient, onb_mats, q, unit_mat, herm_center, herm_span,
-            center_dim, r, rng, tol,
-        )
-        if isinstance(got, str):
-            last = got
-            continue
-        return got
-    raise DegenerateGenerator(
-        f"decomposition failed after {RETRY_BUDGET} draws: {last}"
-    )
-
-
-def _attempt_decomposition(
-    ambient, onb_mats, q, unit_mat, herm_center, herm_span, center_dim,
-    r, rng, tol,
-):
-    """One seeded attempt; returns WedderburnData or a failure string."""
-    side = ambient.side
-    z = np.einsum("k,kuv->uv", rng.standard_normal(center_dim), herm_center)
-    eigvals, eigvecs = np.linalg.eigh(z)
-    projections = []
-    for idx in _cluster_by_gap(eigvals, EIG_SEPARATION):
-        vecs = eigvecs[:, idx]
-        p = vecs @ vecs.conj().T
-        # a span acting with a kernel shows that kernel as the eigenspace
-        # its unit annihilates; drop it, keep genuine central blocks
-        if np.linalg.norm(unit_mat @ p) < tol * max(1.0, np.linalg.norm(p)):
-            continue
-        projections.append(p)
-    if len(projections) != center_dim:
-        return (
-            f"{len(projections)} spectral clusters for a center of "
+    # minimal central projections: refine the unit's range along the
+    # center (a span acting with a kernel never sees that kernel)
+    vals, vecs = np.linalg.eigh((unit_mat + _adjoints(unit_mat)) / 2)
+    pieces = _refine(vecs[:, vals > 0.5], herm_center, center_dim)
+    if len(pieces) != center_dim:
+        raise DecompositionError(
+            f"{len(pieces)} spectral clusters for a center of "
             f"dimension {center_dim}"
         )
-
-    worst = 0.0
-    for p in projections:
-        worst = max(worst, float(np.linalg.norm(p @ p - p)))
-        worst = max(worst, float(np.linalg.norm(p - p.conj().T)))
-        resid = q @ (q.conj().T @ p.reshape(-1)) - p.reshape(-1)
-        worst = max(worst, float(np.linalg.norm(resid)))
-        for b in onb_mats:
-            worst = max(worst, float(np.linalg.norm(p @ b - b @ p)))
-    for a in range(len(projections)):
-        for b in range(a + 1, len(projections)):
-            worst = max(
-                worst, float(np.linalg.norm(projections[a] @ projections[b]))
-            )
-    total = sum(projections)
-    worst = max(worst, float(np.linalg.norm(total - unit_mat)))
-    if worst > tol:
-        return f"projection system residual {worst:.3e}"
+    projections = np.asarray([v @ _adjoints(v) for v in pieces])
+    flat = projections.reshape(center_dim, -1)
+    worst = _worst(
+        _norms(projections @ projections - projections),
+        _norms(projections - _adjoints(projections)),
+        np.linalg.norm(flat @ q.conj() @ q.T - flat, axis=1),
+        [_norms(p @ onb_mats - onb_mats @ p) for p in projections],
+        *[_norms(p @ projections[a + 1 :]) for a, p in enumerate(projections)],
+        _norms(projections.sum(axis=0) - unit_mat),
+    )
+    if not worst <= tol:
+        raise DecompositionError(f"projection system residual {worst:.3e}")
 
     blocks = []
-    for c, p in enumerate(projections):
-        corner = np.einsum("uw,kwx,xv->kuv", p, onb_mats, p)
+    for c, (p, v) in enumerate(zip(projections, pieces)):
+        corner = _adjoints(v) @ onb_mats @ v
         corner_dim = _orthonormal_span(corner.reshape(r, -1)).shape[1]
         n = round(float(np.sqrt(corner_dim)))
         if n * n != corner_dim:
             raise NonIntegralBlock(
                 f"corner dimension {corner_dim} of block {c} is not a square"
             )
-        m = _nearest_integer(
-            float(np.trace(p).real) / n, f"multiplicity of block {c}"
-        )
-        blocks.append((p, n, m))
-    if sum(n * n for _, n, _ in blocks) != r:
+        m = _nearest_integer(v.shape[1] / n, f"multiplicity of block {c}")
+        blocks.append((p, v, n, m))
+    if sum(n * n for _, _, n, _ in blocks) != r:
         raise DecompositionError(
             "block dimensions do not add up to the span dimension"
         )
 
     # canonical block order: where the central projections sit in the
     # ambient, as descending lexicographic order on rounded diagonals
-    # (projections are canonical, so this is draw-independent)
     blocks.sort(key=lambda bl: tuple(-np.round(np.diag(bl[0]).real, 6) + 0.0))
 
-    units = []
-    for c, (p, n, m) in enumerate(blocks):
-        got = _matrix_units(p, n, m, onb_mats, herm_span, rng, tol)
-        if isinstance(got, str):
-            return f"block {c}: {got}"
-        units.append(got)
-
+    herm_span = _self_adjoint_basis(np.eye(r, dtype=complex), onb_mats)
     data = WedderburnData(
         ambient=ambient,
         span_dim=r,
-        block_dims=[n for _, n, _ in blocks],
-        multiplicities=[m for _, _, m in blocks],
-        central_projections=[fd.from_ambient(ambient, p) for p, _, _ in blocks],
+        block_dims=[n for _, _, n, _ in blocks],
+        multiplicities=[m for _, _, _, m in blocks],
+        central_projections=[fd.from_ambient(ambient, p) for p, _, _, _ in blocks],
         unit=fd.from_ambient(ambient, unit_mat),
-        matrix_units=units,
+        matrix_units=[
+            _matrix_units(c, v, n, m, onb_mats, herm_span, tol)
+            for c, (_, v, n, m) in enumerate(blocks)
+        ],
     )
 
     # round-trip: block coordinates must invert on the spanning ONB
-    worst = 0.0
-    for b in onb_mats:
-        x = fd.from_ambient(ambient, b)
-        back = fd.embed_ambient(data.reconstruct(data.coordinates(x)))
-        worst = max(worst, float(np.linalg.norm(back - b)))
-    if worst > 1e-6:
-        return f"block coordinates fail to invert (residual {worst:.3e})"
+    back = data._from_blocks(data._block_coordinates(onb_mats))
+    worst = fd.maxabs(_norms(back - onb_mats))
+    if not worst <= 1e-6:
+        raise DecompositionError(
+            f"block coordinates fail to invert (residual {worst:.3e})"
+        )
     return data
 
 
-def _matrix_units(p, n, m, onb_mats, herm_span, rng, tol):
-    """Matrix units for one block: diagonal projections from a generic
-    element's spectral clusters, partial isometries from a second one."""
-    side = p.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(p)
-    w = eigvecs[:, eigvals > 0.5]
-    if w.shape[1] != n * m:
-        return f"central projection rank {w.shape[1]}, expected {n * m}"
+def _matrix_units(c, v, n, m, onb_mats, herm_span, tol):
+    """Matrix units for block c, whose central projection is the range of
+    the isometry v, by a fixed rule.
 
-    for _ in range(RETRY_BUDGET):
-        y = np.einsum("k,kuv->uv", rng.standard_normal(len(herm_span)), herm_span)
-        y_red = w.conj().T @ y @ w
-        y_red = (y_red + y_red.conj().T) / 2
-        vals, vecs = np.linalg.eigh(y_red)
-        clusters = _cluster_by_gap(vals, EIG_SEPARATION)
-        # need the block's full spectral resolution: n clusters of size m
-        if len(clusters) != n or any(len(idx) != m for idx in clusters):
-            continue
-        fs = []
-        for idx in clusters:
-            sel = vecs[:, idx]
-            fs.append(w @ sel @ sel.conj().T @ w.conj().T)
-
-        nspan = len(onb_mats)
-        coeff = rng.standard_normal(nspan) + 1j * rng.standard_normal(nspan)
-        zgen = np.einsum("k,kuv->uv", coeff, onb_mats)
-        ws = []
-        degenerate = False
-        for t in range(n):
-            u = fs[t] @ zgen @ fs[0]
-            c = float(np.trace(u.conj().T @ u).real) / m
-            if c < 1e-10:
-                degenerate = True
-                break
-            ws.append(u / np.sqrt(c))
-        if degenerate:
-            continue
-
-        units = np.zeros((n, n, side, side), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                units[a, b] = ws[a] @ ws[b].conj().T
-        worst = 0.0
-        for a in range(n):
-            worst = max(worst, float(np.linalg.norm(units[a, a] - fs[a])))
-            for b in range(n):
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(units[a, b].conj().T - units[b, a])),
-                )
-                for d in range(n):
-                    prod = units[a, b] @ units[b, d]
-                    worst = max(worst, float(np.linalg.norm(prod - units[a, d])))
-        if worst > tol * 10:
-            continue
-        return units
-    return f"no usable corner generators after {RETRY_BUDGET} draws"
+    The diagonal units are the n minimal projections f_t that _refine
+    finds in the block, each of rank m. The partial isometry from f_0 to
+    f_t is f_t b f_0, scaled to norm one, for the spanning element b that
+    makes it largest (first on ties); f_t A f_0 is one-dimensional, so
+    every nonzero choice works.
+    """
+    pieces = _refine(v, herm_span, n)
+    if len(pieces) != n or any(piece.shape[1] != m for piece in pieces):
+        raise DecompositionError(
+            f"block {c}: minimal projections of ranks "
+            f"{[piece.shape[1] for piece in pieces]}, expected {n} of rank {m}"
+        )
+    v0 = pieces[0]
+    ws = []
+    for t, vt in enumerate(pieces):
+        corners = _adjoints(vt) @ onb_mats @ v0
+        sizes = _norms(corners)
+        k = int(np.argmax(sizes))
+        scale = float(sizes[k]) ** 2 / m
+        if not scale >= 1e-10:
+            raise DecompositionError(
+                f"block {c}: no spanning element links minimal "
+                f"projections 0 and {t}"
+            )
+        ws.append(vt @ corners[k] @ _adjoints(v0) / np.sqrt(scale))
+    ws = np.asarray(ws)
+    units = ws[:, None] @ _adjoints(ws)[None]
+    fs = np.asarray([piece @ _adjoints(piece) for piece in pieces])
+    worst = _worst(
+        _norms(units[range(n), range(n)] - fs),
+        _norms(_adjoints(units) - units.transpose(1, 0, 2, 3)),
+        *[_norms(units[:, b, None] @ units[None, b] - units) for b in range(n)],
+    )
+    if not worst <= tol * 10:
+        raise DecompositionError(
+            f"block {c}: matrix unit residual {worst:.3e}"
+        )
+    return units
 
 
 # ------------------------------------------------------------------- K0

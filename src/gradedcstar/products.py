@@ -10,7 +10,8 @@ over the same semilattice. Each component is the convolution *-algebra
 of functions from the group into that component, realized concretely
 through the left regular representation and re-expressed in block
 coordinates via wedderburn; the change of basis is kept so the structure
-maps transport correctly. Counting measure, trivial modular function,
+maps transport correctly. wedderburn draws no random numbers, so the
+output is a function of the action alone. Counting measure, trivial modular function,
 and full = reduced are all silently in force: the group is finite.
 
 Besides validating the output spec, crossed_product checks one thing:
@@ -400,23 +401,17 @@ def _left_translation_matrix(group, s):
     return u
 
 
-def _realize_component(act, i, seed):
-    """Left-regular realization of one convolution algebra.
+def _regular_span(act, i):
+    """The left-regular images of d_s (x) E_b, group-element major.
 
-    The carrier is group-many copies of the component's ambient space;
-    a coefficient acts in copy r through the inverse group element's
-    automorphism, and a group element permutes the copies. Wedderburn
-    then yields the block shape and the coordinate change.
+    The carrier is group-many copies of component i's ambient space; a
+    coefficient acts in copy r through the inverse group element's
+    automorphism, and a group element permutes the copies.
     """
     group = act.group
     g = group.order
     shape = act.spec.components[i]
     d, side = shape.dim, shape.side
-    if d == 0:
-        empty = fd.AlgebraShape(())
-        return ComponentRealization(
-            0, empty, np.zeros((0, 0)), np.zeros((0, 0)), None
-        )
     rows, cols = fd.ambient_index_maps(shape)
     big = g * side
     rho = np.zeros((d, big, big), dtype=complex)
@@ -430,7 +425,20 @@ def _realize_component(act, i, seed):
         ubig = np.kron(_left_translation_matrix(group, s), np.eye(side))
         for b in range(d):
             elems.append(fd.AlgElement(ambient, [rho[b] @ ubig]))
-    data = kt.wedderburn(elems, seed=seed)
+    return elems
+
+
+def _realize_component(act, i):
+    """Block shape and coordinate change of one convolution algebra."""
+    d = act.spec.components[i].dim
+    if d == 0:
+        empty = fd.AlgebraShape(())
+        return ComponentRealization(
+            0, empty, np.zeros((0, 0)), np.zeros((0, 0)), None
+        )
+    g = act.group.order
+    elems = _regular_span(act, i)
+    data = kt.wedderburn(elems)
     if data.span_dim != g * d:
         raise RealizationFault(
             f"regular representation of index {i} spans {data.span_dim} "
@@ -513,7 +521,7 @@ def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
     return worst
 
 
-def build_crossed_product(act, seed=None, tol=gr.AXIOM_TOL):
+def build_crossed_product(act, tol=gr.AXIOM_TOL):
     """Full crossed-product construction with its coordinate data.
 
     Realizes each component, transports the structure maps, validates the
@@ -526,9 +534,7 @@ def build_crossed_product(act, seed=None, tol=gr.AXIOM_TOL):
     """
     spec = act.spec
     g = act.group.order
-    reals = [
-        _realize_component(act, i, seed) for i in range(spec.L.n)
-    ]
+    reals = [_realize_component(act, i) for i in range(spec.L.n)]
     phi = {}
     for (i, j) in spec.L.comparable_pairs():
         if i == j:
@@ -545,6 +551,6 @@ def build_crossed_product(act, seed=None, tol=gr.AXIOM_TOL):
     return CrossedProduct(action=act, spec=out, realizations=reals)
 
 
-def crossed_product(act, seed=None):
+def crossed_product(act):
     """The crossed-product graded spec over the action's semilattice."""
-    return build_crossed_product(act, seed=seed).spec
+    return build_crossed_product(act).spec

@@ -50,7 +50,7 @@ def test_norm_matches_block_decomposition_of_faithful_image(corpus):
             gr.faithful_image(spec, spec.basis_element(i, a))
             for i, a, _ in spec.graded_basis()
         ]
-        data = kt.wedderburn(images, seed=SEED)
+        data = kt.wedderburn(images)
         for x in _sample(spec):
             direct = gr.gnorm(spec, x)
             block = fd.op_norm(data.coordinates(gr.faithful_image(spec, x)))
@@ -145,10 +145,10 @@ def test_k0_invariants_verified_across_constructions(corpus):
     )
     z2 = pr.cyclic_group(2)
     outputs["crossed-trivial"] = pr.crossed_product(
-        pr.trivial_action(z2, corpus["m2-chain"]), seed=SEED
+        pr.trivial_action(z2, corpus["m2-chain"])
     )
     _, z4_act = wb.build_coset_spec(*wb.coset_z4_family())
-    outputs["crossed-coset"] = pr.crossed_product(z4_act, seed=SEED)
+    outputs["crossed-coset"] = pr.crossed_product(z4_act)
     for spec in outputs.values():
         rep = kt.verify_k0(spec)  # raises on a non-integral or singular map
         assert rep.unimodular and rep.k1_total_rank == 0
@@ -159,7 +159,7 @@ def test_k0_invariants_verified_across_constructions(corpus):
             gr.faithful_image(spec, spec.basis_element(i, a))
             for i, a, _ in spec.graded_basis()
         ]
-        data = kt.wedderburn(images, seed=SEED)
+        data = kt.wedderburn(images)
         assert len(data.block_dims) == rep.total_rank
         oracle = [
             data.projection_ranks(gr.faithful_image(spec, p))
@@ -179,7 +179,7 @@ def test_group_algebra_crossed_products_collapse_to_matrices():
     ]
     for g in groups:
         functions, translation = wb.build_coset_spec(g, [{g.identity}])
-        out = pr.crossed_product(translation, seed=SEED)
+        out = pr.crossed_product(translation)
         assert out.components[0].blocks == (g.order,)
         gr.validate_spec(out)
         assert out.total_dim == g.order * functions.total_dim
@@ -191,7 +191,7 @@ def test_group_algebra_crossed_products_collapse_to_matrices():
     ]:
         group, _ = family
         base, act = wb.build_coset_spec(*family)
-        out = pr.crossed_product(act, seed=SEED)
+        out = pr.crossed_product(act)
         gr.validate_spec(out)
         assert out.total_dim == group.order * base.total_dim
         got = [sorted(c.blocks, reverse=True) for c in out.components]

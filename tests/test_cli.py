@@ -228,6 +228,25 @@ class TestConstructions:
         crossed = wb.document_to_spec(wb.load_document(out_path))
         assert crossed.total_dim == 2 * spec.total_dim
 
+    def test_crossed_ignores_the_seed(self, tmp_path, capsys):
+        # the seed is recorded only; no command draws random numbers
+        spec_path = demo_file(tmp_path, "coset-z4")
+        _, act = wb.build_coset_spec(*wb.coset_z4_family())
+        gpath = tmp_path / "group.json"
+        gpath.write_text(json.dumps(wb.group_to_document(act.group)))
+        apath = tmp_path / "action.json"
+        apath.write_text(json.dumps(wb.action_to_document(act)))
+        capsys.readouterr()
+        outs = []
+        for seed in ("1", "2"):
+            code, out, _ = run(
+                capsys, "--seed", seed, "crossed", str(spec_path), str(gpath),
+                str(apath),
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_demo_to_stdout_parses(self, capsys):
         code, out, _ = run(capsys, "demo", "coset-z4")
         assert code == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
@@ -9,10 +11,11 @@ from gradedcstar import ktheory as kt
 from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
-from gradedcstar.errors import DegenerateGenerator, InputError
+from gradedcstar.errors import InputError
 
 from conftest import M2, all_scalar_spec, block_chain_spec, m2_chain_spec, \
     mixed_diamond_spec
+from seeded_wedderburn import assert_matches_oracle
 
 M3 = fd.AlgebraShape([3])
 M23 = fd.AlgebraShape([2, 3])
@@ -171,26 +174,80 @@ class TestWedderburn:
         with pytest.raises(kt.NonIntegralBlock):
             data.projection_ranks(fd.scale(0.5, fd.unit(M3)))
 
-    def test_deterministic_for_a_fixed_seed(self):
-        a = kt.wedderburn(full_basis(M23), seed=7)
-        b = kt.wedderburn(full_basis(M23), seed=7)
+    def test_deterministic(self):
+        a = kt.wedderburn(full_basis(M23))
+        b = kt.wedderburn(full_basis(M23))
         assert a.block_dims == b.block_dims
         for ua, ub in zip(a.matrix_units, b.matrix_units):
             assert np.array_equal(ua, ub)
 
-    def test_projections_stable_across_seeds(self):
-        # the minimal central projections are canonical, so different
-        # draws must land on the same matrices in the same order
-        a = kt.wedderburn(full_basis(M23), seed=7)
-        b = kt.wedderburn(full_basis(M23), seed=8)
-        assert a.block_dims == b.block_dims
-        for pa, pb in zip(a.central_projections, b.central_projections):
-            assert fd.op_norm(pa - pb) <= 1e-7
+    def test_matches_the_seeded_oracle(self):
+        # block dimensions, multiplicities and minimal central projections
+        # do not depend on any choice, so the random route must agree
+        basis = full_basis(M23)
+        for seed in (7, 8):
+            assert_matches_oracle(kt.wedderburn(basis), basis, seed)
 
-    def test_retry_budget_exhaustion(self, monkeypatch):
+    def test_matches_the_seeded_oracle_on_the_corpus(self, corpus):
+        for spec in corpus.values():
+            basis = faithful_span(spec)
+            assert_matches_oracle(kt.wedderburn(basis), basis)
+
+    def test_unsplittable_spectrum_is_a_decomposition_error(self, monkeypatch):
         monkeypatch.setattr(kt, "EIG_SEPARATION", float("inf"))
-        with pytest.raises(DegenerateGenerator):
+        with pytest.raises(kt.DecompositionError):
             kt.wedderburn(full_basis(M23))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spanning_sets(self, bad):
+        basis = full_basis(M23)
+        basis[3].mats[1][0, 2] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            kt.wedderburn(basis)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3
+        ),
+        kernel=st.integers(0, 2),
+        spanning=st.sampled_from(["basis", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recovers_conjugated_block_algebras(self, blocks, kernel, spanning, seed):
+        # the span of (+)_c M_n_c (x) 1_m_c (+) 0_kernel, conjugated by a
+        # random unitary: blocks, multiplicities and coordinates must come
+        # back, and agree with the oracle
+        rng = np.random.default_rng(seed)
+        side = sum(n * m for n, m in blocks) + kernel
+        z = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        u, _ = np.linalg.qr(z)
+        mats = []
+        at = 0
+        for n, m in blocks:
+            for a in range(n * n):
+                e = np.zeros((n, n))
+                e.flat[a] = 1.0
+                x = np.zeros((side, side), dtype=complex)
+                x[at : at + n * m, at : at + n * m] = np.kron(e, np.eye(m))
+                mats.append(u @ x @ u.conj().T)
+            at += n * m
+        if spanning == "mixed":
+            # random combinations, one more than the dimension
+            coeff = rng.standard_normal((len(mats) + 1, len(mats)))
+            mats = list(np.einsum("kc,cuv->kuv", coeff, np.asarray(mats)))
+        shape = fd.AlgebraShape([side])
+        basis = [fd.AlgElement(shape, [x]) for x in mats]
+        data = kt.wedderburn(basis)
+        assert sorted(zip(data.block_dims, data.multiplicities)) == sorted(blocks)
+        assert_matches_oracle(data, basis)
+        coeff = rng.standard_normal(len(mats))
+        x = fd.AlgElement(shape, [np.einsum("k,kuv->uv", coeff, np.asarray(mats))])
+        y = fd.AlgElement(shape, [mats[0]])
+        cx, cy = data.coordinates(x), data.coordinates(y)
+        assert fd.op_norm(data.coordinates(x * y) - cx * cy) <= 1e-6
+        assert fd.op_norm(data.coordinates(fd.adjoint(x)) - fd.adjoint(cx)) <= 1e-6
+        assert fd.op_norm(data.reconstruct(cx) - x) <= 1e-6
 
 
 class TestIntegerDet:

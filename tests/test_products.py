@@ -13,6 +13,7 @@ from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
 from gradedcstar.errors import GradedCstarError
+from seeded_wedderburn import assert_matches_oracle
 
 C2 = fd.AlgebraShape([1, 1])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -152,11 +153,14 @@ def reference_total_independence(act, rtol=fd.RANK_RTOL):
         )
 
 
-def crossed(act, seed=None):
-    """build_crossed_product, cross-checked against both references."""
-    cp = pr.build_crossed_product(act, seed=seed)
+def crossed(act):
+    """build_crossed_product, cross-checked against both references and,
+    component by component, against the seeded Wedderburn route."""
+    cp = pr.build_crossed_product(act)
     for i in range(act.spec.L.n):
         reference_convolution_axioms(act, i)
+        if act.spec.components[i].dim:
+            assert_matches_oracle(cp.realizations[i].wedderburn, pr._regular_span(act, i))
     reference_total_independence(act)
     return cp
 
@@ -487,10 +491,10 @@ class TestCrossedProduct:
         cp = crossed(act)
         assert cp.spec.total_dim == 0
 
-    def test_seed_determinism(self):
+    def test_determinism(self):
         act = translation_action(pr.cyclic_group(3))
-        s1 = crossed(act, seed=7).spec
-        s2 = crossed(act, seed=7).spec
+        s1 = crossed(act).spec
+        s2 = crossed(act).spec
         for key in s1.phi:
             assert np.array_equal(s1.phi[key].matrix, s2.phi[key].matrix)
 
@@ -520,7 +524,7 @@ class TestCrossedProduct:
     def test_coset_actions_pass_the_references(self, family):
         group, subgroups = family()
         spec, act = wb.build_coset_spec(group, subgroups)
-        cp = crossed(act, seed=1)
+        cp = crossed(act)
         assert cp.spec.total_dim == group.order * spec.total_dim
         assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
 
