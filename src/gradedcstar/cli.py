@@ -91,10 +91,11 @@ def cmd_norm(args):
     spec = _load_spec(args.spec)
     x = wb.document_to_element(wb.load_document(args.element), spec)
     norms = [
-        (f"pi[{spec.L.names[i]}]", fd.op_norm(gr.pi_rep(spec, i, x)))
-        for i in range(spec.L.n)
+        (f"pi[{name}]", fd.op_norm(p))
+        for name, p in zip(spec.L.names, gr.pi_images(spec, x))
     ]
-    norms.append(("gnorm", gr.gnorm(spec, x)))
+    # gnorm is the largest of the per-index norms
+    norms.append(("gnorm", fd.maxabs([val for _, val in norms])))
     for label, val in norms:
         if not math.isfinite(val):
             raise NumericFailure(f"{label} is {val}: the element overflows")

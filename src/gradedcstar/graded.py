@@ -274,6 +274,35 @@ def from_gvector(spec, v):
 
 # ------------------------------------------------------------ the q family
 
+def _meet_groups(spec, rows_of):
+    """The ordered pairs (i, j) grouped by (k = i ^ j, dim A_i, dim A_j),
+    groups in row-major order of their first pair.
+
+    Yields (k, pairs, g, h) with g[p] = pi[rows, span(i)] and
+    h[p] = pi[rows, span(j)] for the p-th pair (i, j) and rows = rows_of(k)
+    (a slice or an index array): the stacks one pair_products call takes.
+    A group of one pair gets its two slices without a gather.
+    """
+    L, pi = spec.L, spec.pi
+    dims = [c.dim for c in spec.components]
+    groups = {}
+    for i in range(L.n):
+        for j in range(L.n):
+            groups.setdefault((L.meet_of(i, j), dims[i], dims[j]), []).append((i, j))
+    offsets = np.asarray(spec.offsets)
+    for (k, di, dj), pairs in groups.items():
+        rows = rows_of(k)
+        if len(pairs) == 1:
+            (i, j), = pairs
+            yield k, pairs, pi[rows, spec.span(i)][None], pi[rows, spec.span(j)][None]
+            continue
+        rows = np.arange(spec.total_dim)[rows][:, None]
+        ii, jj = np.transpose(pairs)
+        g = pi[rows, (offsets[ii, None] + np.arange(di))[:, None]]
+        h = pi[rows, (offsets[jj, None] + np.arange(dj))[:, None]]
+        yield k, pairs, g, h
+
+
 def q_from_phi(spec, i, j, x, y):
     """q_{i,j}(x, y) = phi_{k,i}(x) phi_{k,j}(y) in A_k, k = i ^ j."""
     k = spec.L.meet_of(i, j)
@@ -294,14 +323,10 @@ class QFamily:
     @classmethod
     def from_spec(cls, spec):
         tensors = {}
-        n = spec.L.n
-        for i in range(n):
-            for j in range(n):
-                k = spec.L.meet_of(i, j)
-                t = fd.pair_products(
-                    spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
-                )
-                tensors[(i, j)] = t.transpose(2, 0, 1)
+        for k, pairs, g, h in _meet_groups(spec, spec.span):
+            prod = fd.pair_products(spec.components[k], g, h)
+            for pair, t in zip(pairs, prod):
+                tensors[pair] = t.transpose(2, 0, 1)
         return cls(spec.L, spec.components, tensors)
 
     def apply(self, i, j, x, y):
@@ -426,68 +451,84 @@ def validate_spec(spec, tol=AXIOM_TOL):
             )
         id_res = max(id_res, r)
 
-    # *-hom residuals, one stacked call per (source, target) shape pair
+    # *-hom residuals, one stacked call per (source, target) shape pair;
+    # check_starhom_residuals names the offender only when a maximum fails
     groups = {}
     for key, h in spec.phi.items():
         groups.setdefault((h.source, h.target), []).append(key)
-    residuals = {}
+    mult_res = star_res = 0.0
+    failing = {}
     for (source, target), keys in groups.items():
         mats = np.stack([spec.phi[key].matrix for key in keys])
-        residuals.update(zip(keys, zip(*fd.starhom_residuals(source, target, mats))))
-
-    mult_res = star_res = 0.0
-    for (i, j), h in sorted(spec.phi.items()):
+        star, mult = fd.starhom_residuals(source, target, mats)
+        star_max = star.reshape(len(keys), -1).max(axis=1, initial=0.0)
+        mult_max = mult.reshape(len(keys), -1).max(axis=1, initial=0.0)
+        for p in np.flatnonzero(~((star_max <= tol) & (mult_max <= tol))):
+            failing[keys[p]] = (source, star[p], mult[p])
+        star_res = max(star_res, float(star_max.max()))
+        mult_res = max(mult_res, float(mult_max.max()))
+    for i, j in sorted(failing):
+        source, star, mult = failing[(i, j)]
         try:
-            rep = fd.check_starhom_residuals(h.source, *residuals[(i, j)], tol)
+            fd.check_starhom_residuals(source, star, mult, tol)
         except ValidationFailure as e:
-            raise HomNotStar(
-                f"phi[{L.names[i]},{L.names[j]}]: {e}"
-            ) from e
-        mult_res = max(mult_res, rep.max_mult_residual)
-        star_res = max(star_res, rep.max_star_residual)
+            raise HomNotStar(f"phi[{L.names[i]},{L.names[j]}]: {e}") from e
 
     # Axiom (b) says pi_m(E_a E_b) = pi_m(E_a) pi_m(E_b) for m <= k = i ^ j,
     # and E_a E_b = q_{i,j}(E_a, E_b) = pi_k(E_a) pi_k(E_b) lies in A_k.
     # One pair product over the rows of every m < k (ascending) and then
-    # of k gives both sides; m = k holds by the definition of q.
+    # of k gives both sides; m = k holds by the definition of q. The pairs
+    # sharing k and both dimensions take one stacked pair product.
     pi = spec.pi
     comps = spec.components
     below = {}  # k -> (m < k ascending, rows, shape, split, pi_{m,k} transposed)
+
+    def rows_of(k):
+        if k not in below:
+            ms = [m for m in range(L.n) if m != k and L.leq(m, k)]
+            rows = np.concatenate(
+                [spec.offsets[m] + np.arange(comps[m].dim) for m in ms + [k]]
+            )
+            split = len(rows) - comps[k].dim
+            shape = AlgebraShape([d for m in ms + [k] for d in comps[m].blocks])
+            below[k] = (ms, rows, shape, split, pi[rows[:split], spec.span(k)].T)
+        return below[k][1]
+
     b_res = 0.0
-    pairs = 0
-    for i in range(L.n):
-        for j in range(L.n):
-            k = L.meet_of(i, j)
-            if k not in below:
-                ms = [m for m in range(L.n) if m != k and L.leq(m, k)]
-                rows = np.concatenate(
-                    [spec.offsets[m] + np.arange(comps[m].dim) for m in ms + [k]]
-                )
-                split = len(rows) - comps[k].dim
-                shape = AlgebraShape([d for m in ms + [k] for d in comps[m].blocks])
-                below[k] = (ms, rows, shape, split, pi[rows[:split], spec.span(k)].T)
-            ms, rows, shape, split, down = below[k]
-            pairs += len(ms) + 1
-            if not ms:
-                continue
-            prod = fd.pair_products(shape, pi[rows, spec.span(i)], pi[rows, spec.span(j)])
-            diff = np.abs(prod[..., split:] @ down - prod[..., :split])
-            r = fd.maxabs(diff)
+    pairs_checked = 0
+    first = None  # (i, j, k, |residual|) of the first failing pair, row-major
+    for k, pairs, g, h in _meet_groups(spec, rows_of):
+        if first is not None and pairs[0] > first[:2]:
+            break
+        ms, _, shape, split, down = below[k]
+        pairs_checked += (len(ms) + 1) * len(pairs)
+        if not ms:
+            continue
+        prod = fd.pair_products(shape, g, h)
+        diff = prod[..., split:] @ down
+        diff -= prod[..., :split]
+        del prod  # a stack of products can be the largest array in a run
+        diff = np.abs(diff)
+        r = diff.reshape(len(pairs), -1).max(axis=1, initial=0.0)
+        bad = np.flatnonzero(~(r <= tol))
+        if bad.size and (first is None or pairs[bad[0]] < first[:2]):
+            first = (*pairs[bad[0]], k, diff[bad[0]])
+        b_res = max(b_res, float(r.max()))
+    if first is not None:
+        i, j, k, diff = first
+        off = 0
+        for m in below[k][0]:
+            block = diff[..., off : off + comps[m].dim]
+            off += comps[m].dim
+            r = fd.maxabs(block)
             if not r <= tol:
-                off = 0
-                for m in ms:
-                    block = diff[..., off : off + comps[m].dim]
-                    off += comps[m].dim
-                    r = fd.maxabs(block)
-                    if not r <= tol:
-                        flat = int(block.reshape(-1).argmax())
-                        a, b = divmod(flat // comps[m].dim, comps[j].dim)
-                        raise AxiomBViolation(
-                            L.names[i], L.names[j], L.names[m],
-                            spec.basis_label(i, a), spec.basis_label(j, b), r,
-                        )
-            b_res = max(b_res, r)
-    return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs)
+                flat = int(block.reshape(-1).argmax())
+                a, b = divmod(flat // comps[m].dim, comps[j].dim)
+                raise AxiomBViolation(
+                    L.names[i], L.names[j], L.names[m],
+                    spec.basis_label(i, a), spec.basis_label(j, b), r,
+                )
+    return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs_checked)
 
 
 # --------------------------------------------------------- total algebra
@@ -513,17 +554,21 @@ def pi_rep(spec, i, x):
     return fd.from_vector(spec.components[i], spec.pi[spec.span(i)] @ to_gvector(x))
 
 
+def pi_images(spec, x):
+    """Every pi_i(x), in index order, from one product with pi."""
+    v = spec.pi @ to_gvector(x)
+    return [fd.from_vector(c, v[spec.span(i)]) for i, c in enumerate(spec.components)]
+
+
 def gnorm(spec, x):
     """The C*-norm: max over indices of the operator norm of pi_i(x).
     NaN if any of them is NaN."""
-    return fd.maxabs([fd.op_norm(pi_rep(spec, i, x)) for i in range(spec.L.n)])
+    return fd.maxabs([fd.op_norm(p) for p in pi_images(spec, x)])
 
 
 def faithful_image(spec, x):
     """Block-diagonal concatenation of every pi_i(x), one shape for all."""
-    mats = []
-    for i in range(spec.L.n):
-        mats.extend(pi_rep(spec, i, x).mats)
+    mats = [m for p in pi_images(spec, x) for m in p.mats]
     return fd.AlgElement(spec.ambient_shape(), mats)
 
 

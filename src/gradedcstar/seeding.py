@@ -11,17 +11,25 @@ import os
 
 import numpy as np
 
+from .errors import InputError
+
 DEFAULT_SEED = 0x5EED0C5A
 SEED_ENV_VAR = "GRADEDCSTAR_SEED"
 
 
 def resolve_seed(seed=None):
-    """The effective global seed: argument, else environment, else default."""
+    """The effective global seed: argument, else environment, else default.
+    An environment value that is not an integer is an InputError."""
     if seed is not None:
         return int(seed)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env, 0)
+        try:
+            return int(env, 0)
+        except ValueError:
+            raise InputError(
+                f"{SEED_ENV_VAR}={env!r} is not an integer"
+            ) from None
     return DEFAULT_SEED
 
 

@@ -189,26 +189,35 @@ def graded_characters(spec, tol=CHAR_TOL):
         raise ComponentNotCommutative(
             "components must be commutative (all blocks 1x1)"
         )
-    chars = []
-    for i in range(spec.L.n):
-        pim = spec.pi[spec.span(i)]
-        for t in range(spec.components[i].dim):
-            chars.append(Character(values=pim[t].copy(), tag=(i, t)))
-    for a in range(len(chars)):
-        for b in range(a + 1, len(chars)):
-            d = fd.maxabs(chars[a].values - chars[b].values)
-            if d <= tol:
-                raise CoverageMismatch(
-                    f"characters {chars[a].tag} and {chars[b].tag} coincide"
-                )
-    table = _product_table(spec)
-    for ch in chars:
-        r = check_character(spec, ch.values, tol, table=table)
-        if not r <= tol:
-            raise NotACharacter(
-                f"coordinate {ch.tag} of pi fails the character axioms by "
-                f"{r:.3e}"
-            )
+    values = spec.pi
+    chars = [
+        Character(values=row.copy(), tag=(i, t))
+        for i in range(spec.L.n)
+        for t, row in enumerate(values[spec.span(i)])
+    ]
+    # one pairwise-difference reduction; a NaN difference is no coincidence
+    gap = np.abs(values[:, None, :] - values[None, :, :]).max(axis=2, initial=0.0)
+    same = np.argwhere(np.triu(gap <= tol, 1))
+    if same.size:
+        a, b = same[0]
+        raise CoverageMismatch(
+            f"characters {chars[a].tag} and {chars[b].tag} coincide"
+        )
+    # multiplicativity and *-symmetry of every character on every basis
+    # pair at once: chi(E_g E_h) = chi(E_g) chi(E_h), chi(E_g*) = conj chi(E_g)
+    prod_vals = np.einsum("ghu,cu->cgh", _product_table(spec), values, optimize=True)
+    prod_vals -= values[:, :, None] * values[:, None, :]
+    mult = np.abs(prod_vals).reshape(len(chars), -1).max(axis=1, initial=0.0)
+    perm = fd.adjoint_permutation(spec.ambient_shape())
+    star = np.abs(np.conj(values[:, perm]) - values).max(axis=1, initial=0.0)
+    r = np.maximum(mult, star)
+    bad = np.flatnonzero(~(r <= tol))
+    if bad.size:
+        ch = chars[bad[0]]
+        raise NotACharacter(
+            f"coordinate {ch.tag} of pi fails the character axioms by "
+            f"{r[bad[0]]:.3e}"
+        )
     return chars
 
 
@@ -248,11 +257,13 @@ def _require_all_scalar(spec):
     for c in spec.components:
         if c.blocks != (1,):
             raise NotAllScalar(f"component {c} is not the scalars")
-    for pair, h in spec.phi.items():
-        if not np.allclose(h.matrix, np.eye(1)):
-            raise NotAllScalar(
-                f"structure map for pair {pair} is not the identity"
-            )
+    # every component is the scalars, so each map is one number
+    pairs = list(spec.phi)
+    bad = np.flatnonzero(~np.isclose([spec.phi[p].matrix[0, 0] for p in pairs], 1.0))
+    if bad.size:
+        raise NotAllScalar(
+            f"structure map for pair {pairs[bad[0]]} is not the identity"
+        )
 
 
 def finishing_correspondence(spec, tol=CHAR_TOL):

@@ -47,6 +47,15 @@ class TestValidate:
         assert code == 0
         assert f"seed: {seeding.DEFAULT_SEED}" in out.splitlines()
 
+    def test_malformed_seed_variable_exits_two(self, tmp_path, capsys, monkeypatch):
+        path = demo_file(tmp_path, "chain-2")
+        capsys.readouterr()
+        monkeypatch.setenv(seeding.SEED_ENV_VAR, "abc")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error: InputError: GRADEDCSTAR_SEED='abc' is not an integer" in err
+
     def test_math_failure_exits_one(self, tmp_path, capsys):
         doc = wb.spec_to_document(wb.demo_spec("all-scalar-diamond"))
         doc["phi"][0]["matrix"] = [[[2.0, 0.0]]]

@@ -232,12 +232,50 @@ def zero_top_quotient():
     return quotient
 
 
+def bottomed_antichain(k):
+    """0 < 1 < the k incomparable atoms 2 .. k+1, whose pairwise meets are
+    1."""
+    n = k + 2
+    table = [[i if i == j else min(i, j) if min(i, j) <= 1 else 1
+              for j in range(n)] for i in range(n)]
+    return sl.Semilattice(table)
+
+
+def mixed_groups_antichain(doubled=()):
+    """bottomed_antichain(4) over [2, 2] < M_2 < atoms C, M_2, M_2, C.
+
+    The meet 1 gathers pairs of four dimension groups. phi_{0,1} is the
+    corner x -> x + 0, every map from an atom to 1 is unital, and
+    phi_{0,a} = phi_{0,1} phi_{1,a} plus, for a in doubled, the same map
+    into the second block. Axiom (b) then fails exactly at the pairs of
+    distinct atoms that are both doubled."""
+    c0, c1 = fd.AlgebraShape([2, 2]), M2
+    atoms = [SCALAR, M2, M2, SCALAR]
+    corner = block_hom(c1, c0, [[0], []])
+    phi = {(0, 1): corner}
+    for a, shape in enumerate(atoms, start=2):
+        up = unital_embedding(M2) if shape == SCALAR else fd.identity_hom(M2)
+        phi[(1, a)] = up
+        down = fd.compose(corner, up)
+        if a in doubled:
+            down = fd.compose(block_hom(c1, c0, [[0], [0]]), up)
+        phi[(0, a)] = down
+    return gr.GradedSpec(bottomed_antichain(4), [c0, c1] + atoms, phi)
+
+
 ORACLE_SPECS = {
     "m2-chain5": identity_chain(5, M2),
     "block-chain5": identity_chain(5, fd.AlgebraShape([2, 1])),
     "mixed-diamond": mixed_diamond_spec(),
     "mixed-sides-chain3": mixed_sides_chain(),
     "zero-top-quotient": zero_top_quotient(),
+    "mixed-groups-antichain": mixed_groups_antichain(),
+}
+
+# specs that fail axiom (b) before any perturbation
+FAILING_SPECS = {
+    # at (2, 4) and (4, 2) only, in the dimension groups (1, 4) and (4, 1)
+    "mixed-groups-doubled": mixed_groups_antichain(doubled=(2, 4)),
 }
 
 # conjugation angles: far below tolerance, just past it, large; None
@@ -264,8 +302,8 @@ def conjugated(h, theta, rng):
 
 @st.composite
 def perturbed_specs(draw):
-    name = draw(st.sampled_from(sorted(ORACLE_SPECS)))
-    spec = ORACLE_SPECS[name]
+    specs = {**ORACLE_SPECS, **FAILING_SPECS}
+    spec = specs[draw(st.sampled_from(sorted(specs)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phi = {}
     for (t, j), h in sorted(spec.phi.items()):
@@ -300,8 +338,45 @@ class TestAxiomBAgainstReference:
         assert report.pairs_checked == want[1]
         assert report.axiom_b_residual == pytest.approx(want[0], abs=1e-12)
 
+    def test_first_offender_across_dimension_groups(self):
+        # Groups at meet 1 in the order of their first pair: (1, 1) of
+        # dims (4, 4) fails first at (3, 4), (1, 2) of dims (4, 1) at
+        # (3, 2), (2, 1) of dims (1, 4) at (2, 3), the row-major first.
+        # Then (2, 5) of dims (1, 1) comes after it and is not needed.
+        spec = mixed_groups_antichain(doubled=(2, 3, 4))
+        with pytest.raises(gr.AxiomBViolation) as want:
+            axiom_b_reference(spec)
+        with pytest.raises(gr.AxiomBViolation) as got:
+            gr.validate_spec(spec)
+        assert str(got.value) == str(want.value) == (
+            "compatibility fails at indices (i=2, j=3, m=0), "
+            "basis pair (2:E0[0,0], 3:E0[0,0]), residual 1.000e+00"
+        )
+
+    def test_one_pair_product_per_group(self, monkeypatch):
+        # all-scalar chain(12): 11 meets with something below, one
+        # dimension group each, plus one stacked *-hom check
+        calls = []
+        real = fd.pair_products
+        monkeypatch.setattr(fd, "pair_products", lambda *a: calls.append(1) or real(*a))
+        gr.validate_spec(all_scalar_spec(sl.chain(12)))
+        assert len(calls) <= 12
+
 
 # ------------------------------------------------------------- q family
+
+def assert_q_matches_per_pair(spec, name=""):
+    """Every stacked q tensor equals its own pair_products(A_k, phi_ki,
+    phi_kj), k = i ^ j, entry for entry."""
+    fam = gr.QFamily.from_spec(spec)
+    assert set(fam.tensors) == {(i, j) for i in range(spec.L.n) for j in range(spec.L.n)}
+    for (i, j), t in fam.tensors.items():
+        k = spec.L.meet_of(i, j)
+        want = fd.pair_products(
+            spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
+        )
+        np.testing.assert_array_equal(t, want.transpose(2, 0, 1), err_msg=f"{name} {(i, j)}")
+
 
 class TestQFamily:
     def test_same_index_is_multiplication(self, rng):
@@ -330,6 +405,22 @@ class TestQFamily:
         spec = m2_chain_spec()
         with pytest.raises(fd.ShapeMismatch):
             gr.q_from_phi(spec, 0, 0, fd.unit(SCALAR), fd.unit(M2))
+
+    def test_tensors_match_per_pair_products(self, corpus):
+        for name, spec in {**corpus, **ORACLE_SPECS, **FAILING_SPECS}.items():
+            assert_q_matches_per_pair(spec, name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(perturbed_specs())
+    def test_tensors_match_per_pair_products_perturbed(self, spec):
+        assert_q_matches_per_pair(spec)
+
+    def test_one_pair_product_per_meet_on_chain(self, monkeypatch):
+        calls = []
+        real = fd.pair_products
+        monkeypatch.setattr(fd, "pair_products", lambda *a: calls.append(1) or real(*a))
+        gr.QFamily.from_spec(all_scalar_spec(sl.chain(12)))
+        assert len(calls) <= 12
 
     def test_family_axioms_hold_on_corpus(self, corpus):
         for name, spec in corpus.items():

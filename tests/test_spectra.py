@@ -7,7 +7,7 @@ from gradedcstar import findim as fd
 from gradedcstar import graded as gr
 from gradedcstar import semilattice as sl
 from gradedcstar import spectra as sp
-from gradedcstar.errors import InputError
+from gradedcstar.errors import InputError, ValidationFailure
 
 from conftest import SCALAR, all_scalar_spec, unital_embedding
 
@@ -179,6 +179,88 @@ class TestGradedCharacters:
             sp.graded_characters(spec)
 
 
+def graded_characters_reference(spec, tol=sp.CHAR_TOL):
+    """graded_characters one character and one pair at a time: the
+    pairwise distinctness loop, then check_character per character."""
+    chars = [
+        sp.Character(values=spec.pi[g].copy(), tag=(i, a))
+        for i, a, g in spec.graded_basis()
+    ]
+    for a in range(len(chars)):
+        for b in range(a + 1, len(chars)):
+            if fd.maxabs(chars[a].values - chars[b].values) <= tol:
+                raise sp.CoverageMismatch(
+                    f"characters {chars[a].tag} and {chars[b].tag} coincide"
+                )
+    for ch in chars:
+        r = sp.check_character(spec, ch.values, tol)
+        if not r <= tol:
+            raise sp.NotACharacter(
+                f"coordinate {ch.tag} of pi fails the character axioms by {r:.3e}"
+            )
+    return chars
+
+
+def scalar_chain_with(n, maps):
+    """All-scalar chain(n) with the given 1x1 values replacing some maps."""
+    L = sl.chain(n)
+    phi = {pair: fd.identity_hom(SCALAR) for pair in L.comparable_pairs()}
+    for pair, v in maps.items():
+        phi[pair] = fd.StarHom(SCALAR, SCALAR, np.array([[v]], dtype=complex))
+    return gr.GradedSpec(L, [SCALAR] * n, phi)
+
+
+BROKEN_CHARACTER_SPECS = {
+    # the points 1 and 2 of the bottom read 2 and 3 on the top unit, an
+    # idempotent; (0, 1) is named
+    "two-bad-rows": gr.GradedSpec(
+        sl.chain(2),
+        [fd.AlgebraShape([1, 1, 1]), SCALAR],
+        {(0, 1): fd.StarHom(SCALAR, fd.AlgebraShape([1, 1, 1]), [[1.0], [2.0], [3.0]])},
+    ),
+    "nan-map": scalar_chain_with(3, {(1, 2): np.nan}),
+    # rows 0, 2 and 3 of pi read the same functional; (0, 0) and (1, 0)
+    # are named
+    "coinciding-rows": gr.GradedSpec(
+        sl.chain(2),
+        [fd.AlgebraShape([1, 1])] * 2,
+        {
+            pair: fd.StarHom(fd.AlgebraShape([1, 1]), fd.AlgebraShape([1, 1]), m)
+            for pair, m in (
+                ((0, 0), [[0.0, 0.0], [0.0, 1.0]]),
+                ((0, 1), np.eye(2)),
+                ((1, 1), [[1.0, 0.0], [1.0, 0.0]]),
+            )
+        },
+    ),
+    "imaginary-map": scalar_chain_with(3, {(0, 1): 1j}),
+}
+
+
+class TestGradedCharactersAgainstReference:
+    def test_corpus(self, corpus):
+        for name, spec in commutative_corpus(corpus).items():
+            got = sp.graded_characters(spec)
+            want = graded_characters_reference(spec)
+            assert [c.tag for c in got] == [c.tag for c in want], name
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_CHARACTER_SPECS))
+    def test_first_offender(self, name):
+        spec = BROKEN_CHARACTER_SPECS[name]
+        with pytest.raises(ValidationFailure) as want:
+            graded_characters_reference(spec)
+        with pytest.raises(ValidationFailure) as got:
+            sp.graded_characters(spec)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_nan_fails(self):
+        with pytest.raises(sp.NotACharacter, match="by nan"):
+            sp.graded_characters(BROKEN_CHARACTER_SPECS["nan-map"])
+
+
 # ----------------------------------------------------------- matching
 
 class TestMatching:
@@ -261,6 +343,13 @@ class TestFinishingCorrespondence:
         spec = gr.GradedSpec(L, [SCALAR, SCALAR], {(0, 1): zero_map})
         with pytest.raises(sp.NotAllScalar):
             sp.finishing_correspondence(spec)
+
+    def test_first_nonidentity_map_named_in_phi_order(self):
+        spec = scalar_chain_with(4, {(1, 3): 0.5, (0, 2): np.nan, (2, 3): 1.0 + 1e-9})
+        first = next(p for p, h in spec.phi.items() if not np.allclose(h.matrix, 1.0))
+        with pytest.raises(sp.NotAllScalar) as exc:
+            sp.finishing_correspondence(spec)
+        assert str(exc.value) == f"structure map for pair {first} is not the identity"
 
     def test_count_matches_enumeration_up_to_size_8(self):
         for build in (
