@@ -104,14 +104,19 @@ def cmd_norm(args):
 
 def cmd_characters(args):
     spec = _load_spec(args.spec)
-    chars = sp.graded_characters(spec)
+    all_scalar = all(c.blocks == (1,) for c in spec.components)
+    if all_scalar:
+        # the correspondence computes the characters; list them by tag
+        pairs = sp.finishing_correspondence(spec)
+        chars = sorted((ch for ch, _ in pairs), key=lambda ch: ch.tag)
+    else:
+        chars = sp.graded_characters(spec)
     lines = [f"{len(chars)} characters"]
     for ch in chars:
         i, t = ch.tag
         vals = ", ".join(_fmt_complex(v) for v in ch.values)
         lines.append(f"char ({spec.L.names[i]}, {t}): [{vals}]")
-    if all(c.blocks == (1,) for c in spec.components):
-        pairs = sp.finishing_correspondence(spec)
+    if all_scalar:
         lines.append(f"{len(pairs)} nonempty finishing sub-semilattices")
         for ch, mset in pairs:
             names = ", ".join(spec.L.names[i] for i in sorted(mset))

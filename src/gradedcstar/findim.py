@@ -11,6 +11,7 @@ level residuals, rank cutoff 1e-8 relative to the largest singular value.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +59,9 @@ class AlgebraShape:
             raise InputError(f"block sides must be positive, got {blocks}")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
+    @cached_property
     def dim(self):
-        """Linear dimension, sum of d_k^2."""
+        """Linear dimension, sum of d_k^2; computed once per shape."""
         return sum(d * d for d in self.blocks)
 
     @property

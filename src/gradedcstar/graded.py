@@ -266,9 +266,7 @@ def from_gvector(spec, v):
     v = np.asarray(v, dtype=complex)
     if v.shape != (spec.total_dim,):
         raise fd.ShapeMismatch(f"vector length {v.shape}, expected {spec.total_dim}")
-    comps = []
-    for c, off in zip(spec.components, spec.offsets):
-        comps.append(fd.from_vector(c, v[off : off + c.dim]))
+    comps = [fd.from_vector(c, v[spec.span(i)]) for i, c in enumerate(spec.components)]
     return GradedElement(spec, comps)
 
 
@@ -617,15 +615,8 @@ class GradedMorphism:
         src = self.source
         out = np.zeros((self.target_dim(), src.total_dim), dtype=complex)
         for i in range(src.L.n):
-            cols = slice(src.offsets[i], src.offsets[i] + src.components[i].dim)
-            if self.graded_target:
-                rows = slice(
-                    self.target.offsets[i],
-                    self.target.offsets[i] + self.target.components[i].dim,
-                )
-                out[rows, cols] = self.psi[i].matrix
-            else:
-                out[:, cols] = self.psi[i].matrix
+            rows = self.target.span(i) if self.graded_target else slice(None)
+            out[rows, src.span(i)] = self.psi[i].matrix
         return out
 
     def apply(self, x):
@@ -671,14 +662,12 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
         if h.source != spec.components[i] or h.target != target:
             raise fd.ShapeMismatch(f"psi[{L.names[i]}] maps {h.source} -> {h.target}")
         fd.validate_starhom(h, tol)
+    q = q_family_from_spec(spec).tensors
     for j in range(L.n):
         for k in range(L.n):
             t = L.meet_of(j, k)
-            q = fd.pair_products(
-                spec.components[t], spec.phi[(t, j)].matrix, spec.phi[(t, k)].matrix
-            )
             resid = np.linalg.norm(
-                q @ m.psi[t].matrix.T
+                np.moveaxis(q[(j, k)], 0, -1) @ m.psi[t].matrix.T
                 - fd.pair_products(target, m.psi[j].matrix, m.psi[k].matrix),
                 axis=-1,
             )
@@ -753,11 +742,7 @@ def restrict_spec(spec, M):
 
     subL = Semilattice(table, names)
     comps = [spec.components[a] for a in M]
-    phi = {}
-    for ni, oi in enumerate(M):
-        for nj, oj in enumerate(M):
-            if subL.leq(ni, nj):
-                phi[(ni, nj)] = spec.structure_map(oi, oj)
+    phi = {(i, j): spec.structure_map(M[i], M[j]) for i, j in subL.comparable_pairs()}
     return GradedSpec(subL, comps, phi), remap
 
 
@@ -831,62 +816,55 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
             )
         selection[i] = chosen
 
-    def in_ideal(i, a):
-        k, _, _ = spec.components[i].basis_triples()[a]
-        return k in selection[i]
-
-    ideal_basis = [
-        (i, a) for i, a, _ in spec.graded_basis() if in_ideal(i, a)
-    ]
+    # in_ideal[i][a]: basis element a of A_i lies in a selected block
+    in_ideal = []
+    for i, c in enumerate(spec.components):
+        block_of = np.repeat(range(c.nblocks), [d * d for d in c.blocks])
+        in_ideal.append(np.isin(block_of, list(selection[i])))
+    ideal_basis = [(j, b) for j in range(L.n) for b in np.flatnonzero(in_ideal[j])]
     ideal_dim = len(ideal_basis)
 
-    max_leak = 0.0
-    for i, a, _ in spec.graded_basis():
-        xa = spec.basis_element(i, a)
-        for j, b in ideal_basis:
-            eb = spec.basis_element(j, b)
-            for prod in (gmul(xa, eb), gmul(eb, xa)):
-                leak = 0.0
-                for k in prod.support(tol=0.0):
-                    keep = [
-                        blk in selection[k]
-                        for blk in range(spec.components[k].nblocks)
-                    ]
-                    for blk, m in enumerate(prod.comps[k].mats):
-                        if not keep[blk]:
-                            leak = max(leak, fd.maxabs(m))
-                max_leak = max(max_leak, leak)
-                if not leak <= tol:
-                    raise NotAnIdeal(
-                        f"product of {spec.basis_label(i, a)} and "
-                        f"{spec.basis_label(j, b)} leaves the selected blocks "
-                        f"by {leak:.3e}"
-                    )
+    # leaks[g, p] holds, for graded basis element g = E_a at i and ideal
+    # basis element p = E_b at j, the largest unselected coordinate of
+    # q_{i,j}(E_a, E_b) and then of q_{j,i}(E_b, E_a), both in A_{i^j};
+    # a NaN coordinate makes the leak NaN
+    q = q_family_from_spec(spec).tensors
+    leaks = np.zeros((spec.total_dim, ideal_dim, 2))
+    start = 0
+    for j in range(L.n):
+        ideal = np.flatnonzero(in_ideal[j])
+        if not ideal.size:
+            continue
+        cols = slice(start, start + ideal.size)
+        start += ideal.size
+        for i in range(L.n):
+            out = ~in_ideal[L.meet_of(i, j)]
+            left = np.abs(q[(i, j)][out][:, :, ideal]).max(axis=0, initial=0.0)
+            right = np.abs(q[(j, i)][out][:, ideal]).max(axis=0, initial=0.0)
+            leaks[spec.span(i), cols] = np.stack([left, right.T], axis=-1)
+    bad = np.flatnonzero(~(leaks <= tol))
+    if bad.size:
+        g, p, _ = np.unravel_index(bad[0], leaks.shape)
+        i, a, _ = spec.graded_basis()[g]
+        j, b = ideal_basis[p]
+        raise NotAnIdeal(
+            f"product of {spec.basis_label(i, a)} and "
+            f"{spec.basis_label(j, b)} leaves the selected blocks "
+            f"by {leaks.flat[bad[0]]:.3e}"
+        )
+    max_leak = float(leaks.max(initial=0.0))
 
     # quotient: drop the selected blocks, compress the structure maps
-    quot_comps = []
-    keep_coords = []
-    for i in range(L.n):
-        kept_blocks = [
-            d
-            for blk, d in enumerate(spec.components[i].blocks)
-            if blk not in selection[i]
-        ]
-        quot_comps.append(AlgebraShape(kept_blocks))
-        coords = [
-            a
-            for a, (k, _, _) in enumerate(spec.components[i].basis_triples())
-            if k not in selection[i]
-        ]
-        keep_coords.append(np.asarray(coords, dtype=int))
+    quot_comps = [
+        AlgebraShape([d for blk, d in enumerate(c.blocks) if blk not in selection[i]])
+        for i, c in enumerate(spec.components)
+    ]
+    keep_coords = [np.flatnonzero(~sel) for sel in in_ideal]
 
     quot_phi = {}
     for (i, j), h in spec.phi.items():
         sub = h.matrix[np.ix_(keep_coords[i], keep_coords[j])]
-        dropped = np.asarray(
-            [a for a in range(spec.components[j].dim) if a not in set(keep_coords[j])],
-            dtype=int,
-        )
+        dropped = np.flatnonzero(in_ideal[j])
         if dropped.size:
             # well-definedness on the quotient: phi must map the ideal
             # coordinates at j into the ideal coordinates at i
@@ -903,9 +881,7 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
         StarHom(
             spec.components[i],
             quot_comps[i],
-            np.eye(spec.components[i].dim, dtype=complex)[keep_coords[i], :]
-            if keep_coords[i].size
-            else np.zeros((0, spec.components[i].dim), dtype=complex),
+            np.eye(spec.components[i].dim, dtype=complex)[keep_coords[i]],
         )
         for i in range(L.n)
     ]
@@ -916,9 +892,7 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
     cols = []
     for i in range(L.n):
         lift = np.zeros((quotient.total_dim, quot_comps[i].dim), dtype=complex)
-        lift[quotient.offsets[i] : quotient.offsets[i] + quot_comps[i].dim, :] = (
-            np.eye(quot_comps[i].dim)
-        )
+        lift[quotient.span(i)] = np.eye(quot_comps[i].dim)
         cols.append(lift @ quotient_maps[i].matrix)
     stacked = np.concatenate(cols, axis=1) if cols else np.zeros((0, 0))
     if fd.rank(stacked) != quotient.total_dim:

@@ -14,8 +14,10 @@ verify_k0 needs no decomposition: the total algebra of a valid spec is
 *-isomorphic to the direct sum of its components through x -> (pi_i(x))_i,
 so its blocks are the component blocks, in index order, and the rank map
 is the multiplicity matrix of that inclusion, read off the structure maps
-as exact integers. Invertibility over the integers is certified by an
-exact determinant of +-1.
+as exact integers in one gather on the matrix of that isomorphism.
+Invertibility over the integers is certified by an exact determinant of
++-1. The matrix is block-triangular along the order, so that determinant
+is the product of the determinants of its per-index diagonal blocks.
 
 K_1 of a finite-dimensional C*-algebra is the trivial group; reports carry
 that as a stated zero rather than a computation.
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import findim as fd
-from . import graded as gr
 from .errors import InputError, NumericFailure, ValidationFailure
 from .findim import AlgebraShape
 
@@ -451,18 +452,6 @@ def _integer_det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def component_minimal_projections(spec):
-    """(index, block, element) for the top-left matrix unit of every block
-    of every component: one rank-map generator each, in row order."""
-    out = []
-    for i, c in enumerate(spec.components):
-        for b in range(c.nblocks):
-            x = spec.zero_element()
-            x.comps[i].mats[b][0, 0] = 1.0
-            out.append((i, b, x))
-    return out
-
-
 def verify_k0(spec):
     """Check that the rank map of the faithful representation is an
     isomorphism of free abelian groups.
@@ -471,25 +460,38 @@ def verify_k0(spec):
     index order), columns the blocks of the total algebra, which are the
     component blocks in the same order; entry ((i, b), (t, c)) is the
     trace of block c of pi_t(E^(b)_00 at i), that is of
-    phi_{t,i}(E^(b)_00) for t <= i and 0 otherwise. Each trace must land
-    on an integer. Invertibility over the integers is certified by an
-    exact determinant of +-1.
+    phi_{t,i}(E^(b)_00) for t <= i and 0 otherwise. All of them come from
+    one gather on pi: the column of E^(b)_00 at i, summed over the
+    diagonal rows of each block. Each trace must land on an integer.
+    Invertibility over the integers is certified by an exact determinant
+    of +-1; entries with t not <= i are structural zeros, so the matrix is
+    block-triangular along any linear extension of <= and its determinant
+    is the product of the determinants of its per-index diagonal blocks.
     """
     per_component = [c.nblocks for c in spec.components]
-    phi_matrix = []
-    for i, b, p in component_minimal_projections(spec):
-        image = gr.faithful_image(spec, p)
-        phi_matrix.append(
-            [
-                _nearest_integer(
-                    float(np.trace(m).real),
-                    f"trace of block {c} of the image of generator "
-                    f"({spec.L.names[i]}, {b})",
-                )
-                for c, m in enumerate(image.mats)
-            ]
+    labels, gens, diag, starts = [], [], [], []
+    for i, c in enumerate(spec.components):
+        for b, (d, off) in enumerate(zip(c.blocks, c.block_offsets())):
+            labels.append(f"({spec.L.names[i]}, {b})")
+            gens.append(spec.offsets[i] + off)
+            starts.append(len(diag))
+            diag.extend(spec.offsets[i] + off + np.arange(d) * (d + 1))
+    if gens:
+        traces = np.add.reduceat(spec.pi[np.ix_(diag, gens)].real, starts).T
+    else:
+        traces = np.zeros((0, 0))
+    bad = np.argwhere(~(np.abs(traces - np.round(traces)) <= RANK_ROUND_TOL))
+    if bad.size:
+        r, c = bad[0]
+        _nearest_integer(
+            float(traces[r, c]),
+            f"trace of block {c} of the image of generator {labels[r]}",
         )
-    det = _integer_det(phi_matrix)
+    phi_matrix = [[int(v) for v in row] for row in np.round(traces).tolist()]
+    det, lo = 1, 0
+    for n in per_component:
+        det *= _integer_det([row[lo : lo + n] for row in phi_matrix[lo : lo + n]])
+        lo += n
     if abs(det) != 1:
         raise NotUnimodular(f"rank matrix has determinant {det}, not +-1")
     return K0Report(per_component, sum(per_component), phi_matrix, True)

@@ -483,6 +483,7 @@ def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
         re.matrix.reshape(re.matrix.shape[0], g, c.dim)
         for re, c in zip(reals, spec.components)
     ]
+    q = gr.q_family_from_spec(spec).tensors
     resids = []
     for i in range(L.n):
         if spec.components[i].dim == 0:
@@ -503,13 +504,8 @@ def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
                 out.phi[(k, i)].matrix @ reals[i].matrix,
                 out.phi[(k, j)].matrix @ reals[j].matrix,
             )
-            q = fd.pair_products(
-                spec.components[k],
-                spec.phi[(k, i)].matrix,
-                spec.phi[(k, j)].matrix,
-            )
             want = np.einsum(
-                "amn,smb,pstn->satbp", q, alpha[j], blocks[k][:, mul],
+                "nam,smb,pstn->satbp", q[(i, j)], alpha[j], blocks[k][:, mul],
                 optimize=True,
             )
             resids.append(fd.maxabs(got - want.reshape(got.shape)))

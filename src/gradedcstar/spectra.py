@@ -91,11 +91,9 @@ def _product_table(spec):
     """
     n = spec.total_dim
     table = np.zeros((n, n, n), dtype=complex)
-    span = [
-        slice(off, off + c.dim) for off, c in zip(spec.offsets, spec.components)
-    ]
+    span = spec.span
     for (i, j), t in gr.q_family_from_spec(spec).tensors.items():
-        table[span[i], span[j], span[spec.L.meet_of(i, j)]] = t.transpose(1, 2, 0)
+        table[span(i), span(j), span(spec.L.meet_of(i, j))] = t.transpose(1, 2, 0)
     return table
 
 
@@ -111,10 +109,17 @@ def check_character(spec, values, tol=CHAR_TOL, table=None):
     return fd.maxabs([mult, star])
 
 
-def _sort_key(values):
-    return tuple(
-        (round(v.real, 6) + 0.0, round(v.imag, 6) + 0.0) for v in values
-    )
+def _sorted(chars):
+    """Characters in lexicographic order of their values rounded to six
+    decimals, real part before imaginary part, entry by entry; ties keep
+    their order."""
+    if not chars:
+        return []
+    values = np.asarray([c.values for c in chars])
+    parts = np.stack([values.real, values.imag], axis=-1).reshape(len(chars), -1)
+    # lexsort's last key is the primary one
+    order = np.lexsort(np.round(parts, 6).T[::-1])
+    return [chars[k] for k in order]
 
 
 def brute_force_characters(spec, seed=None, tol=CHAR_TOL):
@@ -149,8 +154,7 @@ def brute_force_characters(spec, seed=None, tol=CHAR_TOL):
         if failure is not None:
             last = failure
             continue
-        chars.sort(key=lambda c: _sort_key(c.values))
-        return chars
+        return _sorted(chars)
     raise DegenerateGenerator(
         f"no usable generic element after {RETRY_BUDGET} draws: {last}"
     )
@@ -273,7 +277,7 @@ def finishing_correspondence(spec, tol=CHAR_TOL):
     Pairs come in lexicographic order on rounded value vectors."""
     _require_all_scalar(spec)
     L = spec.L
-    chars = sorted(graded_characters(spec, tol), key=lambda c: _sort_key(c.values))
+    chars = _sorted(graded_characters(spec, tol))
     expected = set(L.enumerate_finishing_subsemilattices())
     pairs = []
     seen = set()
@@ -377,14 +381,8 @@ def restriction_spectrum_map(spec, M, tol=CHAR_TOL):
         target = sub_chars[(remap[m], s)]
         # the functional restriction must agree with the assignment
         for old in Msorted:
-            new = remap[old]
-            dim = spec.components[old].dim
-            src_slice = ch.values[
-                spec.offsets[old] : spec.offsets[old] + dim
-            ]
-            dst_slice = target.values[
-                sub_spec.offsets[new] : sub_spec.offsets[new] + dim
-            ]
+            src_slice = ch.values[spec.span(old)]
+            dst_slice = target.values[sub_spec.span(remap[old])]
             if not fd.maxabs(src_slice - dst_slice) <= tol:
                 raise OracleMismatch(
                     f"restricting character {ch.tag} disagrees with its "

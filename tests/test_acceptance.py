@@ -19,6 +19,8 @@ from gradedcstar import semilattice as sl
 from gradedcstar import spectra as sp
 from gradedcstar import workbench as wb
 
+from element_references import component_minimal_projections
+
 SEED = 20260822
 
 
@@ -163,7 +165,7 @@ def test_k0_invariants_verified_across_constructions(corpus):
         assert len(data.block_dims) == rep.total_rank
         oracle = [
             data.projection_ranks(gr.faithful_image(spec, p))
-            for _, _, p in kt.component_minimal_projections(spec)
+            for _, _, p in component_minimal_projections(spec)
         ]
         assert rep.phi_matrix == oracle
     frozen = kt.verify_k0(corpus["m2-chain"])

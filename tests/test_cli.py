@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 from gradedcstar import cli
+from gradedcstar import findim as fd
 from gradedcstar import graded as gr
 from gradedcstar import products as pr
 from gradedcstar import seeding
+from gradedcstar import semilattice as sl
+from gradedcstar import spectra as sp
 from gradedcstar import workbench as wb
 
 GOLDEN = Path(__file__).parent / "data" / "demo_outputs.json"
@@ -126,6 +129,52 @@ class TestAnalysis:
         code, out, err = run(capsys, "characters", str(path))
         assert code == 2
         assert "commutative" in err
+
+    def test_characters_computed_once_on_all_scalar_specs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = demo_file(tmp_path, "all-scalar-diamond")
+        calls = []
+        real = sp.graded_characters
+        monkeypatch.setattr(
+            sp, "graded_characters", lambda *a: calls.append(1) or real(*a)
+        )
+        capsys.readouterr()
+        code, out, _ = run(capsys, "characters", str(path))
+        assert code == 0
+        assert len(calls) == 1
+        # characters by tag, as graded_characters orders them; the
+        # correspondence in its own order
+        assert out.splitlines() == [
+            "4 characters",
+            "char (0, 0): [1, 1, 1, 1]",
+            "char (a, 0): [0, 1, 0, 1]",
+            "char (b, 0): [0, 0, 1, 1]",
+            "char (1, 0): [0, 0, 0, 1]",
+            "4 nonempty finishing sub-semilattices",
+            "finishing {1} <-> character (1, 0)",
+            "finishing {b, 1} <-> character (b, 0)",
+            "finishing {a, 1} <-> character (a, 0)",
+            "finishing {0, a, b, 1} <-> character (0, 0)",
+        ]
+
+    def test_k0_on_zero_components(self, tmp_path, capsys):
+        zero = fd.AlgebraShape(())
+        L = sl.chain(3)
+        phi = {pair: fd.zero_hom(zero, zero) for pair in L.comparable_pairs()}
+        path = tmp_path / "zero.json"
+        wb.save_document(
+            wb.spec_to_document(gr.GradedSpec(L, [zero] * 3, phi)), str(path)
+        )
+        code, out, _ = run(capsys, "k0", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "component ranks: [0, 0, 0]",
+            "total rank: 0",
+            "generator matrix:",
+            "unimodular: true",
+            "k1 total rank: 0",
+        ]
 
     def test_k0_frozen_chain_matrix(self, tmp_path, capsys):
         path = demo_file(tmp_path, "m2-chain")

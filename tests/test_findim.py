@@ -24,6 +24,19 @@ def unital_embedding_c_to_m2():
     return StarHom.from_images(shape(1), shape(2), [im])
 
 
+# ------------------------------------------------------------------ shapes
+
+def test_dim_is_computed_once_and_stays_out_of_identity():
+    a, b = shape(3, 1, 2), shape(3, 1, 2)
+    assert a.dim == 14
+    assert "dim" in vars(a) and "dim" not in vars(b)
+    # equality, hash and repr still see the blocks alone
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a != shape(3, 1) and shape().dim == 0
+    with pytest.raises(AttributeError):
+        a.blocks = (1,)
+
+
 # ------------------------------------------------------------- arithmetic
 
 def test_scalar_one_is_identity():

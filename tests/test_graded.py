@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
 from gradedcstar import semilattice as sl
-from gradedcstar.errors import InputError
+from gradedcstar.errors import GradedCstarError, InputError
 
 from conftest import (
     M2,
@@ -17,6 +19,7 @@ from conftest import (
     mixed_diamond_spec,
     unital_embedding,
 )
+from element_references import ideal_leak_reference
 
 
 def as_matrix(x):
@@ -1015,3 +1018,71 @@ class TestRestrictSpec:
         L = spec.L
         with pytest.raises(InputError):
             gr.restrict_spec(spec, {L.index_of("a"), L.index_of("b")})
+
+
+# ----------------------------------------- ideal leaks against the gmul loop
+
+def block_selections(spec):
+    """Every per-index subset of blocks."""
+    choices = [
+        [set(s) for r in range(c.nblocks + 1) for s in itertools.combinations(range(c.nblocks), r)]
+        for c in spec.components
+    ]
+    for picks in itertools.product(*choices):
+        yield {i: s for i, s in enumerate(picks) if s}
+
+
+def assert_leaks_match_reference(spec, selection):
+    """verify_ideal_gradation fails at the product check exactly where the
+    gmul loop does, with its message, and otherwise reports its largest
+    leak (a later check may still fail)."""
+    try:
+        want = ideal_leak_reference(spec, selection)
+    except gr.NotAnIdeal as exc:
+        with pytest.raises(gr.NotAnIdeal) as got:
+            gr.verify_ideal_gradation(spec, selection)
+        assert str(got.value) == str(exc)
+        return
+    try:
+        report = gr.verify_ideal_gradation(spec, selection)
+    except GradedCstarError as exc:
+        assert not str(exc).startswith("product of"), str(exc)
+        return
+    assert report.max_leak == pytest.approx(want, abs=1e-12)
+
+
+class TestIdealsAgainstReference:
+    @pytest.mark.parametrize(
+        "name", ["all-scalar-diamond", "m2-chain", "mixed-diamond", "block-chain"]
+    )
+    def test_every_block_selection(self, corpus, name):
+        spec = corpus[name]
+        for selection in block_selections(spec):
+            assert_leaks_match_reference(spec, selection)
+
+    @settings(max_examples=15, deadline=None)
+    @given(perturbed_specs(), st.randoms(use_true_random=False))
+    def test_perturbed_specs(self, spec, random):
+        selection = {
+            i: {b for b in range(c.nblocks) if random.random() < 0.5}
+            for i, c in enumerate(spec.components)
+        }
+        assert_leaks_match_reference(spec, selection)
+
+    def test_nan_leak_fails(self):
+        # block-chain with phi_01(1) = (I_2, nan): the product of the top
+        # unit with E0[0,0] at the bottom has nan * 0 in the unselected
+        # scalar block. The gmul loop's max(0.0, nan) keeps 0.0.
+        spec = block_chain_spec()
+        m = spec.phi[(0, 1)].matrix.copy()
+        m[4, 0] = np.nan
+        spec = gr.GradedSpec(
+            spec.L, spec.components,
+            {(0, 1): fd.StarHom(spec.components[1], spec.components[0], m)},
+        )
+        assert ideal_leak_reference(spec, {0: {0}}) == 0.0
+        with pytest.raises(gr.NotAnIdeal) as got:
+            gr.verify_ideal_gradation(spec, {0: {0}})
+        assert str(got.value) == (
+            "product of 1:E0[0,0] and 0:E0[0,0] leaves the selected blocks by nan"
+        )

@@ -14,7 +14,8 @@ from gradedcstar import workbench as wb
 from gradedcstar.errors import InputError
 
 from conftest import M2, all_scalar_spec, block_chain_spec, m2_chain_spec, \
-    mixed_diamond_spec
+    mixed_diamond_spec, standard_corpus
+from element_references import k0_matrix_reference, verify_k0_reference
 from seeded_wedderburn import assert_matches_oracle
 
 M3 = fd.AlgebraShape([3])
@@ -336,3 +337,179 @@ class TestVerifyK0:
         assert report.total_rank == 49
         assert report.unimodular
         assert len(report.phi_matrix) == 49
+
+
+# ------------------------------------- verify_k0 against the element route
+
+def _product_specs():
+    corpus = standard_corpus()
+    _, z4_act = wb.build_coset_spec(*wb.coset_z4_family())
+    return {
+        **corpus,
+        "tensor-a": pr.tensor_spec(corpus["m2-chain"], corpus["all-scalar-chain2"]),
+        "tensor-b": pr.tensor_spec(
+            corpus["all-scalar-diamond"], corpus["all-scalar-chain2"]
+        ),
+        "crossed-trivial": pr.crossed_product(
+            pr.trivial_action(pr.cyclic_group(2), corpus["m2-chain"])
+        ),
+        "crossed-coset": pr.crossed_product(z4_act),
+    }
+
+
+K0_SPECS = _product_specs()
+
+# per-map factors: unchanged, doubled, halved (non-integral traces), zero,
+# just inside and just outside RANK_ROUND_TOL
+K0_SCALES = (1.0, 1.0, 2.0, 0.5, 0.0, 1 + 1e-9, 1 + 1e-5)
+
+
+def with_maps(spec, maps):
+    phi = dict(spec.phi)
+    phi.update(
+        {key: fd.StarHom(spec.phi[key].source, spec.phi[key].target, m) for key, m in maps.items()}
+    )
+    return gr.GradedSpec(spec.L, spec.components, phi)
+
+
+@st.composite
+def scaled_specs(draw):
+    """A K0_SPECS entry with every structure map, phi_{i,i} included,
+    scaled by a factor drawn from K0_SCALES."""
+    spec = K0_SPECS[draw(st.sampled_from(sorted(K0_SPECS)))]
+    keys = sorted(spec.phi)
+    factors = draw(st.lists(st.sampled_from(K0_SCALES), min_size=len(keys), max_size=len(keys)))
+    return with_maps(spec, {k: f * spec.phi[k].matrix for k, f in zip(keys, factors) if f != 1.0})
+
+
+@st.composite
+def non_finite_specs(draw):
+    """A K0_SPECS entry with one to three entries of its structure maps
+    set to NaN or an infinity, or given an infinite imaginary part."""
+    spec = K0_SPECS[draw(st.sampled_from(sorted(K0_SPECS)))]
+    keys = sorted(spec.phi)
+    maps = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        m = maps.setdefault(key, spec.phi[key].matrix.copy())
+        r = draw(st.integers(0, m.shape[0] - 1))
+        c = draw(st.integers(0, m.shape[1] - 1))
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf, "imaginary inf"]))
+        m[r, c] = complex(m[r, c].real, np.inf) if bad == "imaginary inf" else bad
+    return with_maps(spec, maps)
+
+
+def traced_entries(spec):
+    """For every generator (i, b) and ambient block (t, c), row-major: the
+    label the messages use, the block's position, and the pi rows and
+    column whose sum is the entry."""
+    out = []
+    for i, ci in enumerate(spec.components):
+        for b, off in enumerate(ci.block_offsets()):
+            col = spec.offsets[i] + off
+            c = 0
+            for t, ct in enumerate(spec.components):
+                for d, toff in zip(ct.blocks, ct.block_offsets()):
+                    rows = spec.offsets[t] + toff + np.arange(d) * (d + 1)
+                    out.append((f"({spec.L.names[i]}, {b})", c, rows, col))
+                    c += 1
+    return out
+
+
+def assert_same_as_reference(spec, reference_spec=None):
+    try:
+        want = verify_k0_reference(reference_spec or spec)
+    except (kt.NonIntegralBlock, kt.NotUnimodular) as exc:
+        with pytest.raises(type(exc)) as got:
+            kt.verify_k0(spec)
+        assert str(got.value) == str(exc)
+        return
+    assert kt.verify_k0(spec) == want
+
+
+def assert_det_is_per_index_product(spec):
+    m = k0_matrix_reference(spec)
+    det, lo = 1, 0
+    for c in spec.components:
+        n = c.nblocks
+        det *= kt._integer_det([row[lo : lo + n] for row in m[lo : lo + n]])
+        lo += n
+    assert kt._integer_det(m) == det
+
+
+class TestVerifyK0AgainstElementRoute:
+    @pytest.mark.parametrize("name", sorted(K0_SPECS))
+    def test_same_report(self, name):
+        assert_same_as_reference(K0_SPECS[name])
+        assert_det_is_per_index_product(K0_SPECS[name])
+
+    @settings(max_examples=80, deadline=None)
+    @given(scaled_specs())
+    def test_same_report_or_error_on_scaled_maps(self, spec):
+        assert_same_as_reference(spec)
+        try:
+            assert_det_is_per_index_product(spec)
+        except kt.NonIntegralBlock:
+            pass
+
+    # the element route's pi @ x warns where it spreads a non-finite entry
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(non_finite_specs())
+    def test_non_finite_entries_fail_only_where_traced(self, spec):
+        # The element route takes pi @ x, where a non-finite entry anywhere
+        # in a traced row spreads through inf * 0 and nan * 0; the gather
+        # reads only the real parts of the traced entries themselves.
+        pi = spec.pi.real
+        for label, c, rows, col in traced_entries(spec):
+            if not np.isfinite(pi[rows, col]).all():
+                with pytest.raises(kt.NonIntegralBlock) as got:
+                    kt.verify_k0(spec)
+                assert str(got.value).startswith(
+                    f"trace of block {c} of the image of generator {label} "
+                )
+                with pytest.raises(kt.NonIntegralBlock):
+                    verify_k0_reference(spec)
+                return
+        # untraced entries do not matter: zero them and ask the reference
+        finite = with_maps(
+            spec, {k: np.nan_to_num(h.matrix, nan=0.0, posinf=0.0, neginf=0.0) for k, h in spec.phi.items()}
+        )
+        assert_same_as_reference(spec, finite)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_off_the_generator_column_is_not_read(self):
+        # phi_00 of the M_2 chain with a NaN at (E00, E01): a traced row,
+        # an untraced column. The element route's trace is nan * 0.
+        spec = m2_chain_spec()
+        m = spec.phi[(0, 0)].matrix.copy()
+        m[0, 1] = np.nan
+        spec = with_maps(spec, {(0, 0): m})
+        assert kt.verify_k0(spec).phi_matrix == [[1, 0], [2, 1]]
+        with pytest.raises(kt.NonIntegralBlock, match="nan"):
+            verify_k0_reference(spec)
+
+    def test_determinant_equals_full_elimination(self):
+        # generator matrices with off-diagonal blocks below the diagonal
+        # and non-unit diagonal blocks
+        for name in ("tensor-a", "crossed-coset", "mixed-diamond"):
+            spec = K0_SPECS[name]
+            doubled = with_maps(spec, {(0, 0): 2 * spec.phi[(0, 0)].matrix})
+            assert_det_is_per_index_product(doubled)
+            with pytest.raises(kt.NotUnimodular) as got:
+                kt.verify_k0(doubled)
+            det = kt._integer_det(k0_matrix_reference(doubled))
+            assert str(got.value) == f"rank matrix has determinant {det}, not +-1"
+
+    def test_zero_components_give_the_empty_matrix(self):
+        zero = fd.AlgebraShape(())
+        L = sl.chain(3)
+        phi = {pair: fd.zero_hom(zero, zero) for pair in L.comparable_pairs()}
+        spec = gr.GradedSpec(L, [zero] * 3, phi)
+        report = kt.verify_k0(spec)
+        assert report == verify_k0_reference(spec)
+        assert report.phi_matrix == []
+        assert report.per_component_ranks == [0, 0, 0]
+        assert report.total_rank == 0
+        assert report.unimodular
+        assert kt._integer_det(report.phi_matrix) == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
@@ -10,6 +12,7 @@ from gradedcstar import spectra as sp
 from gradedcstar.errors import InputError, ValidationFailure
 
 from conftest import SCALAR, all_scalar_spec, unital_embedding
+from element_references import sort_key
 
 
 def commutative_corpus(corpus):
@@ -362,6 +365,46 @@ class TestFinishingCorrespondence:
             spec = all_scalar_spec(L)
             pairs = sp.finishing_correspondence(spec)
             assert len(pairs) == len(L.enumerate_finishing_subsemilattices())
+
+
+# ------------------------------------------------------- character order
+
+# parts that tie after rounding to six decimals, among themselves or with
+# their neighbours: signed zeros, values below the last decimal, decimal
+# half-way points
+TIED_PARTS = (
+    0.0, -0.0, 1e-7, -1e-7, 4.9e-7, 5e-7, -5e-7, 2.5e-6, 3.5e-6,
+    0.5, -0.5, 0.4999995, 1.0, -1.0, 1.0000005, 0.1234565,
+)
+
+
+@st.composite
+def value_stacks(draw):
+    part = st.one_of(st.sampled_from(TIED_PARTS), st.floats(-2.0, 2.0))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 9))
+    parts = draw(st.lists(part, min_size=2 * width * rows, max_size=2 * width * rows))
+    return (np.asarray(parts[0::2]) + 1j * np.asarray(parts[1::2])).reshape(rows, width)
+
+
+def assert_order_matches_sort_key(chars):
+    want = sorted(chars, key=lambda c: sort_key(c.values))
+    got = sp._sorted(chars)
+    assert [id(c) for c in got] == [id(c) for c in want]
+
+
+class TestCharacterOrder:
+    def test_corpus(self, corpus, rng):
+        for spec in commutative_corpus(corpus).values():
+            chars = sp.graded_characters(spec)
+            for _ in range(3):
+                assert_order_matches_sort_key(chars)
+                chars = [chars[k] for k in rng.permutation(len(chars))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(value_stacks())
+    def test_stacks_with_ties(self, values):
+        assert_order_matches_sort_key([sp.Character(values=row) for row in values])
 
 
 # ------------------------------------------------------------ restriction
