@@ -11,7 +11,7 @@ level residuals, rank cutoff 1e-8 relative to the largest singular value.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -332,13 +332,15 @@ def compose(g, h):
 
 
 def rank(matrix, rtol=RANK_RTOL):
-    """Numerical rank: singular values above rtol times the largest."""
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    """Numerical rank: singular values above rtol times the largest. A
+    stack of matrices (..., m, n) gives an array of ranks."""
+    matrix = np.asarray(matrix)
+    if matrix.shape[-2] and matrix.shape[-1]:
+        s = np.linalg.svd(matrix, compute_uv=False)
+        ranks = np.sum(s > rtol * s[..., :1], axis=-1)
+    else:
+        ranks = np.zeros(matrix.shape[:-2], dtype=int)
+    return int(ranks) if matrix.ndim == 2 else ranks
 
 
 def kernel_dim(h):
@@ -351,8 +353,13 @@ def is_unital_hom(h, tol=BASIS_TOL):
 
 @dataclass
 class HomReport:
+    """Residuals of the check that decided: the matrix-unit relations on
+    the generator route, the basis pairs on the full route. mult_bound
+    bounds every basis-pair residual either way."""
+
     max_mult_residual: float
     max_star_residual: float
+    mult_bound: float
 
 
 def ambient_index_maps(shape):
@@ -371,15 +378,25 @@ def ambient_index_maps(shape):
     return np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+# The index tables below depend on the shape alone and every check asks
+# for them again; they are cached per shape, read-only.
+
+@lru_cache(maxsize=256)
 def adjoint_permutation(shape):
     """Permutation P with vec(x*) == conj(vec(x))[P]."""
     parts = [np.zeros(0, dtype=int)] + [
         off + np.arange(d * d).reshape(d, d).T.reshape(-1)
         for d, off in zip(shape.blocks, shape.block_offsets())
     ]
-    return np.concatenate(parts)
+    return _read_only(np.concatenate(parts))
 
 
+@lru_cache(maxsize=256)
 def unit_products(shape):
     """Index arrays (a, b, c) with E_a E_b = E_c, the shape's own product
     table; every other pair of matrix units multiplies to zero."""
@@ -387,7 +404,7 @@ def unit_products(shape):
     for d, off in zip(shape.blocks, shape.block_offsets()):
         p, q, r = np.indices((d, d, d)).reshape(3, -1)
         parts.append(off + np.stack([p * d + q, q * d + r, p * d + r]))
-    return tuple(np.concatenate(parts, axis=1))
+    return tuple(_read_only(row) for row in np.concatenate(parts, axis=1))
 
 
 def _side_products(x, y, d, lead):
@@ -432,20 +449,31 @@ def pair_products(shape, g, h):
     return out
 
 
-def starhom_residuals(source, target, matrices):
-    """Frobenius residuals star[..., a] = ||h(E_a*) - h(E_a)*|| and
-    mult[..., a, b] = ||h(E_a) h(E_b) - h(E_a E_b)|| for a stack of maps
-    source -> target, matrices of shape (..., target.dim, source.dim)."""
+def star_residuals(source, target, matrices):
+    """Frobenius residuals star[..., a] = ||h(E_a*) - h(E_a)*|| for a stack
+    of maps source -> target, matrices of shape (..., target.dim,
+    source.dim)."""
     m = np.asarray(matrices, dtype=complex)
-    star = np.linalg.norm(
+    return np.linalg.norm(
         m[..., adjoint_permutation(source)]
         - m[..., adjoint_permutation(target), :].conj(),
         axis=-2,
     )
+
+
+def mult_residuals(source, target, matrices):
+    """Frobenius residuals mult[..., a, b] = ||h(E_a) h(E_b) - h(E_a E_b)||
+    over every basis pair, for a stack of maps as in star_residuals."""
+    m = np.asarray(matrices, dtype=complex)
     diff = pair_products(target, m, m)
     a, b, c = unit_products(source)
     diff[..., a, b, :] -= np.swapaxes(m, -1, -2)[..., c, :]
-    return star, np.linalg.norm(diff, axis=-1)
+    return np.linalg.norm(diff, axis=-1)
+
+
+def starhom_residuals(source, target, matrices):
+    """(star_residuals, mult_residuals) of a stack of maps."""
+    return star_residuals(source, target, matrices), mult_residuals(source, target, matrices)
 
 
 def check_starhom_residuals(source, star, mult, tol=BASIS_TOL):
@@ -462,15 +490,152 @@ def check_starhom_residuals(source, star, mult, tol=BASIS_TOL):
         raise NotMultiplicative(
             (source.basis_label(a), source.basis_label(b)), float(mult[a, b])
         )
-    return HomReport(max_mult_residual=maxabs(mult), max_star_residual=maxabs(star))
+    mult_max = maxabs(mult)
+    return HomReport(mult_max, maxabs(star), mult_max)
+
+
+# --------------------------------------------------- matrix-unit generators
+
+# The generator routes below accept only when a bound on the full check's
+# residuals is <= tol. The bounds are derived for tol <= GENERATOR_TOL_MAX;
+# a looser tolerance goes straight to the full checks.
+GENERATOR_TOL_MAX = 1 / 16
+
+
+@lru_cache(maxsize=256)
+def unit_columns(shape):
+    """Basis positions of E_p0 and E_0q in every block, ascending: the
+    2n - 1 matrix units that generate a block of side n as an algebra
+    (E_pq = E_p0 E_0q). For a block of side 1 that is its whole basis."""
+    parts = [np.zeros(0, dtype=int)]
+    for d, off in zip(shape.blocks, shape.block_offsets()):
+        units = np.arange(d * d)
+        parts.append(off + units[(units < d) | (units % d == 0)])
+    return _read_only(np.concatenate(parts))
+
+
+def unit_kappa(shape):
+    """Amplification from the matrix-unit relation residuals of a map with
+    this source shape to its basis-pair residuals.
+
+    Let eps bound the Frobenius residuals of the relations that
+    unit_relation_residuals measures, with eps <= 1/kappa (so at most 1/30),
+    V_p = h(E_p0) in a block of side n, f_pq = h(E_pq) - V_p V_q* and
+    e_qr = V_q* V_r - delta_qr V_0. Then
+      - ||V_0||^2 = ||V_0* V_0|| <= ||V_0|| + eps gives ||V_0|| <= 1 + eps,
+        and ||V_p||^2 <= ||V_0|| + eps gives ||V_p|| <= c = 1 + eps;
+      - V_p (1 - V_0*) = f_p0 and V_0 - V_0* = e_00* - e_00, so
+        ||V_p (V_0 - 1)|| <= eps (1 + 2c);
+      - expanding h(E_pq) h(E_rs) - delta_qr h(E_ps) into
+        V_p e_qr V_s* + delta_qr V_p (V_0 - 1) V_s* + V_p V_q* f_rs
+        + f_pq h(E_rs) - delta_qr f_ps bounds a same-block pair residual by
+        k1 eps, k1 = 5c^2 + c + 1 + eps <= 7.5.
+    Across blocks b != c, with P_b = h(1_b) and g = P_b P_c, write
+    x = h(E_pq) in b and y = h(E_rs) in c. Then x - x P_b and y - P_c y are
+    sums of n_b and n_c same-block residuals, and
+      xy = x g y - x P_b (P_c y - y) - (x P_b - x) y,
+    so ||xy|| <= eps (r^2 + k1 r (n_b + n_c) + k1^2 n_b n_c eps), with
+    r = c^2 + eps >= ||x||, ||y||. At eps <= 1/kappa that is below
+    kappa eps for kappa = 10 (1 + n_b + n_c); 10 (1 + 2 n_max) covers
+    every pair of blocks.
+    """
+    return 10 * (1 + 2 * max(shape.blocks, default=0))
+
+
+def unit_relation_residuals(source, target, matrices):
+    """Largest Frobenius residual of the matrix-unit relations, one per map
+    of a stack (..., target.dim, source.dim): in every source block, with
+    V_p = h(E_p0),
+        h(E_pq) = V_p V_q*  and  V_p* V_q = delta_pq V_0,
+    and, when there are several blocks, P_b P_c = delta_bc P_b for the
+    block units P_b = h(1_b); with one block P_0 is a projection by the
+    first two. Blocks of one side share a pair_products call: 2n^2
+    products per block and nblocks^2 for the units, against dim(source)^2
+    basis pairs."""
+    m = np.asarray(matrices, dtype=complex)
+    lead = m.shape[:-2]
+    worst = np.zeros(lead)
+    adjoint_t = adjoint_permutation(target)
+    sides = {}
+    for d, off in zip(source.blocks, source.block_offsets()):
+        sides.setdefault(d, []).append(off)
+    for d, offs in sides.items():
+        units = np.add.outer(offs, np.arange(d * d)).reshape(-1, d, d)
+        v = np.moveaxis(m[..., units[:, :, 0]], -2, -3)  # (..., block, T, p)
+        v_star = v.conj()[..., adjoint_t, :]
+        # prods[0] = V_p V_q*, prods[1] = V_p* V_q
+        prods = pair_products(target, np.stack([v, v_star]), np.stack([v_star, v]))
+        prods[0] -= np.moveaxis(m[..., units], -4, -1)
+        diag = np.arange(d)
+        prods[1][..., diag, diag, :] -= v[..., None, :, 0]
+        r = np.linalg.norm(prods, axis=-1).max(axis=0)
+        worst = np.maximum(worst, r.reshape(lead + (-1,)).max(axis=-1))
+    if source.nblocks == 1:
+        return worst
+    block_units = np.stack(
+        [
+            m[..., off + np.arange(d) * (d + 1)].sum(axis=-1)
+            for d, off in zip(source.blocks, source.block_offsets())
+        ],
+        axis=-1,
+    )
+    prods = pair_products(target, block_units, block_units)
+    nb = np.arange(source.nblocks)
+    prods[..., nb, nb, :] -= np.moveaxis(block_units, -1, -2)
+    r = np.linalg.norm(prods, axis=-1).reshape(lead + (-1,))
+    return np.maximum(worst, r.max(axis=-1))
+
+
+def check_starhoms(source, target, matrices, tol=BASIS_TOL):
+    """Check a stack of maps source -> target, (k, target.dim, source.dim).
+
+    Every map takes the star check over all basis elements. The generator
+    route certifies a map when also unit_kappa times its matrix-unit
+    relation residual is <= tol; every other map takes the basis-pair
+    check, which decides and names the first offender. When every source
+    block has side 1 the relations are no fewer than the basis pairs, and
+    every map takes the basis-pair check.
+
+    Returns (star, mult, bound, failures): per map the largest star
+    residual, the largest residual of the check that decided, a bound on
+    its basis-pair residuals, and {map position: the failure
+    check_starhom_residuals raises for it, not raised}.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    star = star_residuals(source, target, m)
+    star_max = star.max(axis=-1, initial=0.0)
+    rest = np.arange(len(m))  # the maps the basis pairs decide
+    mult = np.zeros(len(m))
+    bound = np.zeros(len(m))
+    if max(source.blocks, default=1) > 1 and tol <= GENERATOR_TOL_MAX:
+        mult = unit_relation_residuals(source, target, m)
+        bound = unit_kappa(source) * mult
+        rest = np.flatnonzero(~((star_max <= tol) & (bound <= tol)))
+    failures = {}
+    if rest.size:
+        pairs = mult_residuals(source, target, m[rest])
+        pairs_max = pairs.reshape(len(rest), -1).max(axis=-1, initial=0.0)
+        mult[rest] = pairs_max
+        bound[rest] = pairs_max
+        for q in np.flatnonzero(~((star_max[rest] <= tol) & (pairs_max <= tol))):
+            p = int(rest[q])
+            try:
+                check_starhom_residuals(source, star[p], pairs[q], tol)
+            except ValidationFailure as exc:
+                failures[p] = exc
+    return star_max, mult, bound, failures
 
 
 def validate_starhom(h, tol=BASIS_TOL):
-    """Exhaustive basis check of h(xy) = h(x)h(y) and h(x*) = h(x)*.
+    """Check h(xy) = h(x)h(y) and h(x*) = h(x)*.
 
-    Exact by bilinearity: matrix units multiply to matrix units or zero, so
-    the basis pairs cover everything. Residuals are Frobenius norms, which
-    dominate the operator norm. Raises on the first offending pair.
+    On the generator route (check_starhoms) by the matrix-unit relations;
+    otherwise by every basis pair, which is exact by bilinearity: matrix
+    units multiply to matrix units or zero. Residuals are Frobenius norms,
+    which dominate the operator norm. Raises on the first offending basis
+    element or pair.
     """
-    star, mult = starhom_residuals(h.source, h.target, h.matrix)
-    return check_starhom_residuals(h.source, star, mult, tol)
+    star, mult, bound, failures = check_starhoms(h.source, h.target, h.matrix[None], tol)
+    if failures:
+        raise failures[0]
+    return HomReport(float(mult[0]), float(star[0]), float(bound[0]))

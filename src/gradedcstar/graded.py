@@ -8,7 +8,9 @@ pair i <= j. The axioms checked here are
   b) phi_{m,k}(phi_{k,i}(x) phi_{k,j}(y)) = phi_{m,i}(x) phi_{m,j}(y)
      for every pair (i, j) with k = i ^ j and every m <= k,
 
-both exhaustively over canonical basis pairs (exact by bilinearity). Every
+the structure morphisms being *-homomorphisms. validate_spec checks them
+on matrix-unit generators first, accepting within a derived error bound,
+and over every canonical basis pair (exact by bilinearity) otherwise. Every
 component is unital and finite-dimensional, so its multiplier algebra is
 itself; the general theory's multiplier wrappers never appear and nothing
 is lost by working with the components directly.
@@ -72,10 +74,6 @@ class IncompatibleFamily(ValidationFailure):
 
 
 class NotAnIdeal(ValidationFailure):
-    pass
-
-
-class QuotientDegenerate(ValidationFailure):
     pass
 
 
@@ -272,33 +270,42 @@ def from_gvector(spec, v):
 
 # ------------------------------------------------------------ the q family
 
-def _meet_groups(spec, rows_of):
-    """The ordered pairs (i, j) grouped by (k = i ^ j, dim A_i, dim A_j),
-    groups in row-major order of their first pair.
+def _meet_groups(spec, rows_of, left=None):
+    """The ordered pairs (i, j) grouped by (k = i ^ j, the number of left
+    columns of A_i, dim A_j), groups in row-major order of their first pair.
 
-    Yields (k, pairs, g, h) with g[p] = pi[rows, span(i)] and
-    h[p] = pi[rows, span(j)] for the p-th pair (i, j) and rows = rows_of(k)
-    (a slice or an index array): the stacks one pair_products call takes.
-    A group of one pair gets its two slices without a gather.
+    left[i] holds the basis positions of A_i the left factor runs over;
+    all of them when left is None. Yields (k, pairs, g, h) with
+    g[p] = pi[rows, span(i)][:, left[i]] and h[p] = pi[rows, span(j)] for
+    the p-th pair (i, j) and rows = rows_of(k) (a slice or an index array):
+    the stacks one pair_products call takes. A group of one pair gets its
+    slices without a gather when left is None.
     """
     L, pi = spec.L, spec.pi
     dims = [c.dim for c in spec.components]
+    lefts = dims if left is None else [len(cols) for cols in left]
     groups = {}
     for i in range(L.n):
         for j in range(L.n):
-            groups.setdefault((L.meet_of(i, j), dims[i], dims[j]), []).append((i, j))
+            groups.setdefault((L.meet_of(i, j), lefts[i], dims[j]), []).append((i, j))
     offsets = np.asarray(spec.offsets)
+    if left is not None:
+        left = [off + cols for off, cols in zip(spec.offsets, left)]  # columns of pi
     for (k, di, dj), pairs in groups.items():
         rows = rows_of(k)
         if len(pairs) == 1:
             (i, j), = pairs
-            yield k, pairs, pi[rows, spec.span(i)][None], pi[rows, spec.span(j)][None]
+            g = pi[rows, spec.span(i)] if left is None else pi[rows][:, left[i]]
+            yield k, pairs, g[None], pi[rows, spec.span(j)][None]
             continue
         rows = np.arange(spec.total_dim)[rows][:, None]
         ii, jj = np.transpose(pairs)
-        g = pi[rows, (offsets[ii, None] + np.arange(di))[:, None]]
-        h = pi[rows, (offsets[jj, None] + np.arange(dj))[:, None]]
-        yield k, pairs, g, h
+        if left is None:
+            gcols = offsets[ii, None] + np.arange(di)
+        else:
+            gcols = np.stack([left[i] for i in ii])
+        hcols = offsets[jj, None] + np.arange(dj)
+        yield k, pairs, pi[rows, gcols[:, None]], pi[rows, hcols[:, None]]
 
 
 def q_from_phi(spec, i, j, x, y):
@@ -430,12 +437,15 @@ class SpecValidationReport:
 
 
 def validate_spec(spec, tol=AXIOM_TOL):
-    """Exhaustive numeric validation of the grading axioms.
+    """Numeric validation of the grading axioms.
 
-    Checks, over canonical bases: phi_{i,i} = id, every phi is a
-    *-homomorphism, and the two-variable compatibility axiom for every
-    (i, j) and every m below i ^ j. Raises on the first failure; returns
-    max residuals on success. A NaN residual fails.
+    Checks phi_{i,i} = id, that every phi is a *-homomorphism, and the
+    two-variable compatibility axiom for every (i, j) and every m below
+    i ^ j. The last two run on matrix-unit generators first (see
+    fd.check_starhoms and _axiom_b_kappas) and over every canonical basis
+    pair when those cannot certify them; the basis-pair checks decide
+    every failure. Raises on the first failure; returns the max residuals
+    of the checks that decided on success. A NaN residual fails.
     """
     L = spec.L
     id_res = 0.0
@@ -449,34 +459,30 @@ def validate_spec(spec, tol=AXIOM_TOL):
             )
         id_res = max(id_res, r)
 
-    # *-hom residuals, one stacked call per (source, target) shape pair;
-    # check_starhom_residuals names the offender only when a maximum fails
+    # *-homs, one stacked check per (source, target) shape pair; the
+    # first failing map in key order is named
     groups = {}
     for key, h in spec.phi.items():
         groups.setdefault((h.source, h.target), []).append(key)
-    mult_res = star_res = 0.0
+    mult_res = star_res = hom_bound = 0.0
     failing = {}
     for (source, target), keys in groups.items():
         mats = np.stack([spec.phi[key].matrix for key in keys])
-        star, mult = fd.starhom_residuals(source, target, mats)
-        star_max = star.reshape(len(keys), -1).max(axis=1, initial=0.0)
-        mult_max = mult.reshape(len(keys), -1).max(axis=1, initial=0.0)
-        for p in np.flatnonzero(~((star_max <= tol) & (mult_max <= tol))):
-            failing[keys[p]] = (source, star[p], mult[p])
-        star_res = max(star_res, float(star_max.max()))
-        mult_res = max(mult_res, float(mult_max.max()))
-    for i, j in sorted(failing):
-        source, star, mult = failing[(i, j)]
-        try:
-            fd.check_starhom_residuals(source, star, mult, tol)
-        except ValidationFailure as e:
-            raise HomNotStar(f"phi[{L.names[i]},{L.names[j]}]: {e}") from e
+        star, mult, bound, failures = fd.check_starhoms(source, target, mats, tol)
+        failing.update({keys[p]: e for p, e in failures.items()})
+        star_res = max(star_res, float(star.max()))
+        mult_res = max(mult_res, float(mult.max()))
+        hom_bound = max(hom_bound, float(bound.max()))
+    if failing:
+        i, j = min(failing)
+        e = failing[(i, j)]
+        raise HomNotStar(f"phi[{L.names[i]},{L.names[j]}]: {e}") from e
 
     # Axiom (b) says pi_m(E_a E_b) = pi_m(E_a) pi_m(E_b) for m <= k = i ^ j,
     # and E_a E_b = q_{i,j}(E_a, E_b) = pi_k(E_a) pi_k(E_b) lies in A_k.
     # One pair product over the rows of every m < k (ascending) and then
     # of k gives both sides; m = k holds by the definition of q. The pairs
-    # sharing k and both dimensions take one stacked pair product.
+    # sharing k and both factors' sizes take one stacked pair product.
     pi = spec.pi
     comps = spec.components
     below = {}  # k -> (m < k ascending, rows, shape, split, pi_{m,k} transposed)
@@ -492,21 +498,52 @@ def validate_spec(spec, tol=AXIOM_TOL):
             below[k] = (ms, rows, shape, split, pi[rows[:split], spec.span(k)].T)
         return below[k][1]
 
+    def residuals(k, g, h):
+        """|pi_m(x) pi_m(y) - pi_m(xy)| for every m < k, rows of A_m
+        side by side, or None when nothing lies below k."""
+        ms, _, shape, split, down = below[k]
+        if not ms:
+            return None
+        prod = fd.pair_products(shape, g, h)
+        diff = prod[..., split:] @ down
+        diff -= prod[..., :split]
+        del prod  # a stack of products can be the largest array in a run
+        return np.abs(diff)
+
+    def triples(k, pairs):
+        return (len(below[k][0]) + 1) * len(pairs)
+
+    # generator route: left factors E_p0 and E_0q only. With every block
+    # of side 1 they are the whole basis, and the basis-pair route below
+    # does the same work.
+    if tol <= fd.GENERATOR_TOL_MAX and not components_commutative(spec):
+        left = [fd.unit_columns(c) for c in comps]
+        k_eps, k_delta, k_zeta = _axiom_b_kappas(comps)
+        budget = (tol - k_delta * hom_bound - k_zeta * id_res) / k_eps
+        b_res = 0.0
+        pairs_checked = 0
+        for k, pairs, g, h in _meet_groups(spec, rows_of, left):
+            pairs_checked += triples(k, pairs)
+            diff = residuals(k, g, h)
+            if diff is not None:
+                b_res = np.maximum(b_res, fd.maxabs(diff))
+            if not b_res <= budget:
+                break
+        else:
+            return SpecValidationReport(
+                id_res, mult_res, star_res, float(b_res), pairs_checked
+            )
+
     b_res = 0.0
     pairs_checked = 0
     first = None  # (i, j, k, |residual|) of the first failing pair, row-major
     for k, pairs, g, h in _meet_groups(spec, rows_of):
         if first is not None and pairs[0] > first[:2]:
             break
-        ms, _, shape, split, down = below[k]
-        pairs_checked += (len(ms) + 1) * len(pairs)
-        if not ms:
+        pairs_checked += triples(k, pairs)
+        diff = residuals(k, g, h)
+        if diff is None:
             continue
-        prod = fd.pair_products(shape, g, h)
-        diff = prod[..., split:] @ down
-        diff -= prod[..., :split]
-        del prod  # a stack of products can be the largest array in a run
-        diff = np.abs(diff)
         r = diff.reshape(len(pairs), -1).max(axis=1, initial=0.0)
         bad = np.flatnonzero(~(r <= tol))
         if bad.size and (first is None or pairs[bad[0]] < first[:2]):
@@ -527,6 +564,42 @@ def validate_spec(spec, tol=AXIOM_TOL):
                     spec.basis_label(i, a), spec.basis_label(j, b), r,
                 )
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs_checked)
+
+
+def _axiom_b_kappas(components):
+    """Amplification factors (k_eps, k_delta, k_zeta): every basis-pair
+    residual of axiom (b) is at most k_eps eps + k_delta delta
+    + k_zeta zeta, given the largest residual eps over left factors E_p0
+    and E_0q, a bound delta on every phi's basis-pair residual (Frobenius)
+    and the identity residual zeta.
+
+    Take x = E_pq = E_p0 E_0q in A_i, y a basis element of A_j, k = i ^ j,
+    m < k, and write a = phi_{k,i}, b = phi_{k,j}, c = phi_{m,k},
+    al = phi_{m,i}, be = phi_{m,j}, io = phi_{k,k}. With w = a(E_0q) b(y)
+    in A_k, G1 the residual of (E_0q, y) at (i, j), G2(z) that of
+    (E_p0, z) at (i, k) for z in A_k's basis, H_a = a(E_pq) - a(E_p0) a(E_0q)
+    and H_al likewise, the residual of (x, y) is exactly
+        al(E_p0) G1 + sum_z w_z G2(z) + c(a(E_p0) (w - io(w)))
+        + c(H_a b(y)) - H_al be(y):
+    pi(gxy) = pi(g) pi(xy) = pi(g) pi(x) pi(y) = pi(gx) pi(y) with its
+    errors kept. Every phi passed the *-hom check within tol <= 1/16, so
+    the image of a matrix unit has operator norm <= 5/4. With D and S the
+    largest dimension and side of a component, entrywise:
+      - al(E_p0) G1 <= 5/4 sqrt(S) eps, a row of al(E_p0) against a column
+        of G1;
+      - the G2 term is <= eps sum_z |w_z| <= eps sqrt(D) ||w||_F
+        <= (5/4)^2 sqrt(D S) eps;
+      - ||c(v)||_max <= 5/4 sum_z |v_z| <= 5/4 sqrt(D) ||v||_F, which
+        bounds the H_a term by (5/4)^2 sqrt(D) delta and, with
+        ||w - io(w)||_1 <= D zeta sum_z |w_z|, the io term by
+        (5/4)^4 D^2 sqrt(S) zeta;
+      - H_al be(y) <= 5/4 delta.
+    Rounded up, the residual is at most 3 sqrt(D S) eps + 3 sqrt(D) delta
+    + 3 D^2 sqrt(S) zeta.
+    """
+    dim = max(c.dim for c in components)
+    side = max(c.side for c in components)
+    return 3 * np.sqrt(dim * side), 3 * np.sqrt(dim), 3 * dim**2 * np.sqrt(side)
 
 
 # --------------------------------------------------------- total algebra
@@ -885,18 +958,6 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
         )
         for i in range(L.n)
     ]
-
-    # direct-sum check on the quotient components: stack the image of every
-    # surviving basis vector inside the quotient's total space and compare
-    # ranks
-    cols = []
-    for i in range(L.n):
-        lift = np.zeros((quotient.total_dim, quot_comps[i].dim), dtype=complex)
-        lift[quotient.span(i)] = np.eye(quot_comps[i].dim)
-        cols.append(lift @ quotient_maps[i].matrix)
-    stacked = np.concatenate(cols, axis=1) if cols else np.zeros((0, 0))
-    if fd.rank(stacked) != quotient.total_dim:
-        raise QuotientDegenerate("quotient components are not in direct sum")
     validate_spec(quotient, tol)
     return IdealGradationReport(ideal_dim, max_leak, quotient, quotient_maps)
 

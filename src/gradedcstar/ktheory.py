@@ -462,7 +462,8 @@ def verify_k0(spec):
     trace of block c of pi_t(E^(b)_00 at i), that is of
     phi_{t,i}(E^(b)_00) for t <= i and 0 otherwise. All of them come from
     one gather on pi: the column of E^(b)_00 at i, summed over the
-    diagonal rows of each block. Each trace must land on an integer.
+    diagonal rows of each block. Each trace must land on an integer, with
+    an imaginary part within RANK_ROUND_TOL of 0.
     Invertibility over the integers is certified by an exact determinant
     of +-1; entries with t not <= i are structural zeros, so the matrix is
     block-triangular along any linear extension of <= and its determinant
@@ -477,17 +478,23 @@ def verify_k0(spec):
             starts.append(len(diag))
             diag.extend(spec.offsets[i] + off + np.arange(d) * (d + 1))
     if gens:
-        traces = np.add.reduceat(spec.pi[np.ix_(diag, gens)].real, starts).T
+        traces = np.add.reduceat(spec.pi[np.ix_(diag, gens)], starts).T
     else:
-        traces = np.zeros((0, 0))
-    bad = np.argwhere(~(np.abs(traces - np.round(traces)) <= RANK_ROUND_TOL))
+        traces = np.zeros((0, 0), dtype=complex)
+    real = traces.real
+    bad = np.argwhere(
+        ~(np.abs(real - np.round(real)) <= RANK_ROUND_TOL)
+        | ~(np.abs(traces.imag) <= RANK_ROUND_TOL)
+    )
     if bad.size:
         r, c = bad[0]
-        _nearest_integer(
-            float(traces[r, c]),
-            f"trace of block {c} of the image of generator {labels[r]}",
+        what = f"trace of block {c} of the image of generator {labels[r]}"
+        _nearest_integer(float(real[r, c]), what)
+        raise NonIntegralBlock(
+            f"{what} {complex(traces[r, c])!r} is not within {RANK_ROUND_TOL} "
+            f"of an integer"
         )
-    phi_matrix = [[int(v) for v in row] for row in np.round(traces).tolist()]
+    phi_matrix = [[int(v) for v in row] for row in np.round(real).tolist()]
     det, lo = 1, 0
     for n in per_component:
         det *= _integer_det([row[lo : lo + n] for row in phi_matrix[lo : lo + n]])

@@ -219,66 +219,80 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
             and 0 <= key[1] < n
         ):
             raise ActionInvalid(f"unrecognized action key {key!r}")
-    for g in range(g_ord):
-        for i in range(n):
-            h = full.get((g, i))
-            if h is None:
-                raise ActionInvalid(
-                    f"no map for group element {group.names[g]} on index {i}"
-                )
-            if h.source != spec.components[i] or h.target != spec.components[i]:
-                raise ActionInvalid(
-                    f"map for ({group.names[g]}, {i}) is not an endomorphism "
-                    f"of {spec.components[i]}"
-                )
-            try:
-                fd.validate_starhom(h, tol)
-            except ValidationFailure as exc:
-                raise ActionInvalid(
-                    f"map for ({group.names[g]}, {i}) is not a "
-                    f"*-homomorphism: {exc}"
-                ) from exc
-            if fd.rank(h.matrix) != spec.components[i].dim:
-                raise ActionInvalid(
-                    f"map for ({group.names[g]}, {i}) is not invertible"
-                )
+    # the first (g, i), row-major, whose map is missing or not an
+    # endomorphism; the numeric checks below run on the maps before it
+    broken = None
+    for g, i in itertools.product(range(g_ord), range(n)):
+        h = full.get((g, i))
+        if h is None:
+            broken = (g, i), f"no map for group element {group.names[g]} on index {i}"
+        elif h.source != spec.components[i] or h.target != spec.components[i]:
+            broken = (g, i), (
+                f"map for ({group.names[g]}, {i}) is not an endomorphism "
+                f"of {spec.components[i]}"
+            )
+        if broken is not None:
+            break
+    failures = []  # ((g, i), message) of every map that fails a check
+    stacks = []  # per index, the stack of its maps over the group
     for i in range(n):
-        e_resid = fd.maxabs(
-            full[(group.identity, i)].matrix
-            - np.eye(spec.components[i].dim)
-        )
+        gs = [g for g in range(g_ord) if broken is None or (g, i) < broken[0]]
+        if not gs:
+            continue
+        shape = spec.components[i]
+        mats = np.stack([full[(g, i)].matrix for g in gs])
+        stacks.append(mats)
+        not_star = fd.check_starhoms(shape, shape, mats, tol)[3]
+        for p, exc in not_star.items():
+            failures.append(((gs[p], i), (
+                f"map for ({group.names[gs[p]]}, {i}) is not a "
+                f"*-homomorphism: {exc}"
+            )))
+        passed = [p for p in range(len(gs)) if p not in not_star]
+        for p in np.asarray(passed, dtype=int)[fd.rank(mats[passed]) != shape.dim]:
+            failures.append(((gs[p], i), (
+                f"map for ({group.names[gs[p]]}, {i}) is not invertible"
+            )))
+    if broken is not None:
+        failures.append(broken)
+    if failures:
+        raise ActionInvalid(min(failures)[1])
+    for i in range(n):
+        e_resid = fd.maxabs(stacks[i][group.identity] - np.eye(spec.components[i].dim))
         if not e_resid <= tol:
             raise ActionInvalid(
                 f"identity element acts nontrivially on index {i} "
                 f"(residual {e_resid:.3e})"
             )
-    for g in range(g_ord):
-        for h in range(g_ord):
-            gh = group.mul[g][h]
-            for i in range(n):
-                resid = fd.maxabs(
-                    full[(g, i)].matrix @ full[(h, i)].matrix
-                    - full[(gh, i)].matrix
-                )
-                if not resid <= tol:
-                    raise ActionInvalid(
-                        f"composition fails on index {i}: "
-                        f"{group.names[g]} after {group.names[h]} is not "
-                        f"{group.names[gh]} (residual {resid:.3e})"
-                    )
+    # composition: resid[g, h, i] for g after h on index i
+    mul = np.asarray(group.mul)
+    resid = np.stack(
+        [
+            np.abs(m[:, None] @ m[None] - m[mul]).max(axis=(-2, -1), initial=0.0)
+            for m in stacks
+        ],
+        axis=-1,
+    )
+    bad = np.flatnonzero(~(resid <= tol))
+    if bad.size:
+        g, h, i = np.unravel_index(bad[0], resid.shape)
+        raise ActionInvalid(
+            f"composition fails on index {i}: "
+            f"{group.names[g]} after {group.names[h]} is not "
+            f"{group.names[mul[g, h]]} (residual {resid[g, h, i]:.3e})"
+        )
     for (i, j) in spec.L.comparable_pairs():
         if i == j:
             continue
         phi = spec.phi[(i, j)].matrix
-        for g in range(g_ord):
-            resid = fd.maxabs(
-                full[(g, i)].matrix @ phi - phi @ full[(g, j)].matrix
+        resid = np.abs(stacks[i] @ phi - phi @ stacks[j]).max(axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(~(resid <= tol))
+        if bad.size:
+            g = bad[0]
+            raise ActionInvalid(
+                f"map for {group.names[g]} does not commute with the "
+                f"structure morphism ({i}, {j}) (residual {resid[g]:.3e})"
             )
-            if not resid <= tol:
-                raise ActionInvalid(
-                    f"map for {group.names[g]} does not commute with the "
-                    f"structure morphism ({i}, {j}) (residual {resid:.3e})"
-                )
     return GradedAction(group, spec, full)
 
 

@@ -15,6 +15,8 @@ re-parsing a document reproduces every matrix bit for bit.
 import cmath
 import hashlib
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -71,9 +73,42 @@ def _entry_from_doc(obj, where):
     return z
 
 
+def _pairs_from_doc(obj, shape):
+    """The complex array of shape `shape` that nested lists of [re, im]
+    pairs describe, in one conversion; None if any entry would fail
+    _entry_from_doc or the nesting does not match."""
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != shape + (2,):
+        return None
+    numbers = obj
+    for _ in shape:
+        numbers = chain.from_iterable(numbers)
+    numbers = list(numbers)
+    # type, not isinstance: a JSON boolean is an instance of int, and
+    # np.asarray reads booleans and numeric strings as floats
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    # a NaN or an infinity makes the sum non-finite; so can an overflow
+    # of finite entries, which the per-entry walk then accepts
+    try:
+        if not math.isfinite(sum(numbers)):
+            return None
+    except OverflowError:  # a sum of integers too large for a double
+        return None
+    return arr.view(complex)[..., 0]
+
+
 def _matrix_from_doc(obj, where, rows, cols):
     if not isinstance(obj, list) or len(obj) != rows:
         raise DocumentError(f"{where}: expected {rows} rows")
+    # one entry gains nothing from a vectorized conversion
+    out = _pairs_from_doc(obj, (rows, cols)) if rows * cols > 1 else None
+    if out is not None:
+        return out
+    # one entry, or name the offending row or entry
     out = np.zeros((rows, cols), dtype=complex)
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
@@ -86,8 +121,12 @@ def _matrix_from_doc(obj, where, rows, cols):
 def _vector_from_doc(obj, where, length):
     if not isinstance(obj, list) or len(obj) != length:
         raise DocumentError(f"{where}: expected {length} entries")
+    out = _pairs_from_doc(obj, (length,)) if length > 1 else None
+    if out is not None:
+        return out
     return np.array(
-        [_entry_from_doc(v, f"{where}: entry {k}") for k, v in enumerate(obj)]
+        [_entry_from_doc(v, f"{where}: entry {k}") for k, v in enumerate(obj)],
+        dtype=complex,
     )
 
 

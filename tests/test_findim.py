@@ -12,6 +12,7 @@ from gradedcstar.findim import (
     ShapeMismatch,
     StarHom,
 )
+from gradedcstar.errors import ValidationFailure
 from gradedcstar.seeding import make_rng
 
 
@@ -385,3 +386,37 @@ def test_validate_starhom_matches_the_element_loop(blocks, seed, bump):
         fd.validate_starhom(h)
     named = info.value.label if want[0] is fd.NotStarPreserving else info.value.pair
     assert named == want[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.integers(0, 2**31 - 1),
+    st.floats(-11.0, -7.0).map(lambda e: 10.0**e),
+    st.booleans(),
+)
+def test_validate_starhom_matches_the_basis_pair_check(blocks, seed, size, spread):
+    # the doubling x -> (x, x) into a shape with an extra copy of every
+    # block, with an error of Frobenius norm straddling BASIS_TOL added to
+    # every entry or to one
+    s = AlgebraShape(blocks)
+    t = AlgebraShape(blocks + blocks)
+    images = [fd.AlgElement(t, 2 * fd.basis_element(s, a).mats) for a in range(s.dim)]
+    m = StarHom.from_images(s, t, images).matrix.copy()
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    if not spread:
+        noise *= np.arange(noise.size).reshape(noise.shape) == rng.integers(noise.size)
+    m += size * noise / np.linalg.norm(noise)
+    h = StarHom(s, t, m)
+    star, mult = fd.starhom_residuals(s, t, m)
+    try:
+        want = fd.check_starhom_residuals(s, star, mult)
+    except ValidationFailure as exc:
+        with pytest.raises(type(exc)) as got:
+            fd.validate_starhom(h)
+        assert str(got.value) == str(exc)
+        return
+    got = fd.validate_starhom(h)
+    assert got.max_star_residual == want.max_star_residual
+    assert want.max_mult_residual <= got.mult_bound

@@ -459,8 +459,8 @@ class TestVerifyK0AgainstElementRoute:
     def test_non_finite_entries_fail_only_where_traced(self, spec):
         # The element route takes pi @ x, where a non-finite entry anywhere
         # in a traced row spreads through inf * 0 and nan * 0; the gather
-        # reads only the real parts of the traced entries themselves.
-        pi = spec.pi.real
+        # reads only the traced entries themselves, both of their parts.
+        pi = spec.pi
         for label, c, rows, col in traced_entries(spec):
             if not np.isfinite(pi[rows, col]).all():
                 with pytest.raises(kt.NonIntegralBlock) as got:
@@ -476,6 +476,20 @@ class TestVerifyK0AgainstElementRoute:
             spec, {k: np.nan_to_num(h.matrix, nan=0.0, posinf=0.0, neginf=0.0) for k, h in spec.phi.items()}
         )
         assert_same_as_reference(spec, finite)
+
+    def test_imaginary_trace_is_not_integral(self):
+        # phi_00 of the M_2 chain sends E00 to (0 + inf i) E00: its real
+        # part alone would read as a zero trace and a determinant of 0
+        spec = m2_chain_spec()
+        m = spec.phi[(0, 0)].matrix.copy()
+        m[0, 0] = complex(0.0, np.inf)
+        spec = with_maps(spec, {(0, 0): m})
+        with pytest.raises(kt.NonIntegralBlock) as got:
+            kt.verify_k0(spec)
+        assert str(got.value) == (
+            f"trace of block 0 of the image of generator ({spec.L.names[0]}, 0) "
+            f"infj is not within {kt.RANK_ROUND_TOL} of an integer"
+        )
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_off_the_generator_column_is_not_read(self):

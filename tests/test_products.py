@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCALAR, M2, all_scalar_spec, block_chain_spec, m2_chain_spec, mixed_diamond_spec, unital_embedding
 from gradedcstar import findim as fd
@@ -12,7 +14,7 @@ from gradedcstar import ktheory as kt
 from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
-from gradedcstar.errors import GradedCstarError
+from gradedcstar.errors import GradedCstarError, ValidationFailure
 from seeded_wedderburn import assert_matches_oracle
 
 C2 = fd.AlgebraShape([1, 1])
@@ -188,6 +190,141 @@ def translation_action(group):
         m[[group.mul[s][x] for x in range(group.order)], np.arange(group.order)] = 1.0
         maps[(s, 0)] = fd.StarHom(shape, shape, m)
     return pr.build_action(group, spec, maps)
+
+
+def build_action_reference(group, spec, maps, tol=pr.ACTION_TOL):
+    """build_action one (g, i) at a time: validate_starhom and fd.rank per
+    map in (g, i) order, then the identity element, composition in
+    (g, h, i) order and equivariance in (pair, g) order, each raising on
+    its first failure. Returns the completed maps."""
+    n, g_ord = spec.L.n, group.order
+    full = dict(maps)
+    for i in range(n):
+        full.setdefault((group.identity, i), fd.identity_hom(spec.components[i]))
+    for key in full:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and 0 <= key[0] < g_ord and 0 <= key[1] < n):
+            raise pr.ActionInvalid(f"unrecognized action key {key!r}")
+    for g in range(g_ord):
+        for i in range(n):
+            h = full.get((g, i))
+            if h is None:
+                raise pr.ActionInvalid(f"no map for group element {group.names[g]} on index {i}")
+            if h.source != spec.components[i] or h.target != spec.components[i]:
+                raise pr.ActionInvalid(
+                    f"map for ({group.names[g]}, {i}) is not an endomorphism "
+                    f"of {spec.components[i]}"
+                )
+            try:
+                fd.check_starhom_residuals(
+                    h.source, *fd.starhom_residuals(h.source, h.target, h.matrix), tol
+                )
+            except ValidationFailure as exc:
+                raise pr.ActionInvalid(
+                    f"map for ({group.names[g]}, {i}) is not a *-homomorphism: {exc}"
+                ) from exc
+            if fd.rank(h.matrix) != spec.components[i].dim:
+                raise pr.ActionInvalid(f"map for ({group.names[g]}, {i}) is not invertible")
+    for i in range(n):
+        r = fd.maxabs(full[(group.identity, i)].matrix - np.eye(spec.components[i].dim))
+        if not r <= tol:
+            raise pr.ActionInvalid(
+                f"identity element acts nontrivially on index {i} (residual {r:.3e})"
+            )
+    for g in range(g_ord):
+        for h in range(g_ord):
+            gh = group.mul[g][h]
+            for i in range(n):
+                r = fd.maxabs(full[(g, i)].matrix @ full[(h, i)].matrix - full[(gh, i)].matrix)
+                if not r <= tol:
+                    raise pr.ActionInvalid(
+                        f"composition fails on index {i}: {group.names[g]} after "
+                        f"{group.names[h]} is not {group.names[gh]} (residual {r:.3e})"
+                    )
+    for (i, j) in spec.L.comparable_pairs():
+        if i == j:
+            continue
+        phi = spec.phi[(i, j)].matrix
+        for g in range(g_ord):
+            r = fd.maxabs(full[(g, i)].matrix @ phi - phi @ full[(g, j)].matrix)
+            if not r <= tol:
+                raise pr.ActionInvalid(
+                    f"map for {group.names[g]} does not commute with the "
+                    f"structure morphism ({i}, {j}) (residual {r:.3e})"
+                )
+    return full
+
+
+def inner_z4_maps(spec):
+    """Z4 acting on mixed_diamond_spec by Ad(diag(1, i))^g on its M_2
+    components and trivially on its scalars: equivariant, since the maps
+    into M_2 are the identity or unital."""
+    u = np.diag([1.0, 1j])
+    maps = {}
+    for g in range(4):
+        for i, shape in enumerate(spec.components):
+            if shape == M2:
+                ug = np.linalg.matrix_power(u, g)
+                images = [
+                    fd.AlgElement(M2, [ug @ fd.basis_element(M2, a).mats[0] @ ug.conj().T])
+                    for a in range(M2.dim)
+                ]
+                maps[(g, i)] = fd.StarHom.from_images(M2, M2, images)
+            else:
+                maps[(g, i)] = fd.identity_hom(shape)
+    return maps
+
+
+@st.composite
+def broken_actions(draw):
+    """inner_z4_maps with one to three maps perturbed: an additive error
+    straddling ACTION_TOL, the zero map, a missing map, a map of the wrong
+    shape, or two group elements' maps swapped."""
+    spec = mixed_diamond_spec()
+    maps = inner_z4_maps(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(1, 3))):
+        g, i = draw(st.sampled_from(sorted(maps)))
+        h = maps.get((g, i), fd.identity_hom(spec.components[i]))
+        kind = draw(st.sampled_from(["add", "add", "zero", "drop", "shape", "swap"]))
+        if kind == "add":
+            noise = rng.standard_normal(h.matrix.shape) + 1j * rng.standard_normal(h.matrix.shape)
+            size = 10.0 ** draw(st.floats(-11.0, -7.0))
+            maps[(g, i)] = fd.StarHom(h.source, h.target, h.matrix + size * noise / np.linalg.norm(noise))
+        elif kind == "zero":
+            maps[(g, i)] = fd.zero_hom(h.source, h.target)
+        elif kind == "drop":
+            maps.pop((g, i), None)
+        elif kind == "shape":
+            other = SCALAR if h.source == M2 else M2
+            maps[(g, i)] = fd.identity_hom(other)
+        else:
+            maps[(g, i)], maps[((g + 1) % 4, i)] = maps.get(((g + 1) % 4, i), h), h
+    return spec, maps
+
+
+class TestBuildActionAgainstReference:
+    def test_inner_action_validates(self):
+        spec = mixed_diamond_spec()
+        act = pr.build_action(pr.cyclic_group(4), spec, inner_z4_maps(spec))
+        want = build_action_reference(pr.cyclic_group(4), spec, inner_z4_maps(spec))
+        assert act.maps.keys() == want.keys()
+        for key, h in want.items():
+            assert np.array_equal(act.maps[key].matrix, h.matrix), key
+
+    @settings(max_examples=80, deadline=None)
+    @given(broken_actions())
+    def test_same_verdict_and_message(self, case):
+        spec, maps = case
+        group = pr.cyclic_group(4)
+        try:
+            build_action_reference(group, spec, maps)
+        except pr.ActionInvalid as exc:
+            with pytest.raises(pr.ActionInvalid) as got:
+                pr.build_action(group, spec, maps)
+            assert str(got.value) == str(exc)
+            return
+        pr.build_action(group, spec, maps)
 
 
 class TestFiniteGroup:
