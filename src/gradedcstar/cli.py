@@ -9,6 +9,7 @@ is only recorded in validate's report header. Timing goes to stderr.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -189,7 +190,9 @@ def cmd_demo(args):
     return 0, _emit(wb.spec_to_document(spec), args.output)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="gradedcstar",
         description="Construct and analyze semilattice-graded C*-algebras.",

@@ -87,6 +87,9 @@ class GradedSpec:
     Construction checks structure only (all comparable pairs present, hom
     shapes line up); the numeric axioms are validate_spec's job, so that
     deliberately broken specs can be built and shown to fail.
+    validated_tol is the smallest tolerance validate_spec has passed the
+    spec at, inf before any pass. Immutable by convention: pi and that
+    verdict describe the maps as they were.
     """
 
     def __init__(self, L, components, phi):
@@ -128,6 +131,7 @@ class GradedSpec:
             off += c.dim
         self.total_dim = off
         self._pi = None
+        self.validated_tol = np.inf
 
     def structure_map(self, i, j):
         """phi_{i,j}: A_j -> A_i for i <= j."""
@@ -445,7 +449,8 @@ def validate_spec(spec, tol=AXIOM_TOL):
     fd.check_starhoms and _axiom_b_kappas) and over every canonical basis
     pair when those cannot certify them; the basis-pair checks decide
     every failure. Raises on the first failure; returns the max residuals
-    of the checks that decided on success. A NaN residual fails.
+    of the checks that decided on success, and records tol on the spec
+    as validated_tol. A NaN residual fails.
     """
     L = spec.L
     id_res = 0.0
@@ -489,7 +494,7 @@ def validate_spec(spec, tol=AXIOM_TOL):
 
     def rows_of(k):
         if k not in below:
-            ms = [m for m in range(L.n) if m != k and L.leq(m, k)]
+            ms = [m for m in np.flatnonzero(L.le[:, k]).tolist() if m != k]
             rows = np.concatenate(
                 [spec.offsets[m] + np.arange(comps[m].dim) for m in ms + [k]]
             )
@@ -530,6 +535,7 @@ def validate_spec(spec, tol=AXIOM_TOL):
             if not b_res <= budget:
                 break
         else:
+            spec.validated_tol = min(spec.validated_tol, tol)
             return SpecValidationReport(
                 id_res, mult_res, star_res, float(b_res), pairs_checked
             )
@@ -563,6 +569,7 @@ def validate_spec(spec, tol=AXIOM_TOL):
                     L.names[i], L.names[j], L.names[m],
                     spec.basis_label(i, a), spec.basis_label(j, b), r,
                 )
+    spec.validated_tol = min(spec.validated_tol, tol)
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs_checked)
 
 
@@ -804,7 +811,10 @@ def analyze_morphism(m):
 # ------------------------------------------------- split exact sequences
 
 def restrict_spec(spec, M):
-    """The sub-spec over a meet-closed index set, plus old->new index map."""
+    """The sub-spec over a meet-closed index set, plus old->new index map.
+
+    The sub-spec's axioms are a subset of the spec's, so it inherits the
+    spec's validated_tol."""
     M = sorted(set(M))
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
@@ -816,7 +826,9 @@ def restrict_spec(spec, M):
     subL = Semilattice(table, names)
     comps = [spec.components[a] for a in M]
     phi = {(i, j): spec.structure_map(M[i], M[j]) for i, j in subL.comparable_pairs()}
-    return GradedSpec(subL, comps, phi), remap
+    sub = GradedSpec(subL, comps, phi)
+    sub.validated_tol = spec.validated_tol
+    return sub, remap
 
 
 class FinishingSplit:
@@ -985,16 +997,9 @@ def total_commutative(spec, tol=AXIOM_TOL):
 
 def covering_pairs(L):
     """(i, j) with i < j and nothing strictly between."""
-    out = []
-    for i, j in L.comparable_pairs():
-        if i == j:
-            continue
-        if any(
-            t not in (i, j) and L.leq(i, t) and L.leq(t, j) for t in range(L.n)
-        ):
-            continue
-        out.append((i, j))
-    return out
+    lt = (L.le & ~np.eye(L.n, dtype=bool)).astype(float)
+    cover = (lt > 0) & ~(lt @ lt > 0)
+    return list(zip(*(a.tolist() for a in np.nonzero(cover))))
 
 
 def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):

@@ -356,33 +356,6 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     return out
 
 
-def tensor_intersection_dims(a, b, tensor, l, m):
-    """Dimension data for the slice overlap at (l, m) in a tensor spec.
-
-    Returns (dim of left-slice span, dim of right-slice span, dim of
-    their intersection, dim of the (l, m) component), computed from
-    ranks of faithful images, the columns of tensor.pi: left slice = every
-    component with first coordinate l, right slice = every component with
-    second coordinate m. The intersection dimension uses
-    dim(U) + dim(V) - dim(U + V).
-    """
-    nb = b.L.n
-
-    def slice_vectors(indices):
-        return np.concatenate([tensor.pi[:, tensor.span(k)] for k in indices], axis=1)
-
-    left = slice_vectors([sl.product_index(b.L, l, m2) for m2 in range(nb)])
-    right = slice_vectors(
-        [sl.product_index(b.L, l1, m) for l1 in range(a.L.n)]
-    )
-
-    du, dv = fd.rank(left), fd.rank(right)
-    dsum = fd.rank(np.concatenate([left, right], axis=1))
-    inter = du + dv - dsum
-    both = tensor.components[sl.product_index(b.L, l, m)].dim
-    return du, dv, inter, both
-
-
 # ------------------------------------------------------- crossed products
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Elements are dense indices 0..n-1 with optional display names. The n x n meet
 table is the single source of truth; the partial order is derived from it
-(i <= j iff meet[i][j] == i) and never stored separately.
+once, as the read-only boolean matrix le (le[i, j] iff meet[i][j] == i), and
+the order queries read that matrix.
 """
 
 import numpy as np
@@ -43,7 +44,8 @@ class Semilattice:
 
     Construction runs the full exhaustive check (idempotency, commutativity,
     associativity; the glb property of the derived order follows), so an
-    instance in hand is always valid. Immutable by convention.
+    instance in hand is always valid. Immutable by convention. The order
+    is the read-only boolean matrix le: le[i, j] iff i <= j.
     """
 
     def __init__(self, meet, names=None):
@@ -66,9 +68,12 @@ class Semilattice:
             if len(set(names)) != n:
                 raise InputError("element names are not distinct")
         self.names = names
-        self._check()
+        table = np.asarray(table, dtype=np.intp).reshape(n, n)
+        self._check(table)
+        self.le = table == np.arange(n)[:, None]
+        self.le.flags.writeable = False
 
-    def _check(self):
+    def _check(self, table):
         meet, n = self.meet, self.n
         for i in range(n):
             if meet[i][i] != i:
@@ -79,7 +84,6 @@ class Semilattice:
                     raise CommutativityViolation(i, j, meet[i][j], meet[j][i])
         # one i at a time, first violation in (i, j, k) order:
         # left[j, k] = (i ^ j) ^ k, right[j, k] = i ^ (j ^ k)
-        table = np.asarray(meet, dtype=np.intp).reshape(n, n)
         for i in range(n):
             left, right = table[table[i]], table[i][table]
             bad = np.flatnonzero(left != right)
@@ -116,24 +120,20 @@ class Semilattice:
 
     def bottom(self):
         """Index of the least element, or None."""
-        for b in range(self.n):
-            if all(self.leq(b, i) for i in range(self.n)):
-                return b
-        return None
+        found = np.flatnonzero(self.le.all(axis=1))
+        return int(found[0]) if found.size else None
 
     def top(self):
-        for t in range(self.n):
-            if all(self.leq(i, t) for i in range(self.n)):
-                return t
-        return None
+        found = np.flatnonzero(self.le.all(axis=0))
+        return int(found[0]) if found.size else None
 
     def comparable_pairs(self):
         """All (i, j) with i <= j, in lexicographic order. Includes i == j."""
-        return [(i, j) for i in range(self.n) for j in range(self.n) if self.leq(i, j)]
+        return list(zip(*(a.tolist() for a in np.nonzero(self.le))))
 
     def finishing_set(self, k):
         """{j : k <= j}, the upward closure of k. Upward- and meet-closed."""
-        return frozenset(j for j in range(self.n) if self.leq(k, j))
+        return frozenset(np.flatnonzero(self.le[k]).tolist())
 
     def is_subsemilattice(self, S):
         S = frozenset(S)
@@ -142,10 +142,10 @@ class Semilattice:
     def is_finishing_subsemilattice(self, S):
         """Upward-closed and closed under meet. The empty set passes vacuously."""
         S = frozenset(S)
-        for i in S:
-            for j in range(self.n):
-                if self.leq(i, j) and j not in S:
-                    return False
+        inside = np.zeros(self.n, dtype=bool)
+        inside[list(S)] = True
+        if (self.le[inside] & ~inside).any():
+            return False
         return self.is_subsemilattice(S)
 
     def generated_subsemilattice(self, M):
@@ -168,29 +168,15 @@ class Semilattice:
         sets = {self.finishing_set(k) for k in range(self.n)}
         return sorted(sets, key=lambda S: sum(1 << i for i in S))
 
-    def check_good(self):
-        """Every nonempty finishing sub-semilattice has a least element.
-
-        True for every finite semilattice; exposed so the property can be
-        exercised rather than assumed.
-        """
-        for S in self.enumerate_finishing_subsemilattices():
-            if not any(all(self.leq(m, s) for s in S) for m in S):
-                return False
-        return True
-
     def atoms(self):
         """Minimal non-bottom elements. Requires a bottom."""
         b = self.bottom()
         if b is None:
             raise NoBottom("semilattice has no least element")
-        out = []
-        for i in range(self.n):
-            if i == b:
-                continue
-            if all(j in (b, i) for j in range(self.n) if self.leq(j, i)):
-                out.append(i)
-        return frozenset(out)
+        # every i != b lies above b and itself; it is an atom when nothing else
+        below = self.le.sum(axis=0)
+        below[b] = 0
+        return frozenset(np.flatnonzero(below == 2).tolist())
 
 
 def product_semilattice(L1, L2):

@@ -19,7 +19,9 @@ from gradedcstar import semilattice as sl
 from gradedcstar import spectra as sp
 from gradedcstar import workbench as wb
 
+from character_references import match_characters
 from element_references import component_minimal_projections
+from test_products import tensor_intersection_dims
 
 SEED = 20260822
 
@@ -117,7 +119,7 @@ def test_character_counts_match_finishing_subsemilattices(corpus):
         commutative += 1
         got = sp.graded_characters(spec)
         oracle = sp.brute_force_characters(spec, seed=SEED)
-        sp.match_characters(got, oracle, tol=1e-8)  # raises on any mismatch
+        match_characters(got, oracle, tol=1e-8)  # raises on any mismatch
         if all(c.blocks == (1,) for c in spec.components):
             # same characters, in the oracle's order
             pairs = sp.finishing_correspondence(spec)
@@ -218,7 +220,7 @@ def test_tensor_products_validate_and_multiply(corpus):
             )
         for l in range(a.L.n):
             for m in range(b.L.n):
-                du, dv, inter, both = pr.tensor_intersection_dims(a, b, t, l, m)
+                du, dv, inter, both = tensor_intersection_dims(a, b, t, l, m)
                 assert inter == both
         assert gr.total_commutative(t) == (
             gr.total_commutative(a) and gr.total_commutative(b)

@@ -94,6 +94,20 @@ class TestValidate:
         assert "disagree" in out
         assert "result: FAIL" in out
 
+    def test_rejected_argv_leaves_the_parser_intact(self, tmp_path, capsys):
+        # the parser is built once per process and shared by every call
+        path = demo_file(tmp_path, "all-scalar-diamond")
+        capsys.readouterr()
+        _, alone, _ = run(capsys, "restrict", str(path), "--sub", "a,1")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["restrict", str(path), "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, after, _ = run(capsys, "restrict", str(path), "--sub", "a,1")
+        assert code == 0
+        assert after == alone
+        assert cli.build_parser() is cli.build_parser()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, out, err = run(capsys, "validate", str(tmp_path / "no.json"))
         assert code == 2
@@ -157,6 +171,27 @@ class TestAnalysis:
             "finishing {a, 1} <-> character (a, 0)",
             "finishing {0, a, b, 1} <-> character (0, 0)",
         ]
+
+    @pytest.mark.parametrize(
+        "argv", [["characters"], ["restrict", "--sub", "a,1"]], ids=lambda a: a[0]
+    )
+    def test_no_oracle_on_the_command_path(self, tmp_path, capsys, monkeypatch, argv):
+        path = demo_file(tmp_path, "all-scalar-diamond")
+
+        def oracle(*args):
+            raise AssertionError("a command reached a test oracle")
+
+        monkeypatch.setattr(sp, "_product_table", oracle)
+        monkeypatch.setattr(sl.Semilattice, "enumerate_finishing_subsemilattices", oracle)
+        monkeypatch.setattr(sl.Semilattice, "is_finishing_subsemilattice", oracle)
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(1) or real(*a))
+        capsys.readouterr()
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0, err
+        assert out
+        assert len(calls) == 1
 
     def test_k0_on_zero_components(self, tmp_path, capsys):
         zero = fd.AlgebraShape(())

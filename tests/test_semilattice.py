@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedcstar.graded import covering_pairs
 from gradedcstar.semilattice import (
     AssociativityViolation,
     CommutativityViolation,
@@ -36,6 +37,36 @@ def oracle_finishing_subsets(table):
         if upward and meet_closed:
             out.append(frozenset(S))
     return out
+
+
+def check_good(L):
+    """Every nonempty finishing sub-semilattice has a least element: true
+    for every finite semilattice, exercised rather than assumed."""
+    for S in L.enumerate_finishing_subsemilattices():
+        if not any(all(L.leq(m, s) for s in S) for m in S):
+            return False
+    return True
+
+
+def oracle_order_queries(L):
+    """comparable_pairs, bottom, top, atoms, finishing sets and covering
+    pairs, each walked with leq."""
+    n = L.n
+    pairs = [(i, j) for i in range(n) for j in range(n) if L.leq(i, j)]
+    bottom = next((b for b in range(n) if all(L.leq(b, i) for i in range(n))), None)
+    top = next((t for t in range(n) if all(L.leq(i, t) for i in range(n))), None)
+    atoms = frozenset(
+        i
+        for i in range(n)
+        if i != bottom and all(j in (bottom, i) for j in range(n) if L.leq(j, i))
+    )
+    upsets = [frozenset(j for j in range(n) if L.leq(k, j)) for k in range(n)]
+    covers = [
+        (i, j)
+        for i, j in pairs
+        if i != j and not any(t not in (i, j) and L.leq(i, t) and L.leq(t, j) for t in range(n))
+    ]
+    return pairs, bottom, top, atoms, upsets, covers
 
 
 @st.composite
@@ -232,7 +263,7 @@ def test_product_order_is_componentwise():
 
 def test_every_corpus_semilattice_is_good():
     for L in [chain(1), chain(5), diamond(), antichain_with_bottom(4)]:
-        assert L.check_good()
+        assert check_good(L)
 
 
 def test_atoms_examples():
@@ -255,7 +286,23 @@ def test_random_semilattice_properties(L):
     assert set(L.enumerate_finishing_subsemilattices()) == set(
         oracle_finishing_subsets(L.meet)
     )
-    assert L.check_good()
+    assert check_good(L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semilattices(), st.sets(st.integers(0, 20), max_size=6))
+def test_order_matrix_queries_match_leq(L, raw):
+    assert L.le.dtype == bool and not L.le.flags.writeable
+    assert L.le.tolist() == [[L.leq(i, j) for j in range(L.n)] for i in range(L.n)]
+    pairs, bottom, top, atoms, upsets, covers = oracle_order_queries(L)
+    assert L.comparable_pairs() == pairs
+    assert covering_pairs(L) == covers
+    assert all(type(x) is int for pair in pairs for x in pair)
+    assert (L.bottom(), L.top(), L.atoms()) == (bottom, top, atoms)
+    assert [L.finishing_set(k) for k in range(L.n)] == upsets
+    S = frozenset(x % L.n for x in raw)
+    upward = all(j in S for i in S for j in upsets[i])
+    assert L.is_finishing_subsemilattice(S) == (upward and L.is_subsemilattice(S))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,18 @@ from gradedcstar import semilattice as sl
 from gradedcstar import spectra as sp
 from gradedcstar.errors import InputError, ValidationFailure
 
+import character_references
+from character_references import (
+    CoverageMismatch,
+    NotACharacter,
+    finishing_correspondence_reference,
+    graded_characters_reference,
+    match_characters,
+    restriction_reference,
+)
 from conftest import SCALAR, all_scalar_spec, unital_embedding
 from element_references import sort_key
+from test_semilattice import semilattices
 
 
 def commutative_corpus(corpus):
@@ -157,12 +168,15 @@ class TestGradedCharacters:
 
     def test_non_multiplicative_row_detected(self):
         # deliberately invalid spec: phi_01 = 2 is not a *-homomorphism,
-        # so coordinate 0 of pi_0 reads 2 on the top unit, an idempotent
+        # so coordinate 0 of pi_0 reads 2 on the top unit, an idempotent;
+        # validation rejects the map before any row is read
         L = sl.chain(2)
         twice = fd.StarHom(SCALAR, SCALAR, np.array([[2.0]]))
         spec = gr.GradedSpec(L, [SCALAR, SCALAR], {(0, 1): twice})
-        with pytest.raises(sp.NotACharacter):
+        with pytest.raises(gr.HomNotStar):
             sp.graded_characters(spec)
+        with pytest.raises(NotACharacter):
+            graded_characters_reference(spec)
 
     def test_duplicate_rows_detected(self):
         # deliberately invalid spec: the diagonal map is not the identity,
@@ -178,30 +192,10 @@ class TestGradedCharacters:
                 (0, 1): fd.StarHom(SCALAR, c2, np.array([[1.0], [1.0]])),
             },
         )
-        with pytest.raises(sp.CoverageMismatch):
+        with pytest.raises(gr.AxiomAViolation):
             sp.graded_characters(spec)
-
-
-def graded_characters_reference(spec, tol=sp.CHAR_TOL):
-    """graded_characters one character and one pair at a time: the
-    pairwise distinctness loop, then check_character per character."""
-    chars = [
-        sp.Character(values=spec.pi[g].copy(), tag=(i, a))
-        for i, a, g in spec.graded_basis()
-    ]
-    for a in range(len(chars)):
-        for b in range(a + 1, len(chars)):
-            if fd.maxabs(chars[a].values - chars[b].values) <= tol:
-                raise sp.CoverageMismatch(
-                    f"characters {chars[a].tag} and {chars[b].tag} coincide"
-                )
-    for ch in chars:
-        r = sp.check_character(spec, ch.values, tol)
-        if not r <= tol:
-            raise sp.NotACharacter(
-                f"coordinate {ch.tag} of pi fails the character axioms by {r:.3e}"
-            )
-    return chars
+        with pytest.raises(CoverageMismatch):
+            graded_characters_reference(spec)
 
 
 def scalar_chain_with(n, maps):
@@ -239,6 +233,24 @@ BROKEN_CHARACTER_SPECS = {
     "imaginary-map": scalar_chain_with(3, {(0, 1): 1j}),
 }
 
+# what the oracle raises on each broken spec: the exceptions that
+# graded_characters raised before it read its certificate off validation
+BROKEN_CHARACTER_ORACLE = {
+    "two-bad-rows": (
+        NotACharacter,
+        "coordinate (0, 1) of pi fails the character axioms by 2.000e+00",
+    ),
+    "nan-map": (
+        NotACharacter,
+        "coordinate (0, 0) of pi fails the character axioms by nan",
+    ),
+    "coinciding-rows": (CoverageMismatch, "characters (0, 0) and (1, 0) coincide"),
+    "imaginary-map": (
+        NotACharacter,
+        "coordinate (0, 0) of pi fails the character axioms by 2.000e+00",
+    ),
+}
+
 
 class TestGradedCharactersAgainstReference:
     def test_corpus(self, corpus):
@@ -251,17 +263,60 @@ class TestGradedCharactersAgainstReference:
 
     @pytest.mark.parametrize("name", sorted(BROKEN_CHARACTER_SPECS))
     def test_first_offender(self, name):
+        # graded_characters reports what validation reports; the oracle
+        # keeps the character-level exception and message
         spec = BROKEN_CHARACTER_SPECS[name]
-        with pytest.raises(ValidationFailure) as want:
+        exc, message = BROKEN_CHARACTER_ORACLE[name]
+        with pytest.raises(exc) as want:
             graded_characters_reference(spec)
+        assert str(want.value) == message
+        with pytest.raises(ValidationFailure) as validated:
+            gr.validate_spec(spec, sp.CHAR_TOL)
         with pytest.raises(ValidationFailure) as got:
             sp.graded_characters(spec)
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+        assert type(got.value) is type(validated.value)
+        assert str(got.value) == str(validated.value)
 
     def test_nan_fails(self):
-        with pytest.raises(sp.NotACharacter, match="by nan"):
+        with pytest.raises(gr.HomNotStar, match="residual nan"):
             sp.graded_characters(BROKEN_CHARACTER_SPECS["nan-map"])
+        with pytest.raises(NotACharacter, match="by nan"):
+            graded_characters_reference(BROKEN_CHARACTER_SPECS["nan-map"])
+
+
+class TestValidationGuard:
+    @pytest.mark.parametrize("name", sorted(BROKEN_CHARACTER_SPECS))
+    def test_unvalidated_spec_never_yields_characters(self, name, monkeypatch):
+        spec = BROKEN_CHARACTER_SPECS[name]
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ValidationFailure):
+            sp.graded_characters(spec)
+        assert calls == [(spec, sp.CHAR_TOL)]
+        assert spec.validated_tol == np.inf
+
+    def test_verdict_is_recorded_and_reused(self, monkeypatch):
+        spec = all_scalar_spec(sl.diamond())
+        gr.validate_spec(spec)
+        assert spec.validated_tol == gr.AXIOM_TOL
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a) or real(*a))
+        sp.graded_characters(spec)
+        assert calls == []
+        # a tighter tolerance than the verdict's validates again
+        sp.graded_characters(spec, tol=1e-12)
+        assert calls == [(spec, 1e-12)]
+        assert spec.validated_tol == 1e-12
+
+    def test_restriction_inherits_the_verdict(self):
+        spec = all_scalar_spec(sl.diamond())
+        sub, _ = gr.restrict_spec(spec, [1, 3])
+        assert sub.validated_tol == np.inf
+        gr.validate_spec(spec)
+        sub, _ = gr.restrict_spec(spec, [1, 3])
+        assert sub.validated_tol == gr.AXIOM_TOL
 
 
 # ----------------------------------------------------------- matching
@@ -270,27 +325,27 @@ class TestMatching:
     def test_permutation_matched(self):
         spec = all_scalar_spec(sl.chain(3))
         chars = sp.graded_characters(spec)
-        pairing = sp.match_characters(chars, list(reversed(chars)))
+        pairing = match_characters(chars, list(reversed(chars)))
         assert len(pairing) == 3
 
     def test_count_mismatch(self):
         spec = all_scalar_spec(sl.chain(3))
         chars = sp.graded_characters(spec)
-        with pytest.raises(sp.CoverageMismatch):
-            sp.match_characters(chars, chars[:2])
+        with pytest.raises(CoverageMismatch):
+            match_characters(chars, chars[:2])
 
     def test_unmatched_character(self):
         spec = all_scalar_spec(sl.chain(2))
         chars = sp.graded_characters(spec)
         shifted = [sp.Character(values=c.values + 0.5) for c in chars]
-        with pytest.raises(sp.CoverageMismatch):
-            sp.match_characters(chars, shifted)
+        with pytest.raises(CoverageMismatch):
+            match_characters(chars, shifted)
 
     def test_double_claim(self):
         a = sp.Character(values=np.array([1.0 + 0j]))
         b = sp.Character(values=np.array([1.0 + 0j]))
-        with pytest.raises(sp.CoverageMismatch):
-            sp.match_characters([a, b], [a, sp.Character(values=np.array([5.0 + 0j]))])
+        with pytest.raises(CoverageMismatch):
+            match_characters([a, b], [a, sp.Character(values=np.array([5.0 + 0j]))])
 
 
 # ----------------------------------------- finishing set correspondence
@@ -365,6 +420,163 @@ class TestFinishingCorrespondence:
             spec = all_scalar_spec(L)
             pairs = sp.finishing_correspondence(spec)
             assert len(pairs) == len(L.enumerate_finishing_subsemilattices())
+
+
+    def test_indicator_mismatch_names_first_offender(self):
+        # unreachable through validation: phi_12 = 1 + 5e-6 passes the
+        # all-scalar screen but not validate_spec at CHAR_TOL, so the
+        # verdict is forged to reach the comparison with the order matrix
+        spec = scalar_chain_with(3, {(1, 2): 1.0 + 5e-6, (0, 2): 1.0 + 5e-6})
+        spec.validated_tol = 0.0
+        with pytest.raises(sp.BijectionFailure) as exc:
+            sp.finishing_correspondence(spec)
+        assert str(exc.value) == (
+            "character (0, 0) differs from the indicator of the finishing "
+            "set of 0 by 5.000e-06 at 2"
+        )
+
+    def test_no_cubic_array_at_chain_128(self):
+        # the product table alone would be 128^3 complex numbers, 32 MiB
+        spec = all_scalar_spec(sl.chain(128))
+        gr.validate_spec(spec)
+        tracemalloc.start()
+        try:
+            pairs = sp.finishing_correspondence(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 128
+        assert peak < 8 * 2**20
+
+
+# ------------------------------------- fast routes against their oracles
+
+def assert_same_characters(got, want):
+    assert [c.tag for c in got] == [c.tag for c in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
+def assert_same_pairs(got, want):
+    assert [m for _, m in got] == [m for _, m in want]
+    assert_same_characters([c for c, _ in got], [c for c, _ in want])
+    assert [c.finishing_set for c, _ in got] == [c.finishing_set for c, _ in want]
+
+
+def assert_same_restriction(spec, M):
+    """Equal reports, or the same exception with the same message."""
+    try:
+        want = restriction_reference(spec, M)
+    except InputError as exc:
+        with pytest.raises(type(exc)) as got:
+            sp.restriction_spectrum_map(spec, M)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    got = sp.restriction_spectrum_map(spec, M)
+    assert got.contraction == want.contraction
+    assert got.remap == want.remap
+    assert got.sub_spec.L.meet == want.sub_spec.L.meet
+    assert got.sub_spec.L.names == want.sub_spec.L.names
+    assert_same_characters([a for a, _ in got.assignments], [a for a, _ in want.assignments])
+    assert_same_characters([b for _, b in got.assignments], [b for _, b in want.assignments])
+
+
+def restriction_targets(L):
+    """The whole set, every finishing set and every maximal element on
+    its own: cofinal or not, always meet-closed."""
+    maximal = np.flatnonzero(L.le.sum(axis=1) == 1).tolist()
+    sets = [frozenset(range(L.n))] + [L.finishing_set(k) for k in range(L.n)]
+    return sets + [frozenset({m}) for m in maximal]
+
+
+def c2_chain(n, maps):
+    """chain(n) with C^2 at every index and the given 2x2 structure maps,
+    the identity elsewhere."""
+    c2 = fd.AlgebraShape([1, 1])
+    L = sl.chain(n)
+    phi = {pair: fd.identity_hom(c2) for pair in L.comparable_pairs()}
+    for pair, m in maps.items():
+        phi[pair] = fd.StarHom(c2, c2, np.asarray(m, dtype=complex))
+    return gr.GradedSpec(L, [c2] * n, phi)
+
+
+# unital maps that break the character axioms, so that validation rejects
+# them; each names its restriction's first offender
+UNCERTIFIED_RESTRICTIONS = {
+    "smeared-pullback": (c2_chain(2, {(0, 1): [[0.5, 0.5], [0.5, 0.5]]}), [1]),
+    "second-row-smeared": (c2_chain(2, {(0, 1): [[1.0, 0.0], [0.5, 0.5]]}), [1]),
+    "path-dependent": (c2_chain(3, {(0, 2): [[0.0, 1.0], [1.0, 0.0]]}), [1, 2]),
+}
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("name", sorted(UNCERTIFIED_RESTRICTIONS))
+    def test_oracle_mismatch_order_and_message(self, name, monkeypatch):
+        # validation rejects these specs, so both routes are handed the
+        # rows of Pi unchecked to reach restriction's own checks
+        spec, M = UNCERTIFIED_RESTRICTIONS[name]
+        with pytest.raises(ValidationFailure):
+            gr.validate_spec(spec)
+        monkeypatch.setattr(spec, "validated_tol", 0.0)
+        monkeypatch.setattr(
+            character_references,
+            "graded_characters_reference",
+            lambda s, tol=None: sp.graded_characters(s),
+        )
+        with pytest.raises(sp.OracleMismatch) as want:
+            restriction_reference(spec, M)
+        with pytest.raises(sp.OracleMismatch) as got:
+            sp.restriction_spectrum_map(spec, M)
+        assert str(got.value) == str(want.value)
+
+    def test_commutative_corpus(self, corpus):
+        specs = dict(commutative_corpus(corpus))
+        specs["two-point-bottom"] = two_point_bottom_spec([1.0, 1.0])
+        # valid, but not unital into the top: restriction onto it fails
+        specs["two-point-non-unital"] = two_point_bottom_spec([1.0, 0.0])
+        for name, spec in specs.items():
+            gr.validate_spec(spec)
+            assert_same_characters(
+                sp.graded_characters(spec), graded_characters_reference(spec)
+            )
+            if name.startswith("all-scalar"):
+                assert_same_pairs(
+                    sp.finishing_correspondence(spec),
+                    finishing_correspondence_reference(spec),
+                )
+            for M in restriction_targets(spec.L):
+                assert_same_restriction(spec, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(semilattices())
+    def test_random_all_scalar(self, L):
+        spec = all_scalar_spec(L)
+        gr.validate_spec(spec)
+        assert_same_characters(
+            sp.graded_characters(spec), graded_characters_reference(spec)
+        )
+        assert_same_pairs(
+            sp.finishing_correspondence(spec),
+            finishing_correspondence_reference(spec),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        semilattices(),
+        st.sets(st.integers(0, 63), max_size=4),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_random_restriction(self, L, picks, add_maximal, close):
+        spec = all_scalar_spec(L)
+        gr.validate_spec(spec)
+        M = {p % L.n for p in picks}
+        if add_maximal:
+            M |= set(np.flatnonzero(L.le.sum(axis=1) == 1).tolist())
+        if close and M:
+            M = L.generated_subsemilattice(M)
+        assert_same_restriction(spec, M)
 
 
 # ------------------------------------------------------- character order
