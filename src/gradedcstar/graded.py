@@ -23,6 +23,7 @@ and block-sum ideals with their quotient specs.
 """
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,9 +88,13 @@ class GradedSpec:
     Construction checks structure only (all comparable pairs present, hom
     shapes line up); the numeric axioms are validate_spec's job, so that
     deliberately broken specs can be built and shown to fail.
+    Construction copies the maps once into pi, the read-only matrix of
+    x -> (pi_t(x))_t over the graded basis: block (t, j) is phi_{t,j} for
+    t <= j (the identity on omitted diagonals) and 0 otherwise, so rows
+    span(t) are pi_t. phi is a read-only mapping, given pairs first, of
+    StarHoms over read-only views of pi, so the spec cannot change.
     validated_tol is the smallest tolerance validate_spec has passed the
-    spec at, inf before any pass. Immutable by convention: pi and that
-    verdict describe the maps as they were.
+    spec at, inf before any pass.
     """
 
     def __init__(self, L, components, phi):
@@ -113,24 +118,30 @@ class GradedSpec:
                     f"phi[{L.names[i]},{L.names[j]}] maps {h.source} -> {h.target}, "
                     f"expected {components[j]} -> {components[i]}"
                 )
-            full[(i, j)] = h
+            full[(i, j)] = h.matrix
         for i, j in comparable:
             if (i, j) in full:
                 continue
             if i == j:
-                full[(i, j)] = fd.identity_hom(components[i])
+                full[(i, j)] = np.eye(components[i].dim)
             else:
                 raise MissingHom(
                     f"no structure morphism for {L.names[i]} <= {L.names[j]}"
                 )
-        self.phi = full
         self.offsets = []
         off = 0
         for c in components:
             self.offsets.append(off)
             off += c.dim
         self.total_dim = off
-        self._pi = None
+        self.pi = np.zeros((off, off), dtype=complex)
+        for (i, j), m in full.items():
+            self.pi[self.span(i), self.span(j)] = m
+        self.pi.flags.writeable = False
+        self.phi = MappingProxyType({
+            (i, j): StarHom(components[j], components[i], self.pi[self.span(i), self.span(j)])
+            for i, j in full
+        })
         self.validated_tol = np.inf
 
     def structure_map(self, i, j):
@@ -183,19 +194,6 @@ class GradedSpec:
     def span(self, i):
         """Coordinates of index i in the graded basis, as a slice."""
         return slice(self.offsets[i], self.offsets[i] + self.components[i].dim)
-
-    @property
-    def pi(self):
-        """Matrix of x -> (pi_t(x))_t over the graded basis, total_dim
-        square and read-only: block (t, j) is phi_{t,j} for t <= j and 0
-        otherwise, so rows span(t) are pi_t. Built on first use."""
-        if self._pi is None:
-            pi = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-            for (t, j), h in self.phi.items():
-                pi[self.span(t), self.span(j)] = h.matrix
-            pi.flags.writeable = False
-            self._pi = pi
-        return self._pi
 
     def __repr__(self):
         dims = [c.dim for c in self.components]
@@ -563,8 +561,10 @@ def validate_spec(spec, tol=AXIOM_TOL):
             off += comps[m].dim
             r = fd.maxabs(block)
             if not r <= tol:
-                flat = int(block.reshape(-1).argmax())
-                a, b = divmod(flat // comps[m].dim, comps[j].dim)
+                # the first pair, row-major, within rounding of the largest
+                flat = block.reshape(-1)
+                near = (flat >= r * (1 - 1e-12)) | np.isnan(flat)
+                a, b = divmod(int(near.argmax()) // comps[m].dim, comps[j].dim)
                 raise AxiomBViolation(
                     L.names[i], L.names[j], L.names[m],
                     spec.basis_label(i, a), spec.basis_label(j, b), r,

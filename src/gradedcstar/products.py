@@ -1,9 +1,11 @@
 """Tensor products of graded specs and crossed products by finite groups.
 
 tensor_spec combines two specs over the product semilattice, with
-componentwise Kronecker blocks and Kronecker structure maps. Minimal and
-maximal tensor norms agree for finite-dimensional algebras, so a single
-construction covers both readings.
+componentwise Kronecker blocks and Kronecker structure maps: the product's
+Pi is one gather of Pi_a (x) Pi_b, which relabels its graded basis, and
+the output spec is built from views of it. Minimal and maximal tensor
+norms agree for finite-dimensional algebras, so a single construction
+covers both readings.
 
 crossed_product turns a validated group action into a new graded spec
 over the same semilattice. Each component is the convolution *-algebra
@@ -321,36 +323,37 @@ def _tensor_basis_permutation(sa, sb):
     return perm
 
 
-def tensor_hom(ha, hb):
-    """The map between tensor shapes acting factorwise."""
-    src = tensor_shape(ha.source, hb.source)
-    tgt = tensor_shape(ha.target, hb.target)
-    ps = _tensor_basis_permutation(ha.source, hb.source)
-    pt = _tensor_basis_permutation(ha.target, hb.target)
-    m = np.zeros((tgt.dim, src.dim), dtype=complex)
-    m[np.ix_(pt, ps)] = np.kron(ha.matrix, hb.matrix)
-    return fd.StarHom(src, tgt, m)
-
-
 def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     """The graded tensor product over the product semilattice.
 
-    Components multiply blockwise, structure maps act factorwise, and
-    the result is validated in full before being returned.
+    Components multiply blockwise and structure maps act factorwise, so
+    the product's Pi is Pi_a (x) Pi_b with its graded basis relabeled.
+    The result is validated in full before being returned.
     """
     L = sl.product_semilattice(a.L, b.L)
     nb = b.L.n
-    comps = [
-        tensor_shape(a.components[k // nb], b.components[k % nb])
-        for k in range(L.n)
-    ]
-    phi = {}
-    for (x, y) in L.comparable_pairs():
-        if x == y:
-            continue
-        i1, i2 = divmod(x, nb)
-        j1, j2 = divmod(y, nb)
-        phi[(x, y)] = tensor_hom(a.phi[(i1, j1)], b.phi[(i2, j2)])
+    comps, perm, spans = [], [], []
+    for k in range(L.n):
+        i, j = divmod(k, nb)
+        ca, cb = a.components[i], b.components[j]
+        comps.append(tensor_shape(ca, cb))
+        # the row of kron(a.pi, b.pi) for E_a (x) F_b, at that element's
+        # position in the product's graded basis
+        rows = np.empty(ca.dim * cb.dim, dtype=int)
+        rows[_tensor_basis_permutation(ca, cb)] = np.add.outer(
+            (a.offsets[i] + np.arange(ca.dim)) * b.total_dim,
+            b.offsets[j] + np.arange(cb.dim),
+        ).reshape(-1)
+        start = spans[-1].stop if spans else 0
+        spans.append(slice(start, start + rows.size))
+        perm.append(rows)
+    perm = np.concatenate(perm)
+    pi = np.kron(a.pi, b.pi)[np.ix_(perm, perm)]
+    phi = {
+        (x, y): fd.StarHom(comps[y], comps[x], pi[spans[x], spans[y]])
+        for (x, y) in L.comparable_pairs()
+        if x != y
+    }
     out = gr.GradedSpec(L, comps, phi)
     gr.validate_spec(out, tol)
     return out

@@ -222,9 +222,9 @@ def _require_all_scalar(spec):
     for c in spec.components:
         if c.blocks != (1,):
             raise NotAllScalar(f"component {c} is not the scalars")
-    # every component is the scalars, so each map is one number
+    # every component is the scalars, so each map is one entry of Pi
     pairs = list(spec.phi)
-    bad = np.flatnonzero(~np.isclose([spec.phi[p].matrix[0, 0] for p in pairs], 1.0))
+    bad = np.flatnonzero(~np.isclose(spec.pi[tuple(np.transpose(pairs))], 1.0))
     if bad.size:
         raise NotAllScalar(
             f"structure map for pair {pairs[bad[0]]} is not the identity"

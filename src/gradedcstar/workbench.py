@@ -420,11 +420,8 @@ def new_report(doc, seed):
 def build_all_scalar(L):
     """Scalar component at every index, identity structure maps."""
     scalar = fd.AlgebraShape([1])
-    phi = {
-        (i, j): fd.identity_hom(scalar)
-        for (i, j) in L.comparable_pairs()
-        if i != j
-    }
+    ident = fd.identity_hom(scalar)  # the spec copies it into pi
+    phi = {(i, j): ident for (i, j) in L.comparable_pairs() if i != j}
     spec = gr.GradedSpec(L, [scalar] * L.n, phi)
     gr.validate_spec(spec)
     return spec

@@ -21,7 +21,7 @@ from gradedcstar import workbench as wb
 
 from character_references import match_characters
 from element_references import component_minimal_projections
-from test_products import tensor_intersection_dims
+from test_products import tensor, tensor_intersection_dims
 
 SEED = 20260822
 
@@ -141,10 +141,10 @@ def test_restriction_map_matches_hand_computed_contraction(corpus):
 
 def test_k0_invariants_verified_across_constructions(corpus):
     outputs = dict(corpus)
-    outputs["tensor-a"] = pr.tensor_spec(
+    outputs["tensor-a"] = tensor(
         corpus["m2-chain"], corpus["all-scalar-chain2"]
     )
-    outputs["tensor-b"] = pr.tensor_spec(
+    outputs["tensor-b"] = tensor(
         corpus["all-scalar-diamond"], corpus["all-scalar-chain2"]
     )
     z2 = pr.cyclic_group(2)
@@ -209,7 +209,7 @@ def test_tensor_products_validate_and_multiply(corpus):
         (corpus["m2-chain"], corpus["m2-chain"]),
     ]
     for a, b in pairs:
-        t = pr.tensor_spec(a, b)
+        t = tensor(a, b)
         report = gr.validate_spec(t)
         assert report.pairs_checked > 0
         assert t.total_dim == a.total_dim * b.total_dim

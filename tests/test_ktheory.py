@@ -17,6 +17,7 @@ from conftest import M2, all_scalar_spec, block_chain_spec, m2_chain_spec, \
     mixed_diamond_spec, standard_corpus
 from element_references import k0_matrix_reference, verify_k0_reference
 from seeded_wedderburn import assert_matches_oracle
+from test_products import tensor
 
 M3 = fd.AlgebraShape([3])
 M23 = fd.AlgebraShape([2, 3])
@@ -333,7 +334,7 @@ class TestVerifyK0:
     def test_coset_z4_tensor_square(self):
         # 49 blocks, the largest generator matrix in the suite
         z4 = wb.demo_spec("coset-z4")
-        report = kt.verify_k0(pr.tensor_spec(z4, z4))
+        report = kt.verify_k0(tensor(z4, z4))
         assert report.total_rank == 49
         assert report.unimodular
         assert len(report.phi_matrix) == 49
@@ -346,8 +347,8 @@ def _product_specs():
     _, z4_act = wb.build_coset_spec(*wb.coset_z4_family())
     return {
         **corpus,
-        "tensor-a": pr.tensor_spec(corpus["m2-chain"], corpus["all-scalar-chain2"]),
-        "tensor-b": pr.tensor_spec(
+        "tensor-a": tensor(corpus["m2-chain"], corpus["all-scalar-chain2"]),
+        "tensor-b": tensor(
             corpus["all-scalar-diamond"], corpus["all-scalar-chain2"]
         ),
         "crossed-trivial": pr.crossed_product(

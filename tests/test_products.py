@@ -509,6 +509,52 @@ class TestActions:
             pr.build_action(pr.cyclic_group(2), spec, maps)
 
 
+# ----------------------------------------------------------- tensor oracle
+# tensor_spec takes the product's Pi as one Kronecker gather. The per-pair
+# map it replaced stays here, and tensor() checks every tensor product
+# these tests build against it, and its K0 against K_A (x) K_B.
+
+def tensor_hom(ha, hb):
+    """The map between tensor shapes acting factorwise."""
+    src = pr.tensor_shape(ha.source, hb.source)
+    tgt = pr.tensor_shape(ha.target, hb.target)
+    ps = pr._tensor_basis_permutation(ha.source, hb.source)
+    pt = pr._tensor_basis_permutation(ha.target, hb.target)
+    m = np.zeros((tgt.dim, src.dim), dtype=complex)
+    m[np.ix_(pt, ps)] = np.kron(ha.matrix, hb.matrix)
+    return fd.StarHom(src, tgt, m)
+
+
+def k0_generators(spec):
+    """(index, block) of every K0 generator, in verify_k0's row order."""
+    return [(i, b) for i, c in enumerate(spec.components) for b in range(c.nblocks)]
+
+
+def tensor(a, b):
+    """tensor_spec, with every structure map checked bit for bit against
+    tensor_hom and the rank matrix against K_A (x) K_B: the tensor
+    product of the generators (i1, b1) and (i2, b2) is the generator
+    ((i1, i2), b1 nblocks(B_i2) + b2) (Blackadar, K-Theory for Operator
+    Algebras, 1998)."""
+    t = pr.tensor_spec(a, b)
+    nb = b.L.n
+    for (x, y), h in t.phi.items():
+        (i1, i2), (j1, j2) = divmod(x, nb), divmod(y, nb)
+        want = tensor_hom(a.phi[(i1, j1)], b.phi[(i2, j2)])
+        assert (h.source, h.target) == (want.source, want.target)
+        assert h.matrix.tobytes() == want.matrix.tobytes(), (x, y)
+    row = {gen: r for r, gen in enumerate(k0_generators(t))}
+    perm = [
+        row[(i1 * nb + i2, b1 * b.components[i2].nblocks + b2)]
+        for i1, b1 in k0_generators(a)
+        for i2, b2 in k0_generators(b)
+    ]
+    got = np.array(kt.verify_k0(t).phi_matrix)
+    want = np.kron(kt.verify_k0(a).phi_matrix, kt.verify_k0(b).phi_matrix)
+    assert np.array_equal(got[np.ix_(perm, perm)], want)
+    return t
+
+
 def tensor_intersection_dims(a, b, tensor, l, m):
     """Dimension data for the slice overlap at (l, m) in a tensor spec.
 
@@ -549,11 +595,11 @@ class TestTensor:
         assert sorted(perm) == list(range(M2.dim * 5))
 
     def test_tensor_of_identities_is_identity(self):
-        th = pr.tensor_hom(fd.identity_hom(M2), fd.identity_hom(C2))
+        th = tensor_hom(fd.identity_hom(M2), fd.identity_hom(C2))
         assert np.allclose(th.matrix, np.eye(8))
 
     def test_tensor_hom_is_star_hom(self):
-        th = pr.tensor_hom(
+        th = tensor_hom(
             unital_embedding(M2), fd.StarHom(SCALAR, C2, np.array([[1.0], [1.0]]))
         )
         fd.validate_starhom(th)
@@ -561,39 +607,39 @@ class TestTensor:
 
     def test_scalar_square_is_scalar_over_product(self):
         a = all_scalar_spec(sl.chain(2))
-        t = pr.tensor_spec(a, a)
+        t = tensor(a, a)
         assert t.L.n == 4
         assert t.total_dim == 4
         assert all(c.blocks == (1,) for c in t.components)
         assert gr.total_commutative(t)
 
     def test_matrix_factor_dims_multiply(self):
-        t = pr.tensor_spec(m2_chain_spec(), all_scalar_spec(sl.chain(2)))
+        t = tensor(m2_chain_spec(), all_scalar_spec(sl.chain(2)))
         assert t.total_dim == 10
         assert [c.dim for c in t.components] == [4, 4, 1, 1]
         assert not gr.total_commutative(t)
 
     def test_blocks_multiply_pairwise(self):
         bc = block_chain_spec()
-        t = pr.tensor_spec(bc, bc)
+        t = tensor(bc, bc)
         assert t.components[0].blocks == (4, 2, 2, 1)
 
     def test_k0_rank_multiplies(self):
         a = m2_chain_spec()
         b = all_scalar_spec(sl.chain(2))
-        t = pr.tensor_spec(a, b)
+        t = tensor(a, b)
         ra = kt.verify_k0(a).total_rank
         rb = kt.verify_k0(b).total_rank
         assert kt.verify_k0(t).total_rank == ra * rb
 
     def test_slice_intersection_at_matrix_corner(self):
         a = m2_chain_spec()
-        t = pr.tensor_spec(a, a)
+        t = tensor(a, a)
         assert tensor_intersection_dims(a, a, t, 0, 0) == (20, 20, 16, 16)
 
     def test_slice_intersection_at_top(self):
         a = m2_chain_spec()
-        t = pr.tensor_spec(a, a)
+        t = tensor(a, a)
         assert tensor_intersection_dims(a, a, t, 1, 1) == (5, 5, 1, 1)
 
 
