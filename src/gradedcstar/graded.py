@@ -22,8 +22,9 @@ along finishing index sets, graded morphisms into plain or graded targets,
 and block-sum ideals with their quotient specs.
 """
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -88,26 +89,23 @@ class GradedSpec:
     Construction checks structure only (all comparable pairs present, hom
     shapes line up); the numeric axioms are validate_spec's job, so that
     deliberately broken specs can be built and shown to fail.
-    Construction copies the maps once into pi, the read-only matrix of
-    x -> (pi_t(x))_t over the graded basis: block (t, j) is phi_{t,j} for
-    t <= j (the identity on omitted diagonals) and 0 otherwise, so rows
-    span(t) are pi_t. phi is a read-only mapping, given pairs first, of
-    StarHoms over read-only views of pi, so the spec cannot change.
+    The maps are stored once, as pi: the read-only matrix of
+    x -> (pi_t(x))_t over the graded basis, whose block (t, j) is phi_{t,j}
+    for t <= j (the identity on diagonals that GradedSpec(L, components,
+    phi) is not given) and 0 otherwise, so rows span(t) are pi_t. A
+    builder that has pi in hand passes it to from_pi. phi is a read-only
+    mapping that holds only its keys, given pairs first and then the
+    diagonals; each lookup is a StarHom over a read-only view of pi's
+    block, so nothing written through it reaches the spec.
     validated_tol is the smallest tolerance validate_spec has passed the
     spec at, inf before any pass.
     """
 
     def __init__(self, L, components, phi):
-        components = tuple(components)
-        if len(components) != L.n:
-            raise SpecMismatch(f"{len(components)} components for {L.n} indices")
-        for c in components:
-            if not isinstance(c, AlgebraShape):
-                raise SpecMismatch(f"component {c!r} is not an AlgebraShape")
-        self.L = L
-        self.components = components
+        components = _check_components(L, components)
         full = {}
-        comparable = set(L.comparable_pairs())
+        pairs = L.comparable_pairs()
+        comparable = set(pairs)
         for (i, j), h in phi.items():
             if (i, j) not in comparable:
                 raise SpecMismatch(
@@ -119,7 +117,7 @@ class GradedSpec:
                     f"expected {components[j]} -> {components[i]}"
                 )
             full[(i, j)] = h.matrix
-        for i, j in comparable:
+        for i, j in pairs:
             if (i, j) in full:
                 continue
             if i == j:
@@ -128,30 +126,64 @@ class GradedSpec:
                 raise MissingHom(
                     f"no structure morphism for {L.names[i]} <= {L.names[j]}"
                 )
-        self.offsets = []
-        off = 0
-        for c in components:
-            self.offsets.append(off)
-            off += c.dim
-        self.total_dim = off
-        self.pi = np.zeros((off, off), dtype=complex)
+        off = _offsets(components)
+        pi = np.zeros((off[-1], off[-1]), dtype=complex)
         for (i, j), m in full.items():
-            self.pi[self.span(i), self.span(j)] = m
-        self.pi.flags.writeable = False
-        self.phi = MappingProxyType({
-            (i, j): StarHom(components[j], components[i], self.pi[self.span(i), self.span(j)])
-            for i, j in full
-        })
+            pi[off[i] : off[i + 1], off[j] : off[j + 1]] = m
+        self._set_pi(L, components, pi, list(full))
+
+    @classmethod
+    def from_pi(cls, L, components, pi):
+        """The spec whose maps are the blocks of a copy of pi. phi's keys
+        are the off-diagonal comparable pairs in row-major order, then the
+        diagonals."""
+        components = _check_components(L, components)
+        pi = np.array(pi, dtype=complex)
+        owner = _owners(components)
+        n = owner.size
+        if pi.shape != (n, n):
+            raise fd.ShapeMismatch(f"pi {pi.shape}, expected ({n}, {n})")
+        r, c = np.nonzero((pi != 0) & ~L.le[owner][:, owner])
+        if r.size:
+            i, j = divmod(int((owner[r] * L.n + owner[c]).min()), L.n)
+            raise SpecMismatch(
+                f"pi is nonzero at non-comparable pair ({L.names[i]}, {L.names[j]})"
+            )
+        above = np.argwhere(L.le & ~np.eye(L.n, dtype=bool))
+        diagonal = np.repeat(np.arange(L.n)[:, None], 2, axis=1)
+        spec = cls.__new__(cls)
+        spec._set_pi(L, components, pi, np.concatenate([above, diagonal]))
+        return spec
+
+    def _set_pi(self, L, components, pi, keys):
+        """Store pi, read-only, and everything read off it."""
+        self.L = L
+        self.components = components
+        off = _offsets(components)
+        self.offsets = off[:-1]
+        self.total_dim = off[-1]
+        pi.flags.writeable = False
+        self.pi = pi
+        self._phi_keys = np.array(keys, dtype=np.intp).reshape(-1, 2)
         self.validated_tol = np.inf
+
+    @property
+    def phi(self):
+        """The structure maps as a read-only mapping (i, j) -> phi_{i,j}."""
+        return _PhiView(self)
+
+    def pi_block(self, i, j):
+        """Block (i, j) of pi, a read-only view: phi_{i,j} for i <= j,
+        else 0."""
+        return self.pi[self.span(i), self.span(j)]
 
     def structure_map(self, i, j):
         """phi_{i,j}: A_j -> A_i for i <= j."""
-        try:
-            return self.phi[(i, j)]
-        except KeyError:
+        if not (0 <= i < self.L.n and 0 <= j < self.L.n and self.L.leq(i, j)):
             raise MissingHom(
                 f"({self.L.names[i]}, {self.L.names[j]}) is not comparable"
-            ) from None
+            )
+        return StarHom(self.components[j], self.components[i], self.pi_block(i, j))
 
     def zero_element(self):
         return GradedElement(self, [fd.zero(c) for c in self.components])
@@ -198,6 +230,48 @@ class GradedSpec:
     def __repr__(self):
         dims = [c.dim for c in self.components]
         return f"GradedSpec({self.L!r}, component dims {dims})"
+
+
+def _offsets(components):
+    """Where each component's coordinates start, then the total dimension."""
+    return list(itertools.accumulate((c.dim for c in components), initial=0))
+
+
+def _owners(components):
+    """The index each coordinate of the graded basis belongs to."""
+    return np.repeat(np.arange(len(components)), [c.dim for c in components])
+
+
+def _check_components(L, components):
+    components = tuple(components)
+    if len(components) != L.n:
+        raise SpecMismatch(f"{len(components)} components for {L.n} indices")
+    for c in components:
+        if not isinstance(c, AlgebraShape):
+            raise SpecMismatch(f"component {c!r} is not an AlgebraShape")
+    return components
+
+
+class _PhiView(Mapping):
+    """A spec's phi: the spec's keys, in order, and for each a StarHom
+    built on lookup over a read-only view of the spec's pi."""
+
+    __slots__ = ("_spec",)
+
+    def __init__(self, spec):
+        self._spec = spec
+
+    def __getitem__(self, key):
+        try:
+            return self._spec.structure_map(*key)
+        except (MissingHom, TypeError, IndexError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return zip(*(a.tolist() for a in self._spec._phi_keys.T))
+
+    def __len__(self):
+        return len(self._spec._phi_keys)
 
 
 class GradedElement:
@@ -451,10 +525,11 @@ def validate_spec(spec, tol=AXIOM_TOL):
     as validated_tol. A NaN residual fails.
     """
     L = spec.L
+    pi = spec.pi
+    comps = spec.components
     id_res = 0.0
     for i in range(L.n):
-        h = spec.structure_map(i, i)
-        r = fd.maxabs(h.matrix - np.eye(spec.components[i].dim))
+        r = fd.maxabs(spec.pi_block(i, i) - np.eye(comps[i].dim))
         if not r <= tol:
             raise AxiomAViolation(
                 f"phi[{L.names[i]},{L.names[i]}] differs from the identity "
@@ -462,17 +537,30 @@ def validate_spec(spec, tol=AXIOM_TOL):
             )
         id_res = max(id_res, r)
 
-    # *-homs, one stacked check per (source, target) shape pair; the
-    # first failing map in key order is named
-    groups = {}
-    for key, h in spec.phi.items():
-        groups.setdefault((h.source, h.target), []).append(key)
+    # *-homs, one stacked check per (source, target) shape pair, gathered
+    # from pi; the first failing map in key order is named
+    shape_id = {}
+    sid = np.array([shape_id.setdefault(c, len(shape_id)) for c in comps])
+    ii, jj = np.nonzero(L.le)
+    key = sid[jj] * len(shape_id) + sid[ii]
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    bounds = (np.flatnonzero(sk[1:] != sk[:-1]) + 1).tolist()
+    bounds = [0, *bounds, sk.size] if sk.size else []  # of each group in order
+    offsets = np.asarray(spec.offsets)
     mult_res = star_res = hom_bound = 0.0
     failing = {}
-    for (source, target), keys in groups.items():
-        mats = np.stack([spec.phi[key].matrix for key in keys])
+    for lo, hi in zip(bounds, bounds[1:]):
+        gi, gj = ii[order[lo:hi]], jj[order[lo:hi]]
+        source, target = comps[gj[0]], comps[gi[0]]
+        if hi - lo == 1:  # one map: its block, without a gather
+            mats = spec.pi_block(gi[0], gj[0])[None]
+        else:
+            rows = offsets[gi, None] + np.arange(target.dim)
+            cols = offsets[gj, None] + np.arange(source.dim)
+            mats = pi[rows[:, :, None], cols[:, None, :]]
         star, mult, bound, failures = fd.check_starhoms(source, target, mats, tol)
-        failing.update({keys[p]: e for p, e in failures.items()})
+        failing.update({(int(gi[p]), int(gj[p])): e for p, e in failures.items()})
         star_res = max(star_res, float(star.max()))
         mult_res = max(mult_res, float(mult.max()))
         hom_bound = max(hom_bound, float(bound.max()))
@@ -486,8 +574,6 @@ def validate_spec(spec, tol=AXIOM_TOL):
     # One pair product over the rows of every m < k (ascending) and then
     # of k gives both sides; m = k holds by the definition of q. The pairs
     # sharing k and both factors' sizes take one stacked pair product.
-    pi = spec.pi
-    comps = spec.components
     below = {}  # k -> (m < k ascending, rows, shape, split, pi_{m,k} transposed)
 
     def rows_of(k):
@@ -728,8 +814,8 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
                 )
             fd.validate_starhom(h, tol)
         for i, j in L.comparable_pairs():
-            lhs = m.psi[i].matrix @ spec.structure_map(i, j).matrix
-            rhs = target.structure_map(i, j).matrix @ m.psi[j].matrix
+            lhs = m.psi[i].matrix @ spec.pi_block(i, j)
+            rhs = target.pi_block(i, j) @ m.psi[j].matrix
             r = fd.maxabs(lhs - rhs)
             if not r <= tol:
                 raise IncompatibleFamily(
@@ -819,14 +905,19 @@ def restrict_spec(spec, M):
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
     remap = {old: new for new, old in enumerate(M)}
-    table = [[remap[spec.L.meet_of(a, b)] for b in M] for a in M]
+    new_of = np.zeros(spec.L.n, dtype=np.intp)
+    new_of[M] = np.arange(len(M))
+    meet = np.asarray(spec.L.meet, dtype=np.intp).reshape(spec.L.n, spec.L.n)
+    table = new_of[meet[M][:, M]]
     names = [spec.L.names[a] for a in M]
     from .semilattice import Semilattice
 
     subL = Semilattice(table, names)
     comps = [spec.components[a] for a in M]
-    phi = {(i, j): spec.structure_map(M[i], M[j]) for i, j in subL.comparable_pairs()}
-    sub = GradedSpec(subL, comps, phi)
+    inside = np.zeros(spec.L.n, dtype=bool)
+    inside[M] = True
+    coords = inside[_owners(spec.components)]
+    sub = GradedSpec.from_pi(subL, comps, spec.pi[coords][:, coords])
     sub.validated_tol = spec.validated_tol
     return sub, remap
 
@@ -946,21 +1037,21 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
     ]
     keep_coords = [np.flatnonzero(~sel) for sel in in_ideal]
 
-    quot_phi = {}
-    for (i, j), h in spec.phi.items():
-        sub = h.matrix[np.ix_(keep_coords[i], keep_coords[j])]
-        dropped = np.flatnonzero(in_ideal[j])
-        if dropped.size:
-            # well-definedness on the quotient: phi must map the ideal
-            # coordinates at j into the ideal coordinates at i
-            leak = fd.maxabs(h.matrix[np.ix_(keep_coords[i], dropped)])
-            if not leak <= tol:
-                raise NotAnIdeal(
-                    f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
-                    f"itself by {leak:.3e}"
-                )
-        quot_phi[(i, j)] = StarHom(quot_comps[j], quot_comps[i], sub)
-    quotient = GradedSpec(L, quot_comps, quot_phi)
+    # well-definedness on the quotient: every phi_{i,j} must map the ideal
+    # coordinates at j into the ideal coordinates at i; the first map in
+    # key order that does not is named
+    dropped = np.concatenate(in_ideal) if in_ideal else np.zeros(0, dtype=bool)
+    owner = _owners(spec.components)
+    r, c = np.nonzero(~(np.abs(spec.pi[np.ix_(~dropped, dropped)]) <= tol))
+    leaking = set(zip(owner[~dropped][r].tolist(), owner[dropped][c].tolist()))
+    if leaking:
+        i, j = next(key for key in spec.phi if key in leaking)
+        leak = spec.pi_block(i, j)[np.ix_(keep_coords[i], np.flatnonzero(in_ideal[j]))]
+        raise NotAnIdeal(
+            f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
+            f"itself by {fd.maxabs(leak):.3e}"
+        )
+    quotient = GradedSpec.from_pi(L, quot_comps, spec.pi[np.ix_(~dropped, ~dropped)])
 
     quotient_maps = [
         StarHom(

@@ -3,7 +3,7 @@
 tensor_spec combines two specs over the product semilattice, with
 componentwise Kronecker blocks and Kronecker structure maps: the product's
 Pi is one gather of Pi_a (x) Pi_b, which relabels its graded basis, and
-the output spec is built from views of it. Minimal and maximal tensor
+the output spec is built from it by GradedSpec.from_pi. Minimal and maximal tensor
 norms agree for finite-dimensional algebras, so a single construction
 covers both readings.
 
@@ -212,7 +212,8 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
     g_ord = group.order
     full = dict(maps)
     for i in range(n):
-        full.setdefault((group.identity, i), fd.identity_hom(spec.components[i]))
+        if (group.identity, i) not in full:
+            full[(group.identity, i)] = fd.identity_hom(spec.components[i])
     for key in full:
         if not (
             isinstance(key, tuple)
@@ -286,7 +287,7 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
     for (i, j) in spec.L.comparable_pairs():
         if i == j:
             continue
-        phi = spec.phi[(i, j)].matrix
+        phi = spec.pi_block(i, j)
         resid = np.abs(stacks[i] @ phi - phi @ stacks[j]).max(axis=(-2, -1), initial=0.0)
         bad = np.flatnonzero(~(resid <= tol))
         if bad.size:
@@ -332,7 +333,7 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     """
     L = sl.product_semilattice(a.L, b.L)
     nb = b.L.n
-    comps, perm, spans = [], [], []
+    comps, perm = [], []
     for k in range(L.n):
         i, j = divmod(k, nb)
         ca, cb = a.components[i], b.components[j]
@@ -344,17 +345,14 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
             (a.offsets[i] + np.arange(ca.dim)) * b.total_dim,
             b.offsets[j] + np.arange(cb.dim),
         ).reshape(-1)
-        start = spans[-1].stop if spans else 0
-        spans.append(slice(start, start + rows.size))
         perm.append(rows)
     perm = np.concatenate(perm)
     pi = np.kron(a.pi, b.pi)[np.ix_(perm, perm)]
-    phi = {
-        (x, y): fd.StarHom(comps[y], comps[x], pi[spans[x], spans[y]])
-        for (x, y) in L.comparable_pairs()
-        if x != y
-    }
-    out = gr.GradedSpec(L, comps, phi)
+    # a zero block of one factor times a NaN of the other is NaN: keep the
+    # blocks off the product order exactly 0
+    owner = np.repeat(np.arange(L.n), [c.dim for c in comps])
+    pi[~L.le[np.ix_(owner, owner)]] = 0
+    out = gr.GradedSpec.from_pi(L, comps, pi)
     gr.validate_spec(out, tol)
     return out
 
@@ -491,8 +489,8 @@ def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
                 continue
             got = fd.pair_products(
                 out.components[k],
-                out.phi[(k, i)].matrix @ reals[i].matrix,
-                out.phi[(k, j)].matrix @ reals[j].matrix,
+                out.pi_block(k, i) @ reals[i].matrix,
+                out.pi_block(k, j) @ reals[j].matrix,
             )
             want = np.einsum(
                 "nam,smb,pstn->satbp", q[(i, j)], alpha[j], blocks[k][:, mul],
@@ -521,17 +519,16 @@ def build_crossed_product(act, tol=gr.AXIOM_TOL):
     spec = act.spec
     g = act.group.order
     reals = [_realize_component(act, i) for i in range(spec.L.n)]
-    phi = {}
+    off = np.cumsum([0] + [re.shape.dim for re in reals])
+    pi = np.eye(off[-1], dtype=complex)
     for (i, j) in spec.L.comparable_pairs():
-        if i == j:
-            continue
-        m = (
-            reals[i].matrix
-            @ np.kron(np.eye(g), spec.phi[(i, j)].matrix)
-            @ reals[j].inverse
-        )
-        phi[(i, j)] = fd.StarHom(reals[j].shape, reals[i].shape, m)
-    out = gr.GradedSpec(spec.L, [re.shape for re in reals], phi)
+        if i != j:
+            pi[off[i] : off[i + 1], off[j] : off[j + 1]] = (
+                reals[i].matrix
+                @ np.kron(np.eye(g), spec.pi_block(i, j))
+                @ reals[j].inverse
+            )
+    out = gr.GradedSpec.from_pi(spec.L, [re.shape for re in reals], pi)
     gr.validate_spec(out, tol)
     _check_transport(act, out, reals)
     return CrossedProduct(action=act, spec=out, realizations=reals)

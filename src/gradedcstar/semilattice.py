@@ -182,14 +182,10 @@ class Semilattice:
 def product_semilattice(L1, L2):
     """Componentwise meet on L1 x L2, row-major: (i, j) -> i * L2.n + j."""
     n1, n2 = L1.n, L2.n
-    meet = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for i1 in range(n1):
-        for i2 in range(n2):
-            for j1 in range(n1):
-                for j2 in range(n2):
-                    a = i1 * n2 + i2
-                    b = j1 * n2 + j2
-                    meet[a][b] = L1.meet[i1][j1] * n2 + L2.meet[i2][j2]
+    m1 = np.asarray(L1.meet, dtype=np.intp).reshape(n1, n1)
+    m2 = np.asarray(L2.meet, dtype=np.intp).reshape(n2, n2)
+    # axes (i1, i2, j1, j2), flattened to rows i1 * n2 + i2, columns j1 * n2 + j2
+    meet = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     names = [
         f"({L1.names[i1]},{L2.names[i2]})" for i1 in range(n1) for i2 in range(n2)
     ]

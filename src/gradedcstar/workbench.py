@@ -49,8 +49,7 @@ def _pair(z):
 
 
 def _matrix_to_doc(m):
-    m = np.asarray(m)
-    return [[_pair(z) for z in row] for row in m]
+    return [[_pair(z) for z in row] for row in np.asarray(m).tolist()]
 
 
 def _entry_from_doc(obj, where):
@@ -145,9 +144,9 @@ def spec_to_document(spec, metadata=None):
             {
                 "from": L.names[j],
                 "to": L.names[i],
-                "matrix": _matrix_to_doc(spec.phi[(i, j)].matrix),
+                "matrix": _matrix_to_doc(spec.pi_block(i, j)),
             }
-            for (i, j) in sorted(spec.phi)
+            for (i, j) in L.comparable_pairs()
             if i != j
         ],
     }
@@ -418,11 +417,9 @@ def new_report(doc, seed):
 # -------------------------------------------------------------- builders
 
 def build_all_scalar(L):
-    """Scalar component at every index, identity structure maps."""
-    scalar = fd.AlgebraShape([1])
-    ident = fd.identity_hom(scalar)  # the spec copies it into pi
-    phi = {(i, j): ident for (i, j) in L.comparable_pairs() if i != j}
-    spec = gr.GradedSpec(L, [scalar] * L.n, phi)
+    """Scalar component at every index, identity structure maps: pi is
+    the order matrix L.le."""
+    spec = gr.GradedSpec.from_pi(L, [fd.AlgebraShape([1])] * L.n, L.le)
     gr.validate_spec(spec)
     return spec
 
@@ -487,20 +484,16 @@ def build_coset_spec(group, subgroups):
 
     cosets = [left_cosets(group, s) for s in subs]
     components = [fd.AlgebraShape([1] * len(c)) for c in cosets]
-    phi = {}
-    for (i, j) in L.comparable_pairs():
-        if i == j:
-            continue
-        # subgroup i is contained in subgroup j: each coset of j splits
-        # into cosets of i, and the pullback of an indicator is the sum
-        # of the indicators of its pieces
-        m = np.zeros((len(cosets[i]), len(cosets[j])))
-        for col, big in enumerate(cosets[j]):
-            for row, small in enumerate(cosets[i]):
-                if small <= big:
-                    m[row, col] = 1.0
-        phi[(i, j)] = fd.StarHom(components[j], components[i], m)
-    spec = gr.GradedSpec(L, components, phi)
+    # For subgroup i inside subgroup j each coset of j splits into cosets
+    # of i, and the pullback of an indicator is the sum of the indicators
+    # of its pieces: block (i, j) of pi is coset containment. A coset of i
+    # lies in a coset of j only when subgroup i lies in subgroup j, so the
+    # blocks at non-comparable pairs come out 0.
+    member = np.zeros((sum(map(len, cosets)), group.order))
+    for row, coset in enumerate(c for cs in cosets for c in cs):
+        member[row, list(coset)] = 1.0
+    pi = member @ member.T == member.sum(axis=1)[:, None]
+    spec = gr.GradedSpec.from_pi(L, components, pi)
     gr.validate_spec(spec)
 
     maps = {}
@@ -550,12 +543,12 @@ DEMO_NAMES = (
 
 
 def _m2_chain_spec():
-    m2 = fd.AlgebraShape([2])
-    scalar = fd.AlgebraShape([1])
-    unital = fd.StarHom(
-        scalar, m2, np.array([[1.0], [0.0], [0.0], [1.0]])
+    # phi_{0,1} is the unital embedding of the scalars in M_2
+    pi = np.eye(5)
+    pi[:4, 4] = [1.0, 0.0, 0.0, 1.0]
+    spec = gr.GradedSpec.from_pi(
+        sl.chain(2), [fd.AlgebraShape([2]), fd.AlgebraShape([1])], pi
     )
-    spec = gr.GradedSpec(sl.chain(2), [m2, scalar], {(0, 1): unital})
     gr.validate_spec(spec)
     return spec
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
+from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import spectra as sp
 from gradedcstar import workbench as wb
@@ -131,6 +132,142 @@ class TestStoredPi:
         spec = gr.GradedSpec(sl.chain(3), [SCALAR] * 3, {(1, 2): ident, (0, 2): ident, (0, 1): ident})
         assert list(spec.phi)[:3] == [(1, 2), (0, 2), (0, 1)]
         assert sorted(list(spec.phi)[3:]) == [(0, 0), (1, 1), (2, 2)]
+
+    def test_phi_order_is_exact(self):
+        # given pairs in the given order, then the omitted diagonals
+        # ascending
+        ident = fd.identity_hom(SCALAR)
+        phi = {(1, 1): ident}
+        phi.update({pair: ident for pair in sl.chain(5).comparable_pairs() if pair[0] != pair[1]})
+        spec = gr.GradedSpec(sl.chain(5), [SCALAR] * 5, phi)
+        assert list(spec.phi) == list(phi) + [(0, 0), (2, 2), (3, 3), (4, 4)]
+        assert len(spec.phi) == 15
+
+    def test_rebound_matrix_does_not_reach_spec(self):
+        # phi hands out a new StarHom per lookup, so rebinding an
+        # attribute changes only that object
+        spec = wb.demo_spec("chain-3")
+        spec.phi[(0, 2)].matrix = np.zeros((1, 1))
+        assert spec.phi[(0, 2)].matrix[0, 0] == 1
+        entry = next(e for e in wb.spec_to_document(spec)["phi"] if (e["to"], e["from"]) == ("0", "2"))
+        assert entry["matrix"] == [[[1.0, 0.0]]]
+
+    def test_phi_is_a_mapping_of_comparable_pairs(self):
+        spec = mixed_diamond_spec()
+        for key in [(1, 2), (3, 0), (0, 4), (-1, 3), (0,), "01", (0.0, 3)]:
+            assert key not in spec.phi
+            with pytest.raises(KeyError):
+                spec.phi[key]
+        assert (np.int64(0), np.int64(3)) in spec.phi
+        assert set(spec.phi) == set(spec.L.comparable_pairs())
+        with pytest.raises(gr.MissingHom, match=r"\(a, b\) is not comparable"):
+            spec.structure_map(1, 2)
+        with pytest.raises(AttributeError):
+            spec.phi = {}
+
+
+class TestFromPi:
+    """GradedSpec.from_pi: the spec whose maps are the blocks of pi."""
+
+    def test_matches_the_per_pair_constructor(self, corpus):
+        for name, spec in corpus.items():
+            again = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi)
+            assert again.pi.tobytes() == spec.pi.tobytes(), name
+            assert again.offsets == spec.offsets and again.total_dim == spec.total_dim
+            assert gr.validate_spec(again) == gr.validate_spec(spec), name
+
+    def test_wrong_shape(self):
+        with pytest.raises(fd.ShapeMismatch, match=r"^pi \(4, 4\), expected \(5, 5\)$"):
+            gr.GradedSpec.from_pi(sl.chain(2), [M2, SCALAR], np.eye(4))
+        with pytest.raises(fd.ShapeMismatch, match=r"^pi \(5,\), expected \(5, 5\)$"):
+            gr.GradedSpec.from_pi(sl.chain(2), [M2, SCALAR], np.ones(5))
+
+    def test_component_checks(self):
+        with pytest.raises(gr.SpecMismatch, match="1 components for 2 indices"):
+            gr.GradedSpec.from_pi(sl.chain(2), [SCALAR], np.eye(1))
+        with pytest.raises(gr.SpecMismatch, match="is not an AlgebraShape"):
+            gr.GradedSpec.from_pi(sl.chain(2), [SCALAR, 1], np.eye(2))
+
+    def test_nonzero_block_off_the_order_names_the_first_pair(self):
+        L = sl.diamond()  # 0 < a, b < 1
+        pi = L.le.astype(float)
+        pi[3, 0] = 0.5  # ("1", "0"), after ("a", "b") in row-major order
+        pi[1, 2] = np.nan  # a NaN is nonzero
+        with pytest.raises(
+            gr.SpecMismatch, match=r"^pi is nonzero at non-comparable pair \(a, b\)$"
+        ):
+            gr.GradedSpec.from_pi(L, [SCALAR] * 4, pi)
+        pi[1, 2] = 0
+        with pytest.raises(
+            gr.SpecMismatch, match=r"^pi is nonzero at non-comparable pair \(1, 0\)$"
+        ):
+            gr.GradedSpec.from_pi(L, [SCALAR] * 4, pi)
+
+    def test_first_pair_across_block_sizes(self):
+        # pair (1, 0) is the first row-major pair off the order, though its
+        # nonzero entry sits after pair (1, 2)'s in the coordinates
+        L = sl.antichain_with_bottom(2)
+        comps = [M2, fd.AlgebraShape([1, 1]), SCALAR]
+        pi = np.zeros((7, 7))
+        pi[6, 4] = pi[4, 6] = pi[5, 3] = 1.0
+        with pytest.raises(gr.SpecMismatch, match=r"pair \(1, 0\)$"):
+            gr.GradedSpec.from_pi(L, comps, pi)
+
+    def test_caller_array_does_not_reach_spec(self):
+        L = sl.chain(3)
+        pi = L.le.astype(float)
+        spec = gr.GradedSpec.from_pi(L, [SCALAR] * 3, pi)
+        pi[0, 2] = 7.0
+        assert spec.pi[0, 2] == 1
+        assert spec.phi[(0, 2)].matrix[0, 0] == 1
+        with pytest.raises(ValueError):
+            spec.pi[0, 2] = 7.0
+        gr.validate_spec(spec)
+
+    def test_phi_order_off_diagonal_row_major_then_diagonals(self):
+        L = sl.diamond()
+        spec = gr.GradedSpec.from_pi(L, [SCALAR] * 4, L.le)
+        assert list(spec.phi) == [
+            (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 0), (1, 1), (2, 2), (3, 3)
+        ]
+
+
+class TestNoPerPairObjects:
+    """Builders that have pi write it in one step; readers read pi. No
+    StarHom is built per comparable pair."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        init = fd.StarHom.__init__
+
+        def counting(self, source, target, matrix):
+            calls.append((source, target))
+            init(self, source, target, matrix)
+
+        monkeypatch.setattr(fd.StarHom, "__init__", counting)
+        return calls
+
+    def test_builders_and_readers(self, built):
+        chain = wb.build_all_scalar(sl.chain(40))
+        gr.validate_spec(chain)
+        assert built == []
+        s3, action = wb.build_coset_spec(*wb.coset_s3_family())
+        gr.validate_spec(s3)
+        # one map per (group element, index) for the action, none per pair
+        assert len(built) == len(action.maps) == 6 * s3.L.n
+        del built[:]
+        t = pr.tensor_spec(chain, s3)
+        gr.validate_spec(t)
+        sub, _ = gr.restrict_spec(t, range(0, t.L.n, 2))
+        gr.validate_spec(sub)
+        assert built == []
+        spec = mixed_diamond_spec()
+        del built[:]
+        report = gr.verify_ideal_gradation(spec, {0: [0]})
+        gr.validate_spec(report.quotient)
+        # the quotient maps, one per index, are the only ones
+        assert len(built) == len(report.quotient_maps) == 4
 
 
 # ----------------------------------------------------------- validation

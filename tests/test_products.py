@@ -594,6 +594,19 @@ class TestTensor:
         perm = pr._tensor_basis_permutation(M2, fd.AlgebraShape([2, 1]))
         assert sorted(perm) == list(range(M2.dim * 5))
 
+    def test_nan_map_fails_validation_not_construction(self):
+        # in kron(a.pi, b.pi) a NaN of one factor meets the other's zero
+        # blocks; the product's blocks off the order must still read 0
+        nan = gr.GradedSpec(
+            sl.chain(2), [SCALAR, SCALAR],
+            {(0, 1): fd.StarHom(SCALAR, SCALAR, np.array([[np.nan]]))},
+        )
+        other = all_scalar_spec(sl.antichain_with_bottom(2))
+        with pytest.raises(gr.HomNotStar, match=r"^phi\[\(0,0\),\(1,0\)\]: .* residual nan$"):
+            pr.tensor_spec(nan, other)
+        with pytest.raises(gr.HomNotStar, match=r"^phi\[\(0,0\),\(0,1\)\]: .* residual nan$"):
+            pr.tensor_spec(m2_chain_spec(), nan)
+
     def test_tensor_of_identities_is_identity(self):
         th = tensor_hom(fd.identity_hom(M2), fd.identity_hom(C2))
         assert np.allclose(th.matrix, np.eye(8))

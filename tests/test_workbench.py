@@ -12,6 +12,8 @@ from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
 from gradedcstar.errors import InputError
 
+from conftest import standard_corpus
+
 
 def rotated_chain_spec():
     # chain with a conjugated diagonal embedding, to exercise float
@@ -45,6 +47,30 @@ class TestSpecDocuments:
         assert set(back.phi) == set(spec.phi)
         for key in spec.phi:
             assert np.array_equal(back.phi[key].matrix, spec.phi[key].matrix)
+
+    def test_round_trip_keeps_pi_byte_for_byte(self):
+        # every corpus spec and every builder's output
+        z4, z4_action = wb.build_coset_spec(*wb.coset_z4_family())
+        s3, s3_action = wb.build_coset_spec(*wb.coset_s3_family())
+        mixed = standard_corpus()["mixed-diamond"]
+        specs = {
+            **standard_corpus(),
+            "all-scalar chain(6)": wb.build_all_scalar(sl.chain(6)),
+            "coset-z4": z4,
+            "coset-s3": s3,
+            "m2-chain demo": wb.demo_spec("m2-chain"),
+            "rotated": rotated_chain_spec(),
+            "z4 x m2": pr.tensor_spec(z4, wb.demo_spec("m2-chain")),
+            "diamond x mixed": pr.tensor_spec(wb.demo_spec("all-scalar-diamond"), mixed),
+            "restricted s3": gr.restrict_spec(s3, [0, 1, 3])[0],
+            "crossed z4": pr.crossed_product(z4_action),
+            "crossed s3": pr.crossed_product(s3_action),
+            "quotient": gr.verify_ideal_gradation(mixed, {0: [0]}).quotient,
+            "from q": gr.spec_from_q(gr.q_family_from_spec(mixed)),
+        }
+        for name, spec in specs.items():
+            doc = json.loads(json.dumps(wb.spec_to_document(spec)))
+            assert wb.parse_spec(doc).pi.tobytes() == spec.pi.tobytes(), name
 
     def test_round_trip_keeps_long_floats(self):
         spec = rotated_chain_spec()
