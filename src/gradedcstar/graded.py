@@ -143,22 +143,30 @@ class GradedSpec:
         n = owner.size
         if pi.shape != (n, n):
             raise fd.ShapeMismatch(f"pi {pi.shape}, expected ({n}, {n})")
-        r, c = np.nonzero((pi != 0) & ~L.le[owner][:, owner])
+        r, c = np.nonzero((pi != 0) & ~L.le[np.ix_(owner, owner)])
         if r.size:
             i, j = divmod(int((owner[r] * L.n + owner[c]).min()), L.n)
             raise SpecMismatch(
                 f"pi is nonzero at non-comparable pair ({L.names[i]}, {L.names[j]})"
             )
-        above = np.argwhere(L.le & ~np.eye(L.n, dtype=bool))
-        diagonal = np.repeat(np.arange(L.n)[:, None], 2, axis=1)
+        return cls._of_pi(L, components, pi)
+
+    @classmethod
+    def _of_pi(cls, L, components, pi, keys=None):
+        """The spec over pi itself, which the caller has checked as from_pi
+        does, with phi's keys in the given order (by default from_pi's)."""
         spec = cls.__new__(cls)
-        spec._set_pi(L, components, pi, np.concatenate([above, diagonal]))
+        spec._set_pi(L, components, pi, keys)
         return spec
 
-    def _set_pi(self, L, components, pi, keys):
+    def _set_pi(self, L, components, pi, keys=None):
         """Store pi, read-only, and everything read off it."""
+        if keys is None:
+            above = np.argwhere(L.le & ~np.eye(L.n, dtype=bool))
+            diagonal = np.repeat(np.arange(L.n)[:, None], 2, axis=1)
+            keys = np.concatenate([above, diagonal])
         self.L = L
-        self.components = components
+        self.components = tuple(components)
         off = _offsets(components)
         self.offsets = off[:-1]
         self.total_dim = off[-1]
@@ -538,27 +546,23 @@ def validate_spec(spec, tol=AXIOM_TOL):
         id_res = max(id_res, r)
 
     # *-homs, one stacked check per (source, target) shape pair, gathered
-    # from pi; the first failing map in key order is named
+    # from pi; the lexicographically first failing map is named
     shape_id = {}
     sid = np.array([shape_id.setdefault(c, len(shape_id)) for c in comps])
     ii, jj = np.nonzero(L.le)
     key = sid[jj] * len(shape_id) + sid[ii]
     order = np.argsort(key, kind="stable")
-    sk = key[order]
-    bounds = (np.flatnonzero(sk[1:] != sk[:-1]) + 1).tolist()
-    bounds = [0, *bounds, sk.size] if sk.size else []  # of each group in order
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    groups = np.split(order, cuts) if key.size else []
     offsets = np.asarray(spec.offsets)
     mult_res = star_res = hom_bound = 0.0
     failing = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        gi, gj = ii[order[lo:hi]], jj[order[lo:hi]]
+    for group in groups:
+        gi, gj = ii[group], jj[group]
         source, target = comps[gj[0]], comps[gi[0]]
-        if hi - lo == 1:  # one map: its block, without a gather
-            mats = spec.pi_block(gi[0], gj[0])[None]
-        else:
-            rows = offsets[gi, None] + np.arange(target.dim)
-            cols = offsets[gj, None] + np.arange(source.dim)
-            mats = pi[rows[:, :, None], cols[:, None, :]]
+        rows = offsets[gi, None] + np.arange(target.dim)
+        cols = offsets[gj, None] + np.arange(source.dim)
+        mats = pi[rows[:, :, None], cols[:, None, :]]
         star, mult, bound, failures = fd.check_starhoms(source, target, mats, tol)
         failing.update({(int(gi[p]), int(gj[p])): e for p, e in failures.items()})
         star_res = max(star_res, float(star.max()))
@@ -904,22 +908,21 @@ def restrict_spec(spec, M):
     M = sorted(set(M))
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
-    remap = {old: new for new, old in enumerate(M)}
-    new_of = np.zeros(spec.L.n, dtype=np.intp)
+    new_of = np.full(spec.L.n, -1)  # old index -> new index, -1 off M
     new_of[M] = np.arange(len(M))
-    meet = np.asarray(spec.L.meet, dtype=np.intp).reshape(spec.L.n, spec.L.n)
-    table = new_of[meet[M][:, M]]
-    names = [spec.L.names[a] for a in M]
+    meet = np.asarray(spec.L.meet, dtype=np.intp)
     from .semilattice import Semilattice
 
-    subL = Semilattice(table, names)
-    comps = [spec.components[a] for a in M]
-    inside = np.zeros(spec.L.n, dtype=bool)
-    inside[M] = True
-    coords = inside[_owners(spec.components)]
-    sub = GradedSpec.from_pi(subL, comps, spec.pi[coords][:, coords])
+    subL = Semilattice(new_of[meet[np.ix_(M, M)]], [spec.L.names[a] for a in M])
+    coords = new_of[_owners(spec.components)] >= 0
+    sub = GradedSpec._of_pi(
+        subL,
+        [spec.components[a] for a in M],
+        spec.pi[np.ix_(coords, coords)],
+        np.argwhere(subL.le),  # every comparable pair, lexicographic
+    )
     sub.validated_tol = spec.validated_tol
-    return sub, remap
+    return sub, {old: int(new_of[old]) for old in M}
 
 
 class FinishingSplit:
@@ -1051,7 +1054,9 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
             f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
             f"itself by {fd.maxabs(leak):.3e}"
         )
-    quotient = GradedSpec.from_pi(L, quot_comps, spec.pi[np.ix_(~dropped, ~dropped)])
+    quotient = GradedSpec._of_pi(
+        L, quot_comps, spec.pi[np.ix_(~dropped, ~dropped)], spec._phi_keys
+    )
 
     quotient_maps = [
         StarHom(

@@ -3,9 +3,9 @@
 tensor_spec combines two specs over the product semilattice, with
 componentwise Kronecker blocks and Kronecker structure maps: the product's
 Pi is one gather of Pi_a (x) Pi_b, which relabels its graded basis, and
-the output spec is built from it by GradedSpec.from_pi. Minimal and maximal tensor
-norms agree for finite-dimensional algebras, so a single construction
-covers both readings.
+the output spec is built over it. Minimal and maximal tensor norms agree
+for finite-dimensional algebras, so a single construction covers both
+readings.
 
 crossed_product turns a validated group action into a new graded spec
 over the same semilattice. Each component is the convolution *-algebra
@@ -349,10 +349,10 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     perm = np.concatenate(perm)
     pi = np.kron(a.pi, b.pi)[np.ix_(perm, perm)]
     # a zero block of one factor times a NaN of the other is NaN: keep the
-    # blocks off the product order exactly 0
-    owner = np.repeat(np.arange(L.n), [c.dim for c in comps])
+    # blocks off the product order exactly 0, which is all from_pi checks
+    owner = gr._owners(comps)
     pi[~L.le[np.ix_(owner, owner)]] = 0
-    out = gr.GradedSpec.from_pi(L, comps, pi)
+    out = gr.GradedSpec._of_pi(L, comps, pi)
     gr.validate_spec(out, tol)
     return out
 
@@ -519,7 +519,7 @@ def build_crossed_product(act, tol=gr.AXIOM_TOL):
     spec = act.spec
     g = act.group.order
     reals = [_realize_component(act, i) for i in range(spec.L.n)]
-    off = np.cumsum([0] + [re.shape.dim for re in reals])
+    off = gr._offsets([re.shape for re in reals])
     pi = np.eye(off[-1], dtype=complex)
     for (i, j) in spec.L.comparable_pairs():
         if i != j:

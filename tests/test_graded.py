@@ -1225,6 +1225,11 @@ class TestIdeals:
         for pair, h in spec.phi.items():
             assert np.allclose(report.quotient.phi[pair].matrix, h.matrix)
 
+    def test_quotient_keeps_phi_order(self, corpus):
+        for name, spec in corpus.items():
+            quotient = gr.verify_ideal_gradation(spec, {}).quotient
+            assert list(quotient.phi) == list(spec.phi), name
+
     def test_full_ideal_gives_zero_quotient(self, corpus):
         spec = corpus["m2-chain"]
         everything = {
@@ -1364,6 +1369,21 @@ class TestRestrictSpec:
         L = spec.L
         with pytest.raises(InputError):
             gr.restrict_spec(spec, {L.index_of("a"), L.index_of("b")})
+
+    def test_phi_lists_every_comparable_pair_lexicographically(self, corpus):
+        for name, spec in corpus.items():
+            sub, _ = gr.restrict_spec(spec, range(spec.L.n))
+            assert list(sub.phi) == sub.L.comparable_pairs(), name
+            assert sub.pi.tobytes() == spec.pi.tobytes(), name
+
+    def test_first_offender_in_lexicographic_order(self):
+        # phi_{0,0} and phi_{0,1} both fail; the diagonal comes first
+        twice = fd.StarHom(SCALAR, SCALAR, np.array([[2.0]]))
+        ident = fd.identity_hom(SCALAR)
+        phi = {(0, 1): twice, (1, 2): ident, (0, 2): ident, (0, 0): twice}
+        sub, _ = gr.restrict_spec(gr.GradedSpec(sl.chain(3), [SCALAR] * 3, phi), [0, 1])
+        with pytest.raises(sp.NotAllScalar, match=r"pair \(0, 0\) is not"):
+            sp.finishing_correspondence(sub)
 
 
 # ----------------------------------------- ideal leaks against the gmul loop
