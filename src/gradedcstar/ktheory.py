@@ -8,7 +8,8 @@ by successive refinement along a fixed self-adjoint basis (_refine), and
 a projection f with fAf = Cf is minimal, so the decomposition is a
 function of the spanning set alone. Every step is verified against hard
 residual thresholds. It serves algebras whose block structure is not
-known in advance, such as crossed products.
+known in advance, such as the twisted group algebras of the block
+stabilizers that crossed products are built from.
 
 verify_k0 needs no decomposition: the total algebra of a valid spec is
 *-isomorphic to the direct sum of its components through x -> (pi_i(x))_i,

@@ -9,12 +9,17 @@ readings.
 
 crossed_product turns a validated group action into a new graded spec
 over the same semilattice. Each component is the convolution *-algebra
-of functions from the group into that component, realized concretely
-through the left regular representation and re-expressed in block
-coordinates via wedderburn; the change of basis is kept so the structure
-maps transport correctly. wedderburn draws no random numbers, so the
-output is a function of the action alone. Counting measure, trivial modular function,
-and full = reduced are all silently in force: the group is finite.
+of functions from the group into that component, realized exactly in
+block coordinates, one block orbit at a time, by Green's imprimitivity
+theorem for finite groups: over an orbit O of blocks of side n with
+stabilizer H it is M_|O| (x) M_n (x) C_omega(H), where omega is the
+2-cocycle of the unitaries that implement H on a block. Only the
+|H|-dimensional twisted group algebra is decomposed, by wedderburn; the
+block permutation, the cosets and the unitaries are read off the action
+maps. The change of basis is kept so the structure maps transport
+correctly. Nothing draws random numbers, so the output is a function of
+the action alone. Counting measure, trivial modular function, and
+full = reduced are all silently in force: the group is finite.
 
 Besides validating the output spec, crossed_product checks one thing:
 that the realizations carry convolution products, the mixed ones across
@@ -372,7 +377,6 @@ class ComponentRealization:
     shape: fd.AlgebraShape
     matrix: np.ndarray
     inverse: np.ndarray
-    wedderburn: object
 
 
 @dataclass
@@ -382,66 +386,199 @@ class CrossedProduct:
     realizations: list
 
 
-def _left_translation_matrix(group, s):
-    g = group.order
-    u = np.zeros((g, g))
-    u[[group.mul[s][rp] for rp in range(g)], np.arange(g)] = 1.0
-    return u
+def _block_permutations(alpha, shape, group, i):
+    """sigma[s, b]: the block of component i that alpha_s carries block b
+    onto.
 
-
-def _regular_span(act, i):
-    """The left-regular images of d_s (x) E_b, group-element major.
-
-    The carrier is group-many copies of component i's ambient space; a
-    coefficient acts in copy r through the inverse group element's
-    automorphism, and a group element permutes the copies.
+    alpha_s(P_b), for the block unit P_b, is the unit of one block of the
+    same side, so the trace of its part in block c is an integer: the side
+    of b at c = sigma[s, b] and 0 elsewhere. Each sigma[s] must be a
+    permutation and s -> sigma[s] a group action.
     """
-    group = act.group
-    g = group.order
+    g, sides = group.order, np.asarray(shape.blocks)
+    diag = np.concatenate([
+        off + np.arange(d) * (d + 1) for d, off in zip(shape.blocks, shape.block_offsets())
+    ])
+    starts = np.concatenate([[0], np.cumsum(sides[:-1])])
+    # traces[s, c, b]: the trace of block c of alpha_s(P_b)
+    traces = np.add.reduceat(
+        np.add.reduceat(alpha[:, diag][:, :, diag], starts, axis=1), starts, axis=2
+    )
+    ints = np.round(traces.real)
+    sigma = np.abs(ints).argmax(axis=1)
+    want = np.zeros_like(ints)
+    want[np.arange(g)[:, None], sigma, np.arange(len(sides))] = sides
+    ok = (
+        (np.abs(traces - ints) <= kt.RANK_ROUND_TOL).all(axis=(1, 2))
+        & (ints == want).all(axis=(1, 2))
+        & (sides[sigma] == sides).all(axis=1)
+        & (np.sort(sigma, axis=1) == np.arange(len(sides))).all(axis=1)
+    )
+    if not ok.all():
+        s = int(np.argmin(ok))
+        raise RealizationFault(
+            f"the map for {group.names[s]} on index {i} does not permute the "
+            f"blocks: block traces {np.round(traces[s], 6).tolist()}"
+        )
+    # sigma[e] sigma[e] = sigma[e] makes sigma[e] the identity: permutations
+    # are invertible
+    compose = sigma[np.arange(g)[:, None, None], sigma[None]]
+    bad = np.argwhere((compose != sigma[np.asarray(group.mul)]).any(axis=-1))
+    if bad.size:
+        s, t = bad[0]
+        raise RealizationFault(
+            f"the block permutations of index {i} are not a group action: "
+            f"{group.names[s]} after {group.names[t]} is not "
+            f"{group.names[group.mul[s][t]]}"
+        )
+    return sigma
+
+
+def _implementing_unitaries(maps, n, tol=ACTION_TOL):
+    """u[x] with maps[x] = Ad u[x], for a stack of automorphisms of M_n.
+
+    w is the largest column of maps[x](E_00) = (u e_0)(u e_0)*, scaled to
+    norm one, which is u e_0 up to a phase c; then maps[x](E_p0) w =
+    c u e_p, so u[x] is u up to that phase.
+    """
+    k = len(maps)
+    e00 = maps[:, :, 0].reshape(k, n, n)
+    norms = np.linalg.norm(e00, axis=1)
+    q = norms.argmax(axis=1)
+    top = norms[np.arange(k), q]
+    if not (top > tol).all():
+        raise RealizationFault("a stabilizer's map sends the matrix unit E_00 of its block to 0")
+    w = e00[np.arange(k), :, q] / top[:, None]
+    ep0 = maps[:, :, np.arange(n) * n].reshape(k, n, n, n)
+    return np.einsum("xuvp,xv->xup", ep0, w)
+
+
+def _twisted_irreps(hmul, omega):
+    """The irreducible representations of the twisted group algebra
+    C_conj(omega)(H), from wedderburn on its left-regular matrices
+    lambda(h) e_k = conj(omega(h, k)) e_hk.
+
+    hmul is H's multiplication table over positions in H. Returns one
+    stack (|H|, m, m) of pi(h) per irrep, ordered by degree m, then by the
+    character values over H in its order, largest first (real part before
+    imaginary, rounded to 6 digits).
+    """
+    k = len(hmul)
+    lam = np.zeros((k, k, k), dtype=complex)
+    x, y = np.indices((k, k))
+    lam[x, hmul, y] = omega.conj()
+    ambient = fd.AlgebraShape([k])
+    elems = [fd.AlgElement(ambient, [m]) for m in lam]
+    data = kt.wedderburn(elems)
+    pis = [np.stack(block) for block in zip(*(data.coordinates(x).mats for x in elems))]
+
+    def key(pi):
+        chars = -np.round(np.trace(pi, axis1=1, axis2=2), 6) + 0.0
+        return len(pi[0]), tuple(zip(chars.real.tolist(), chars.imag.tolist()))
+
+    return sorted(pis, key=key)
+
+
+def _realize_component(act, i, irreps):
+    """Block shape and coordinate change of one convolution algebra.
+
+    One orbit O of blocks at a time, with representative b (the first
+    block, of side n), stabilizer H, coset representatives g_k (the
+    identity for b, else the first element carrying b to the k-th block
+    of O) and alpha_h = Ad u_h on block b. u_h u_k = omega(h, k) u_hk.
+    Each irrep pi of C_conj(omega)(H) gives one block of side |O| n deg(pi)
+    on sum_k C^n (x) C^deg(pi): rho(a) acts on summand k as (block b of
+    alpha_{g_k^-1}(a)) (x) 1, and U_s carries summand k to summand l by
+    u_h (x) pi(h), where s g_k = g_l h. R(d_s (x) a) = rho(a) U_s.
+    irreps memoizes the twisted group algebras' decompositions on
+    (H's table, omega).
+    """
     shape = act.spec.components[i]
-    d, side = shape.dim, shape.side
-    rows, cols = fd.ambient_index_maps(shape)
-    big = g * side
-    rho = np.zeros((d, big, big), dtype=complex)
-    for r in range(g):
-        # rho[b] in copy r is the ambient matrix of alpha_{r^-1}(E_b)
-        copy = rho[:, r * side : (r + 1) * side, r * side : (r + 1) * side]
-        copy[:, rows, cols] = act.maps[(group.inverse[r], i)].matrix.T
-    ambient = fd.AlgebraShape([big])
-    elems = []
-    for s in range(g):
-        ubig = np.kron(_left_translation_matrix(group, s), np.eye(side))
-        for b in range(d):
-            elems.append(fd.AlgElement(ambient, [rho[b] @ ubig]))
-    return elems
-
-
-def _realize_component(act, i):
-    """Block shape and coordinate change of one convolution algebra."""
-    d = act.spec.components[i].dim
+    d = shape.dim
     if d == 0:
         empty = fd.AlgebraShape(())
-        return ComponentRealization(
-            0, empty, np.zeros((0, 0)), np.zeros((0, 0)), None
-        )
-    g = act.group.order
-    elems = _regular_span(act, i)
-    data = kt.wedderburn(elems)
-    if data.span_dim != g * d:
+        return ComponentRealization(0, empty, np.zeros((0, 0)), np.zeros((0, 0)))
+    group = act.group
+    g = group.order
+    mul, inv = np.asarray(group.mul), np.asarray(group.inverse)
+    alpha = np.stack([act.maps[(s, i)].matrix for s in range(g)])
+    sigma = _block_permutations(alpha, shape, group, i)
+    blocks, parts, seen = [], [], set()
+    for b, (n, off) in enumerate(zip(shape.blocks, shape.block_offsets())):
+        if b in seen:
+            continue
+        orbit = np.unique(sigma[:, b])
+        seen.update(orbit.tolist())
+        stab = np.flatnonzero(sigma[:, b] == b)
+        where = np.full(g, -1)
+        where[stab] = np.arange(len(stab))
+        reps = np.asarray([
+            group.identity if c == b else int(np.argmax(sigma[:, b] == c))
+            for c in orbit
+        ])
+        coords = off + np.arange(n * n)
+        u = _implementing_unitaries(alpha[stab][:, coords][:, :, coords], n)
+        hmul = where[mul[np.ix_(stab, stab)]]
+        prods = u[:, None] @ u[None]
+        omega = np.einsum("xyuv,xyuv->xy", u[hmul].conj(), prods) / n
+        resid = fd.maxabs(prods - omega[:, :, None, None] * u[hmul])
+        if not resid <= TRANSPORT_TOL:
+            raise RealizationFault(
+                f"the stabilizer of block {b} of index {i} does not act through "
+                f"a projective representation (residual {resid:.3e})"
+            )
+        omega = np.round(omega, 12) + 0.0
+        key = (hmul.tobytes(), omega.tobytes())
+        if key not in irreps:
+            irreps[key] = _twisted_irreps(hmul, omega)
+        # s g_k = g_l h, as l[s, k] and the position of h in H, h[s, k]
+        pos = np.full(shape.nblocks, -1)
+        pos[orbit] = np.arange(len(orbit))
+        l = pos[sigma[:, orbit]]
+        h = where[mul[inv[reps[l]], mul[:, reps]]]
+        # rho[l] = block b of alpha_{g_l^-1}(E_a) for every a, as (n, n, d)
+        rho = alpha[inv[reps]][:, coords].reshape(len(orbit), n, n, d)
+        k = np.broadcast_to(np.arange(len(orbit)), l.shape)
+        s = np.broadcast_to(np.arange(g)[:, None], l.shape)
+        # the n x n factor of summand k's image in summand l, axes (s, k, a, p, q)
+        rho_u = np.einsum("skpra,skrq->skapq", rho[l], u[h])
+        for pi in irreps[key]:
+            m = len(pi[0])
+            side = len(orbit) * n * m
+            # axes (s, a, l, p, x, k, q, y): entry ((l, p, x), (k, q, y)) of
+            # R(d_s (x) E_a)
+            big = np.zeros((g, d, len(orbit), n, m, len(orbit), n, m), dtype=complex)
+            big[s, :, l, :, :, k, :, :] = (
+                rho_u[:, :, :, :, None, :, None] * pi[h][:, :, None, None, :, None, :]
+            )
+            parts.append(big.reshape(g * d, side * side).T)
+            blocks.append(side)
+    mat = np.concatenate(parts)
+    rank = fd.rank(mat)
+    if rank != g * d or len(mat) != g * d:
         raise RealizationFault(
-            f"regular representation of index {i} spans {data.span_dim} "
-            f"dimensions, expected {g * d}"
+            f"the realization of index {i} has rank {rank}, expected {g * d}"
         )
-    mat = np.stack(
-        [fd.to_vector(data.coordinates(x)) for x in elems], axis=1
-    )
     return ComponentRealization(
         conv_dim=g * d,
-        shape=data.shape,
+        shape=fd.AlgebraShape(blocks),
         matrix=mat,
         inverse=np.linalg.inv(mat),
-        wedderburn=data,
     )
+
+
+def _crossed_spec(spec, g, reals):
+    """The output spec: Pi's block (i, j) is R_i (1_g (x) phi_ij) R_j^-1."""
+    off = gr._offsets([re.shape for re in reals])
+    pi = np.eye(off[-1], dtype=complex)
+    for (i, j) in spec.L.comparable_pairs():
+        if i != j:
+            pi[off[i] : off[i + 1], off[j] : off[j + 1]] = (
+                reals[i].matrix
+                @ np.kron(np.eye(g), spec.pi_block(i, j))
+                @ reals[j].inverse
+            )
+    return gr.GradedSpec.from_pi(spec.L, [re.shape for re in reals], pi)
 
 
 def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
@@ -515,20 +652,24 @@ def build_crossed_product(act, tol=gr.AXIOM_TOL):
     the block algebra; and the components stay independent because Pi is
     unitriangular and the action maps are invertible, which build_action
     checks.
+
+    R_i is bijective by Green's imprimitivity theorem for finite groups:
+    the part of C(G, A_i) over a block orbit O with stabilizer H is
+    M_|O| (x) M_n (x) C_omega(H), and the covariant representations that
+    _realize_component builds from the irreps of C_conj(omega)(H) are its
+    irreducible representations, one each. Their dimensions add up to
+    |G| dim A_i, and the rank of R_i is checked all the same.
+
+    Block order, which fixes the generator order of K0: index by index,
+    the block orbits by their first block, then within an orbit the
+    irreps of C_conj(omega)(H) by degree, then by their character values
+    over H in group order, largest first. The output depends on the
+    action's maps alone, not on the order they were given in.
     """
     spec = act.spec
-    g = act.group.order
-    reals = [_realize_component(act, i) for i in range(spec.L.n)]
-    off = gr._offsets([re.shape for re in reals])
-    pi = np.eye(off[-1], dtype=complex)
-    for (i, j) in spec.L.comparable_pairs():
-        if i != j:
-            pi[off[i] : off[i + 1], off[j] : off[j + 1]] = (
-                reals[i].matrix
-                @ np.kron(np.eye(g), spec.pi_block(i, j))
-                @ reals[j].inverse
-            )
-    out = gr.GradedSpec.from_pi(spec.L, [re.shape for re in reals], pi)
+    irreps = {}
+    reals = [_realize_component(act, i, irreps) for i in range(spec.L.n)]
+    out = _crossed_spec(spec, act.group.order, reals)
     gr.validate_spec(out, tol)
     _check_transport(act, out, reals)
     return CrossedProduct(action=act, spec=out, realizations=reals)

@@ -340,6 +340,27 @@ class TestConstructions:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_crossed_k0_ignores_the_order_of_the_action_maps(self, tmp_path, capsys):
+        spec_path = demo_file(tmp_path, "coset-s3")
+        _, act = wb.build_coset_spec(*wb.coset_s3_family())
+        gpath = tmp_path / "group.json"
+        gpath.write_text(json.dumps(wb.group_to_document(act.group)))
+        doc = wb.action_to_document(act)
+        outs = []
+        for k, maps in enumerate((doc["maps"], doc["maps"][::-1])):
+            apath = tmp_path / f"action{k}.json"
+            apath.write_text(json.dumps({**doc, "maps": maps}))
+            cpath = tmp_path / f"crossed{k}.json"
+            capsys.readouterr()
+            code, _, _ = run(
+                capsys, "crossed", str(spec_path), str(gpath), str(apath), "-o", str(cpath)
+            )
+            assert code == 0
+            code, out, _ = run(capsys, "k0", str(cpath))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_demo_to_stdout_parses(self, capsys):
         code, out, _ = run(capsys, "demo", "coset-z4")
         assert code == 0

@@ -15,7 +15,7 @@ from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
 from gradedcstar.errors import GradedCstarError, ValidationFailure
-from seeded_wedderburn import assert_matches_oracle
+from crossed_references import assert_matches_oracle, left_translation_matrix
 
 C2 = fd.AlgebraShape([1, 1])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -137,7 +137,7 @@ def reference_total_independence(act, rtol=fd.RANK_RTOL):
         rep_r.append(w.T.reshape(n_tot, side_h, side_h))
     vecs = []
     for s in range(g):
-        ubig = np.kron(pr._left_translation_matrix(group, s), np.eye(side_h))
+        ubig = np.kron(left_translation_matrix(group, s), np.eye(side_h))
         for t in range(n_tot):
             rho = np.zeros((big, big), dtype=complex)
             for r in range(g):
@@ -156,14 +156,14 @@ def reference_total_independence(act, rtol=fd.RANK_RTOL):
 
 
 def crossed(act):
-    """build_crossed_product, cross-checked against both references and,
-    component by component, against the seeded Wedderburn route."""
+    """build_crossed_product, cross-checked against both references and
+    against the Wedderburn route: the same block shapes on every index and
+    the same K0 generator matrix up to the matching of the blocks."""
     cp = pr.build_crossed_product(act)
     for i in range(act.spec.L.n):
         reference_convolution_axioms(act, i)
-        if act.spec.components[i].dim:
-            assert_matches_oracle(cp.realizations[i].wedderburn, pr._regular_span(act, i))
     reference_total_independence(act)
+    assert_matches_oracle(cp)
     return cp
 
 
@@ -177,6 +177,16 @@ def two_point_chain_spec():
 
 def swap_hom():
     return fd.StarHom(C2, C2, SWAP.copy())
+
+
+def map_from(shape, f):
+    """The linear map on shape sending each matrix unit's list of blocks m
+    to f(m)."""
+    images = [
+        fd.AlgElement(shape, f(fd.basis_element(shape, a).mats))
+        for a in range(shape.dim)
+    ]
+    return fd.StarHom.from_images(shape, shape, images)
 
 
 def translation_action(group):
@@ -782,6 +792,103 @@ class TestCrossedProduct:
         bent = dataclasses.replace(real, matrix=ad @ real.matrix)
         with pytest.raises(pr.TransportMismatch):
             pr._check_transport(act, cp.spec, [bent])
+
+    def test_nontrivial_cocycle_on_the_m2_chain(self):
+        # Z2 x Z2 acts on M_2 by Ad of Z^a X^b. XZ = -ZX, so the
+        # implementing unitaries carry the nontrivial cocycle of Z2 x Z2,
+        # whose twisted group algebra is M_2: M_2 gives one block of side
+        # 1 * 2 * 2. The action on C is trivial, so C gives the four
+        # characters of Z2 x Z2.
+        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        group = pr.product_group(pr.cyclic_group(2), pr.cyclic_group(2))
+        spec = m2_chain_spec()
+        maps = {}
+        for a in range(2):
+            for b in range(2):
+                u = np.linalg.matrix_power(z, a) @ np.linalg.matrix_power(x, b)
+                maps[(2 * a + b, 0)] = map_from(M2, lambda m, u=u: [u @ m[0] @ u.T])
+                maps[(2 * a + b, 1)] = fd.identity_hom(SCALAR)
+        act = pr.build_action(group, spec, maps)
+        cp = crossed(act)
+        assert [c.blocks for c in cp.spec.components] == [(4,), (1, 1, 1, 1)]
+        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+        report = kt.verify_k0(cp.spec)
+        assert report.unimodular and report.total_rank == 5
+
+    def test_swap_of_two_matrix_blocks(self):
+        # one orbit of two blocks of side 2, trivial stabilizer: one block
+        # of side 2 * 2
+        shape = fd.AlgebraShape([2, 2])
+        spec = gr.GradedSpec(sl.chain(1), [shape], {})
+        swap = map_from(shape, lambda m: [m[1], m[0]])
+        act = pr.build_action(pr.cyclic_group(2), spec, {(1, 0): swap})
+        cp = crossed(act)
+        assert cp.spec.components[0].blocks == (4,)
+        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+
+    def test_stabilizer_acts_on_a_permuted_orbit(self):
+        # Z4's generator sends (x, y) to (y, X x X): the orbit is both
+        # blocks, the stabilizer {0, 2} acts on block 0 by Ad X, whose
+        # cocycle is trivial (X^2 = 1), so each of Z2's two characters
+        # gives one block of side 2 * 2 * 1
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        shape = fd.AlgebraShape([2, 2])
+        spec = gr.GradedSpec(sl.chain(1), [shape], {})
+        gen = map_from(shape, lambda m: [m[1], x @ m[0] @ x]).matrix
+        maps = {
+            (s, 0): fd.StarHom(shape, shape, np.linalg.matrix_power(gen, s))
+            for s in range(4)
+        }
+        act = pr.build_action(pr.cyclic_group(4), spec, maps)
+        cp = crossed(act)
+        assert cp.spec.components[0].blocks == (4, 4)
+        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+
+    @pytest.mark.parametrize(
+        "make, sides",
+        [
+            (lambda: pr.trivial_action(pr.cyclic_group(2), all_scalar_spec(sl.diamond())), [2]),
+            (lambda: wb.build_coset_spec(*wb.coset_s3_family())[1], [1, 2, 3, 6]),
+        ],
+        ids=["diamond-z2", "coset-s3"],
+    )
+    def test_wedderburn_runs_once_per_stabilizer_algebra(self, make, sides, monkeypatch):
+        # wedderburn sees only the |H|-dimensional twisted group algebras,
+        # once per distinct (H's table, omega): the four indices of the
+        # diamond share Z2 with the trivial cocycle
+        seen = []
+        decompose = kt.wedderburn
+
+        def counted(basis, *args):
+            seen.append(basis[0].shape.side)
+            return decompose(basis, *args)
+
+        monkeypatch.setattr(kt, "wedderburn", counted)
+        pr.build_crossed_product(make())
+        assert sorted(seen) == sides
+
+    def test_block_permutations_must_form_an_action(self):
+        # every element of Z3 swaps the two points: each map permutes the
+        # blocks, but 1 after 1 is not 2
+        spec = two_point_chain_spec()
+        maps = {(0, 0): fd.identity_hom(C2), (0, 1): fd.identity_hom(SCALAR)}
+        for s in (1, 2):
+            maps[(s, 0)], maps[(s, 1)] = swap_hom(), fd.identity_hom(SCALAR)
+        act = pr.GradedAction(pr.cyclic_group(3), spec, maps)
+        with pytest.raises(pr.RealizationFault, match="not a group action: 1 after 1 is not 2"):
+            pr.build_crossed_product(act)
+
+    def test_transpose_is_refused(self):
+        # the transpose fixes the block of M_2 but is no automorphism:
+        # no projective representation implements it
+        spec = m2_chain_spec()
+        maps = {
+            (0, 0): fd.identity_hom(M2), (0, 1): fd.identity_hom(SCALAR),
+            (1, 0): map_from(M2, lambda m: [m[0].T]), (1, 1): fd.identity_hom(SCALAR),
+        }
+        act = pr.GradedAction(pr.cyclic_group(2), spec, maps)
+        with pytest.raises(pr.RealizationFault, match="projective representation"):
+            pr.build_crossed_product(act)
 
     @pytest.mark.parametrize(
         "bad",
