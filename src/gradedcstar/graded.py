@@ -89,25 +89,29 @@ class GradedSpec:
     Construction checks structure only (all comparable pairs present, hom
     shapes line up); the numeric axioms are validate_spec's job, so that
     deliberately broken specs can be built and shown to fail.
-    The maps are stored once, as pi: the read-only matrix of
-    x -> (pi_t(x))_t over the graded basis, whose block (t, j) is phi_{t,j}
-    for t <= j (the identity on diagonals that GradedSpec(L, components,
-    phi) is not given) and 0 otherwise, so rows span(t) are pi_t. A
-    builder that has pi in hand passes it to from_pi. phi is a read-only
-    mapping that holds only its keys, given pairs first and then the
-    diagonals; each lookup is a StarHom over a read-only view of pi's
-    block, so nothing written through it reaches the spec.
-    validated_tol is the smallest tolerance validate_spec has passed the
-    spec at, inf before any pass.
+    A spec holds L, components, pi and validated_tol. The maps are stored
+    once, as pi: the read-only matrix of x -> (pi_t(x))_t over the graded
+    basis, whose block (t, j) is phi_{t,j} for t <= j (the identity on
+    diagonals that GradedSpec(L, components, phi) is not given) and 0
+    otherwise, so rows span(t) are pi_t. A builder that has pi in hand
+    passes it to from_pi. phi is a read-only mapping over
+    L.comparable_pairs(), lexicographic with the diagonals included; each
+    lookup is a StarHom over a read-only view of pi's block, so nothing
+    written through it reaches the spec. validated_tol is the smallest
+    tolerance validate_spec has passed the spec at, inf before any pass.
     """
 
     def __init__(self, L, components, phi):
         components = _check_components(L, components)
-        full = {}
-        pairs = L.comparable_pairs()
-        comparable = set(pairs)
+        off = _offsets(components)
+        pi = np.eye(off[-1], dtype=complex)  # the identity on each diagonal
+        given = np.eye(L.n, dtype=bool)
         for (i, j), h in phi.items():
-            if (i, j) not in comparable:
+            if not (0 <= i < L.n and 0 <= j < L.n):
+                raise SpecMismatch(
+                    f"phi given for pair ({i}, {j}), outside indices 0..{L.n - 1}"
+                )
+            if not L.le[i, j]:
                 raise SpecMismatch(
                     f"phi given for non-comparable pair ({L.names[i]}, {L.names[j]})"
                 )
@@ -116,27 +120,17 @@ class GradedSpec:
                     f"phi[{L.names[i]},{L.names[j]}] maps {h.source} -> {h.target}, "
                     f"expected {components[j]} -> {components[i]}"
                 )
-            full[(i, j)] = h.matrix
-        for i, j in pairs:
-            if (i, j) in full:
-                continue
-            if i == j:
-                full[(i, j)] = np.eye(components[i].dim)
-            else:
-                raise MissingHom(
-                    f"no structure morphism for {L.names[i]} <= {L.names[j]}"
-                )
-        off = _offsets(components)
-        pi = np.zeros((off[-1], off[-1]), dtype=complex)
-        for (i, j), m in full.items():
-            pi[off[i] : off[i + 1], off[j] : off[j + 1]] = m
-        self._set_pi(L, components, pi, list(full))
+            pi[off[i] : off[i + 1], off[j] : off[j + 1]] = h.matrix
+            given[i, j] = True
+        missing = np.argwhere(L.le & ~given)
+        if missing.size:
+            i, j = missing[0]
+            raise MissingHom(f"no structure morphism for {L.names[i]} <= {L.names[j]}")
+        self._set_pi(L, components, pi)
 
     @classmethod
     def from_pi(cls, L, components, pi):
-        """The spec whose maps are the blocks of a copy of pi. phi's keys
-        are the off-diagonal comparable pairs in row-major order, then the
-        diagonals."""
+        """The spec whose maps are the blocks of a copy of pi."""
         components = _check_components(L, components)
         pi = np.array(pi, dtype=complex)
         owner = _owners(components)
@@ -152,19 +146,15 @@ class GradedSpec:
         return cls._of_pi(L, components, pi)
 
     @classmethod
-    def _of_pi(cls, L, components, pi, keys=None):
+    def _of_pi(cls, L, components, pi):
         """The spec over pi itself, which the caller has checked as from_pi
-        does, with phi's keys in the given order (by default from_pi's)."""
+        does: the unchecked store for a gather of an already-checked pi."""
         spec = cls.__new__(cls)
-        spec._set_pi(L, components, pi, keys)
+        spec._set_pi(L, components, pi)
         return spec
 
-    def _set_pi(self, L, components, pi, keys=None):
+    def _set_pi(self, L, components, pi):
         """Store pi, read-only, and everything read off it."""
-        if keys is None:
-            above = np.argwhere(L.le & ~np.eye(L.n, dtype=bool))
-            diagonal = np.repeat(np.arange(L.n)[:, None], 2, axis=1)
-            keys = np.concatenate([above, diagonal])
         self.L = L
         self.components = tuple(components)
         off = _offsets(components)
@@ -172,7 +162,6 @@ class GradedSpec:
         self.total_dim = off[-1]
         pi.flags.writeable = False
         self.pi = pi
-        self._phi_keys = np.array(keys, dtype=np.intp).reshape(-1, 2)
         self.validated_tol = np.inf
 
     @property
@@ -261,8 +250,8 @@ def _check_components(L, components):
 
 
 class _PhiView(Mapping):
-    """A spec's phi: the spec's keys, in order, and for each a StarHom
-    built on lookup over a read-only view of the spec's pi."""
+    """A spec's phi: the comparable pairs, lexicographic, and for each a
+    StarHom built on lookup over a read-only view of the spec's pi."""
 
     __slots__ = ("_spec",)
 
@@ -276,10 +265,10 @@ class _PhiView(Mapping):
             raise KeyError(key) from None
 
     def __iter__(self):
-        return zip(*(a.tolist() for a in self._spec._phi_keys.T))
+        return iter(self._spec.L.comparable_pairs())
 
     def __len__(self):
-        return len(self._spec._phi_keys)
+        return int(np.count_nonzero(self._spec.L.le))
 
 
 class GradedElement:
@@ -362,8 +351,8 @@ def _meet_groups(spec, rows_of, left=None):
     all of them when left is None. Yields (k, pairs, g, h) with
     g[p] = pi[rows, span(i)][:, left[i]] and h[p] = pi[rows, span(j)] for
     the p-th pair (i, j) and rows = rows_of(k) (a slice or an index array):
-    the stacks one pair_products call takes. A group of one pair gets its
-    slices without a gather when left is None.
+    the stacks one pair_products call takes. A group of one pair, as
+    most are, gets its slices without a gather when left is None.
     """
     L, pi = spec.L, spec.pi
     dims = [c.dim for c in spec.components]
@@ -905,7 +894,7 @@ def restrict_spec(spec, M):
 
     The sub-spec's axioms are a subset of the spec's, so it inherits the
     spec's validated_tol."""
-    M = sorted(set(M))
+    M = _sorted_indices(spec.L, M)
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
     new_of = np.full(spec.L.n, -1)  # old index -> new index, -1 off M
@@ -916,13 +905,20 @@ def restrict_spec(spec, M):
     subL = Semilattice(new_of[meet[np.ix_(M, M)]], [spec.L.names[a] for a in M])
     coords = new_of[_owners(spec.components)] >= 0
     sub = GradedSpec._of_pi(
-        subL,
-        [spec.components[a] for a in M],
-        spec.pi[np.ix_(coords, coords)],
-        np.argwhere(subL.le),  # every comparable pair, lexicographic
+        subL, [spec.components[a] for a in M], spec.pi[np.ix_(coords, coords)]
     )
     sub.validated_tol = spec.validated_tol
     return sub, {old: int(new_of[old]) for old in M}
+
+
+def _sorted_indices(L, M):
+    """The distinct members of M, ascending; InputError names the first
+    that is not an index of L."""
+    M = sorted(set(M))
+    for a in M:
+        if not 0 <= a < L.n:
+            raise InputError(f"index {a} is out of range for {L.n} indices")
+    return M
 
 
 class FinishingSplit:
@@ -1041,22 +1037,20 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
     keep_coords = [np.flatnonzero(~sel) for sel in in_ideal]
 
     # well-definedness on the quotient: every phi_{i,j} must map the ideal
-    # coordinates at j into the ideal coordinates at i; the first map in
-    # key order that does not is named
+    # coordinates at j into the ideal coordinates at i; the
+    # lexicographically first map that does not is named
     dropped = np.concatenate(in_ideal) if in_ideal else np.zeros(0, dtype=bool)
     owner = _owners(spec.components)
     r, c = np.nonzero(~(np.abs(spec.pi[np.ix_(~dropped, dropped)]) <= tol))
     leaking = set(zip(owner[~dropped][r].tolist(), owner[dropped][c].tolist()))
     if leaking:
-        i, j = next(key for key in spec.phi if key in leaking)
+        i, j = min(leaking)
         leak = spec.pi_block(i, j)[np.ix_(keep_coords[i], np.flatnonzero(in_ideal[j]))]
         raise NotAnIdeal(
             f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
             f"itself by {fd.maxabs(leak):.3e}"
         )
-    quotient = GradedSpec._of_pi(
-        L, quot_comps, spec.pi[np.ix_(~dropped, ~dropped)], spec._phi_keys
-    )
+    quotient = GradedSpec._of_pi(L, quot_comps, spec.pi[np.ix_(~dropped, ~dropped)])
 
     quotient_maps = [
         StarHom(
@@ -1101,9 +1095,17 @@ def covering_pairs(L):
 def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
     """Fill in phi for all comparable pairs from covering-pair data.
 
-    Composes along every maximal chain and insists the results agree to
-    tol; disagreement is a hard error, since path independence is exactly
-    what the compatibility axiom demands on chains.
+    Path independence on chains, which the compatibility axiom demands,
+    is checked by induction on interval length. Taking the pairs i < j by
+    |[i, j]|, ties lexicographic, C_{i,j} = phi_{i,t} C_{t,j} (C_{j,j} the
+    identity, phi_{i,t} a given covering map) must agree for every cover t
+    of i below j, and a given phi_{i,j} with the first cover's C_{i,j}.
+    Every chain from i to j steps to a cover t and then runs from t to j,
+    so every chain's composition agrees with C_{i,j}. Disagreement is a
+    hard error; the result is the given map where there is one, else
+    C_{i,j}. Each step compares within tol, so two chains of depth d can
+    differ by up to about d x tol and pass, where comparing each chain
+    with the first would refuse them.
     """
     covers = covering_pairs(L)
     for i, j in covers:
@@ -1112,48 +1114,34 @@ def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
                 f"chain closure needs phi for covering pair "
                 f"({L.names[i]}, {L.names[j]})"
             )
-    up = {}
-    for i, j in covers:
-        up.setdefault(i, []).append(j)
-
-    def paths(i, j):
-        if i == j:
-            return [[i]]
-        out = []
-        for t in up.get(i, []):
-            if L.leq(t, j):
-                out.extend([[i] + rest for rest in paths(t, j)])
-        return out
-
-    full = {}
-    for i, j in L.comparable_pairs():
-        if i == j:
-            full[(i, j)] = fd.identity_hom(components[i])
-            continue
-        chains = paths(i, j)
-        assert chains, (i, j)
-        composed = []
-        for chain_ in chains:
-            h = fd.identity_hom(components[j])
-            for a, b in reversed(list(zip(chain_, chain_[1:]))):
-                h = fd.compose(partial[(a, b)], h)
-            composed.append(h)
-        base = composed[0]
-        for other in composed[1:]:
-            r = fd.maxabs(base.matrix - other.matrix)
+    up = [[] for _ in range(L.n)]  # covers of each index, ascending
+    for i, t in covers:
+        up[i].append(t)
+    le = L.le
+    size = le.astype(float) @ le.astype(float)  # |[i, j]| where i <= j
+    ii, jj = np.nonzero(le & ~np.eye(L.n, dtype=bool))
+    order = np.lexsort((jj, ii, size[ii, jj]))
+    chain = {(i, i): fd.identity_hom(c) for i, c in enumerate(components)}
+    for i, j in zip(ii[order].tolist(), jj[order].tolist()):
+        base, *others = [
+            fd.compose(partial[(i, t)], chain[(t, j)]) for t in up[i] if le[t, j]
+        ]
+        for h in others:
+            r = fd.maxabs(base.matrix - h.matrix)
             if not r <= tol:
                 raise PathDependence(
                     f"chain compositions for ({L.names[i]}, {L.names[j]}) "
                     f"disagree by {r:.3e}"
                 )
+        chain[(i, j)] = base
         if (i, j) in partial:
-            given = partial[(i, j)]
-            r = fd.maxabs(base.matrix - given.matrix)
+            r = fd.maxabs(base.matrix - partial[(i, j)].matrix)
             if not r <= tol:
                 raise PathDependence(
                     f"given phi for ({L.names[i]}, {L.names[j]}) disagrees "
                     f"with its chain composition by {r:.3e}"
                 )
-            base = given
-        full[(i, j)] = base
-    return full
+    return {
+        (i, j): partial[(i, j)] if i != j and (i, j) in partial else chain[(i, j)]
+        for i, j in L.comparable_pairs()
+    }

@@ -222,12 +222,12 @@ def _require_all_scalar(spec):
     for c in spec.components:
         if c.blocks != (1,):
             raise NotAllScalar(f"component {c} is not the scalars")
-    # every component is the scalars, so each map is one entry of Pi
-    pairs = list(spec.phi)
-    bad = np.flatnonzero(~np.isclose(spec.pi[tuple(np.transpose(pairs))], 1.0))
+    # every component is the scalars, so each map is one entry of Pi, and
+    # Pi is 0 off the order
+    bad = np.argwhere(~np.isclose(spec.pi, spec.L.le))
     if bad.size:
         raise NotAllScalar(
-            f"structure map for pair {pairs[bad[0]]} is not the identity"
+            f"structure map for pair {tuple(bad[0].tolist())} is not the identity"
         )
 
 
@@ -285,7 +285,7 @@ def restriction_spectrum_map(spec, M, tol=CHAR_TOL):
     phi_{i, m(i)} (recorded in the report as nondegeneracy_check).
     """
     L = spec.L
-    Msorted = sorted(set(M))
+    Msorted = gr._sorted_indices(L, M)
     if not L.is_subsemilattice(Msorted):
         raise InputError(f"{Msorted} is not a sub-semilattice")
     if not gr.components_commutative(spec):

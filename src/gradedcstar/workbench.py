@@ -5,8 +5,9 @@ names plus meet table), "components" (name -> block list), and "phi"
 (entries {from, to, matrix}). Matrices are dim(target) x dim(source),
 row-major over the canonical matrix-unit basis, every entry a [re, im]
 pair. Optional "closure": "chains" lets phi be given on covering pairs
-only; the loader composes along maximal chains and insists the paths
-agree. Groups, actions, and elements use the smaller schemas below.
+only; the loader composes them by induction on interval length and
+insists that every chain gives the same map, within tolerance. Groups,
+actions, and elements use the smaller schemas below.
 
 Serialized floats use Python's shortest round-trip repr, so emitting and
 re-parsing a document reproduces every matrix bit for bit.
@@ -245,7 +246,6 @@ def parse_spec(doc, tol=gr.AXIOM_TOL):
     closure = doc.get("closure")
     if closure == "chains":
         phi = gr.complete_phi_by_chains(L, components, phi, tol)
-        phi = {k: v for k, v in phi.items() if k[0] != k[1]}
     elif closure is not None:
         raise DocumentError(f"closure: unrecognized mode {closure!r}")
 

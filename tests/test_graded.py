@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     mixed_diamond_spec,
     unital_embedding,
 )
+from closure_references import complete_phi_by_enumeration
 from element_references import ideal_leak_reference
 
 
@@ -56,6 +58,20 @@ class TestConstruction:
         phi = {(1, 2): fd.identity_hom(SCALAR)}
         with pytest.raises(gr.SpecMismatch):
             gr.GradedSpec(L, [SCALAR] * 3, phi)
+
+    def test_out_of_range_key_named_as_given(self):
+        ident = fd.identity_hom(SCALAR)
+        for key in [(0, 5), (-1, 1), (2, 0)]:
+            with pytest.raises(
+                gr.SpecMismatch,
+                match=rf"^phi given for pair \({key[0]}, {key[1]}\), outside indices 0\.\.1$",
+            ):
+                gr.GradedSpec(sl.chain(2), [SCALAR] * 2, {(0, 1): ident, key: ident})
+
+    def test_first_missing_pair_is_lexicographic(self):
+        ident = fd.identity_hom(SCALAR)
+        with pytest.raises(gr.MissingHom, match=r"^no structure morphism for 0 <= 3$"):
+            gr.GradedSpec(sl.chain(4), [SCALAR] * 4, {(2, 3): ident, (0, 1): ident, (0, 2): ident})
 
     def test_hom_shape_checked(self):
         L = sl.chain(2)
@@ -127,21 +143,24 @@ class TestStoredPi:
                 assert np.shares_memory(h.matrix, spec.pi), (name, key)
                 assert np.array_equal(h.matrix, spec.pi[spec.span(key[0]), spec.span(key[1])])
 
-    def test_phi_order_given_pairs_then_diagonals(self):
-        ident = fd.identity_hom(SCALAR)
-        spec = gr.GradedSpec(sl.chain(3), [SCALAR] * 3, {(1, 2): ident, (0, 2): ident, (0, 1): ident})
-        assert list(spec.phi)[:3] == [(1, 2), (0, 2), (0, 1)]
-        assert sorted(list(spec.phi)[3:]) == [(0, 0), (1, 1), (2, 2)]
-
-    def test_phi_order_is_exact(self):
-        # given pairs in the given order, then the omitted diagonals
-        # ascending
-        ident = fd.identity_hom(SCALAR)
-        phi = {(1, 1): ident}
-        phi.update({pair: ident for pair in sl.chain(5).comparable_pairs() if pair[0] != pair[1]})
-        spec = gr.GradedSpec(sl.chain(5), [SCALAR] * 5, phi)
-        assert list(spec.phi) == list(phi) + [(0, 0), (2, 2), (3, 3), (4, 4)]
-        assert len(spec.phi) == 15
+    def test_phi_iterates_comparable_pairs_lexicographically(self, corpus):
+        # however the maps were given or built, phi lists L's comparable
+        # pairs in order, diagonals included
+        spec = corpus["mixed-diamond"]
+        items = list(spec.phi.items())
+        np.random.default_rng(5).shuffle(items)
+        built = {
+            "init": gr.GradedSpec(spec.L, spec.components, dict(items)),
+            "from_pi": gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi),
+            "restrict": gr.restrict_spec(spec, [0, 1, 3])[0],
+            "quotient": gr.verify_ideal_gradation(spec, {0: {0}}).quotient,
+            "tensor": pr.tensor_spec(spec, corpus["all-scalar-chain2"]),
+            "crossed": pr.crossed_product(wb.build_coset_spec(*wb.coset_z4_family())[1]),
+        }
+        for name, out in built.items():
+            assert list(out.phi) == out.L.comparable_pairs(), name
+            assert len(out.phi) == len(out.L.comparable_pairs()), name
+        assert built["init"].pi.tobytes() == spec.pi.tobytes()
 
     def test_rebound_matrix_does_not_reach_spec(self):
         # phi hands out a new StarHom per lookup, so rebinding an
@@ -223,13 +242,6 @@ class TestFromPi:
         with pytest.raises(ValueError):
             spec.pi[0, 2] = 7.0
         gr.validate_spec(spec)
-
-    def test_phi_order_off_diagonal_row_major_then_diagonals(self):
-        L = sl.diamond()
-        spec = gr.GradedSpec.from_pi(L, [SCALAR] * 4, L.le)
-        assert list(spec.phi) == [
-            (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 0), (1, 1), (2, 2), (3, 3)
-        ]
 
 
 class TestNoPerPairObjects:
@@ -1352,6 +1364,109 @@ class TestChainClosure:
         with pytest.raises(gr.PathDependence):
             gr.complete_phi_by_chains(L, [SCALAR] * 3, partial)
 
+    def test_named_pairs_and_messages(self):
+        # both covers of the diamond's bottom disagree at (0, 1); the given
+        # shortcut of chain(3) is named with its own message
+        L = sl.diamond()
+        corner = fd.StarHom(SCALAR, M2, np.array([[1.0], [0], [0], [0]]))
+        partial = {
+            (1, 3): fd.identity_hom(SCALAR),
+            (2, 3): fd.identity_hom(SCALAR),
+            (0, 1): unital_embedding(M2),
+            (0, 2): corner,
+        }
+        with pytest.raises(
+            gr.PathDependence, match=r"^chain compositions for \(0, 1\) disagree by 1\.000e\+00$"
+        ):
+            gr.complete_phi_by_chains(L, [M2, SCALAR, SCALAR, SCALAR], partial)
+        ident = fd.identity_hom(SCALAR)
+        partial = {(0, 1): ident, (1, 2): ident, (0, 2): fd.zero_hom(SCALAR, SCALAR)}
+        with pytest.raises(
+            gr.PathDependence,
+            match=r"^given phi for \(0, 2\) disagrees with its chain composition by 1\.000e\+00$",
+        ):
+            gr.complete_phi_by_chains(sl.chain(3), [SCALAR] * 3, partial)
+
+    def test_agrees_with_enumeration(self):
+        # scalar 0/1 covers, M_2 corner or unital embeddings and random
+        # shortcuts off by 1e-12: the same decision as composing along
+        # every chain, the same exception type, and the same maps bit for
+        # bit on acceptance (so compositions use the covers only)
+        rng = np.random.default_rng(20261018)
+        lattices = [sl.chain(n) for n in (2, 3, 4, 5)] + [
+            sl.diamond(),
+            sl.antichain_with_bottom(3),
+            sl.product_semilattice(sl.chain(2), sl.chain(3)),
+            sl.product_semilattice(sl.chain(3), sl.chain(3)),
+            sl.product_semilattice(sl.diamond(), sl.chain(2)),
+        ]
+        outcomes = {"accepted": 0, "MissingHom": 0, "PathDependence": 0}
+        for trial in range(360):
+            L = lattices[trial % len(lattices)]
+            comps = [M2 if rng.random() < 0.3 else SCALAR for _ in range(L.n)]
+            covers = set(gr.covering_pairs(L))
+            partial = {}
+            for i, j in L.comparable_pairs():
+                cover = (i, j) in covers
+                if i == j or not (cover or rng.random() < 0.3):
+                    continue
+                h = random_closure_map(rng, comps[j], comps[i])
+                if not cover:  # within tol of the map, not equal to it
+                    h = fd.StarHom(h.source, h.target, h.matrix + 1e-12)
+                partial[(i, j)] = h
+            if rng.random() < 0.05:
+                del partial[next(iter(partial))]
+            try:
+                want = complete_phi_by_enumeration(L, comps, partial)
+            except (gr.MissingHom, gr.PathDependence) as exc:
+                with pytest.raises(type(exc)) as got:
+                    gr.complete_phi_by_chains(L, comps, partial)
+                if isinstance(exc, gr.MissingHom):
+                    assert str(got.value) == str(exc)
+                else:  # the pair named may differ
+                    name = "|".join(map(re.escape, L.names))
+                    pair = rf"\(({name}), ({name})\)"
+                    assert re.fullmatch(
+                        rf"(chain compositions for {pair} disagree|given phi for "
+                        rf"{pair} disagrees with its chain composition) by \S+",
+                        str(got.value),
+                    ), str(got.value)
+                outcomes[type(exc).__name__] += 1
+                continue
+            got = gr.complete_phi_by_chains(L, comps, partial)
+            assert list(got) == list(want)
+            for pair, h in want.items():
+                assert got[pair].matrix.tobytes() == h.matrix.tobytes(), (trial, pair)
+            outcomes["accepted"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_large_grid_document(self):
+        # 12 x 12 grid: 264 covering maps and 6084 comparable pairs, whose
+        # intervals hold about 10^7 maximal chains between them
+        L = sl.product_semilattice(sl.chain(12), sl.chain(12))
+        doc = wb.spec_to_document(wb.build_all_scalar(L))
+        covers = {(L.names[i], L.names[j]) for i, j in gr.covering_pairs(L)}
+        doc["phi"] = [e for e in doc["phi"] if (e["to"], e["from"]) in covers]
+        doc["closure"] = "chains"
+        assert len(doc["phi"]) == 264
+        spec = wb.document_to_spec(doc)
+        assert np.array_equal(spec.pi, L.le)
+
+
+def random_closure_map(rng, source, target):
+    """A map A_j -> A_i with 0/1 entries: 0 or 1 between scalars, zero
+    out of M_2 into the scalars, a corner or the unital embedding into M_2."""
+    if source == target == SCALAR:
+        return fd.StarHom(SCALAR, SCALAR, np.array([[float(rng.integers(2))]]))
+    if target == SCALAR:
+        return fd.zero_hom(source, target)
+    if source == SCALAR:
+        col = np.zeros((4, 1))
+        col[[0, 3][rng.integers(2)]] = 1.0
+        return unital_embedding(M2) if rng.random() < 0.5 else fd.StarHom(SCALAR, M2, col)
+    swap = np.eye(4)[[3, 2, 1, 0]]  # conjugation by the flip
+    return fd.identity_hom(M2) if rng.random() < 0.7 else fd.StarHom(M2, M2, swap)
+
 
 # ------------------------------------------------------- restriction
 
@@ -1375,6 +1490,14 @@ class TestRestrictSpec:
             sub, _ = gr.restrict_spec(spec, range(spec.L.n))
             assert list(sub.phi) == sub.L.comparable_pairs(), name
             assert sub.pi.tobytes() == spec.pi.tobytes(), name
+
+    def test_index_out_of_range_named(self):
+        spec = wb.demo_spec("chain-3")
+        for M, bad in [([0, 7], 7), ([-1, 2], -1), ([3, -2, 5], -2)]:
+            with pytest.raises(InputError, match=rf"^index {bad} is out of range for 3 indices$"):
+                gr.restrict_spec(spec, M)
+            with pytest.raises(InputError, match=rf"^index {bad} is out of range for 3 indices$"):
+                sp.restriction_spectrum_map(spec, M)
 
     def test_first_offender_in_lexicographic_order(self):
         # phi_{0,0} and phi_{0,1} both fail; the diagonal comes first

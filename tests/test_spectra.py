@@ -409,6 +409,16 @@ class TestFinishingCorrespondence:
             sp.finishing_correspondence(spec)
         assert str(exc.value) == f"structure map for pair {first} is not the identity"
 
+    def test_first_bad_pair_is_lexicographic_whatever_the_dict_order(self):
+        ident = fd.identity_hom(SCALAR)
+        half = fd.StarHom(SCALAR, SCALAR, np.array([[0.5]]))
+        phi = {(2, 3): half, (1, 3): half, (0, 3): ident, (1, 2): half, (0, 2): half, (0, 1): ident}
+        spec = gr.GradedSpec(sl.chain(4), [SCALAR] * 4, phi)
+        with pytest.raises(
+            sp.NotAllScalar, match=r"^structure map for pair \(0, 2\) is not the identity$"
+        ):
+            sp.finishing_correspondence(spec)
+
     def test_count_matches_enumeration_up_to_size_8(self):
         for build in (
             lambda: sl.chain(6),
