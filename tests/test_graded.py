@@ -162,6 +162,23 @@ class TestStoredPi:
             assert len(out.phi) == len(out.L.comparable_pairs()), name
         assert built["init"].pi.tobytes() == spec.pi.tobytes()
 
+    def test_phi_order_given_pairs_then_diagonals(self):
+        # the given pairs and the omitted diagonals are listed together in
+        # lexicographic order; the order of the given dict does not carry
+        ident = fd.identity_hom(SCALAR)
+        spec = gr.GradedSpec(sl.chain(3), [SCALAR] * 3, {(1, 2): ident, (0, 2): ident, (0, 1): ident})
+        assert list(spec.phi) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+    def test_phi_order_is_exact(self):
+        # a given diagonal first, then the off-diagonal pairs: phi still
+        # lists every comparable pair of chain(5) lexicographically
+        ident = fd.identity_hom(SCALAR)
+        phi = {(1, 1): ident}
+        phi.update({pair: ident for pair in sl.chain(5).comparable_pairs() if pair[0] != pair[1]})
+        spec = gr.GradedSpec(sl.chain(5), [SCALAR] * 5, phi)
+        assert list(spec.phi) == [(i, j) for i in range(5) for j in range(i, 5)]
+        assert len(spec.phi) == 15
+
     def test_rebound_matrix_does_not_reach_spec(self):
         # phi hands out a new StarHom per lookup, so rebinding an
         # attribute changes only that object
@@ -242,6 +259,15 @@ class TestFromPi:
         with pytest.raises(ValueError):
             spec.pi[0, 2] = 7.0
         gr.validate_spec(spec)
+
+    def test_phi_order_off_diagonal_row_major_then_diagonals(self):
+        # from_pi lists the diagonals among the off-diagonal pairs, in
+        # lexicographic order
+        L = sl.diamond()
+        spec = gr.GradedSpec.from_pi(L, [SCALAR] * 4, L.le)
+        assert list(spec.phi) == [
+            (0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 3), (2, 2), (2, 3), (3, 3)
+        ]
 
 
 class TestNoPerPairObjects:
