@@ -471,15 +471,10 @@ def mult_residuals(source, target, matrices):
     return np.linalg.norm(diff, axis=-1)
 
 
-def starhom_residuals(source, target, matrices):
-    """(star_residuals, mult_residuals) of a stack of maps."""
-    return star_residuals(source, target, matrices), mult_residuals(source, target, matrices)
-
-
 def check_starhom_residuals(source, star, mult, tol=BASIS_TOL):
     """Raise on the first offending basis element, then the first offending
-    basis pair (row-major), as starhom_residuals measured them for one map.
-    A NaN residual fails."""
+    basis pair (row-major), as star_residuals and mult_residuals measured
+    them for one map. A NaN residual fails."""
     bad = np.flatnonzero(~(star <= tol))
     if bad.size:
         a = int(bad[0])

@@ -19,7 +19,10 @@ On top of the spec sit the total algebra (componentwise sums with the
 convolution-like product routed through the bilinear family q), the
 representations pi_i, the C*-norm sup_i ||pi_i(x)||, split exact sequences
 along finishing index sets, graded morphisms into plain or graded targets,
-and block-sum ideals with their quotient specs.
+and block-sum ideals with their quotient specs. On a valid spec the total
+algebra is *-isomorphic to the direct sum of the A_i through
+x -> (pi_i(x))_i, so a block sum is an ideal iff every phi_{i,j} maps its
+blocks at j into its blocks at i: verify_ideal_gradation reads that off pi.
 """
 
 import itertools
@@ -33,7 +36,6 @@ from .errors import InputError, ValidationFailure
 from .findim import AlgebraShape, StarHom
 
 AXIOM_TOL = 1e-9
-NORM_RTOL = 1e-8
 
 
 class MissingHom(InputError):
@@ -107,7 +109,7 @@ class GradedSpec:
         pi = np.eye(off[-1], dtype=complex)  # the identity on each diagonal
         given = np.eye(L.n, dtype=bool)
         for (i, j), h in phi.items():
-            if not (0 <= i < L.n and 0 <= j < L.n):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < L.n and 0 <= j < L.n):
                 raise SpecMismatch(
                     f"phi given for pair ({i}, {j}), outside indices 0..{L.n - 1}"
                 )
@@ -227,6 +229,11 @@ class GradedSpec:
     def __repr__(self):
         dims = [c.dim for c in self.components]
         return f"GradedSpec({self.L!r}, component dims {dims})"
+
+
+def _is_int(a):
+    """An integer that is not a bool: what an index of a semilattice is."""
+    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
 def _offsets(components):
@@ -398,21 +405,6 @@ class QFamily:
         self.components = tuple(components)
         self.tensors = tensors
 
-    @classmethod
-    def from_spec(cls, spec):
-        tensors = {}
-        for k, pairs, g, h in _meet_groups(spec, spec.span):
-            prod = fd.pair_products(spec.components[k], g, h)
-            for pair, t in zip(pairs, prod):
-                tensors[pair] = t.transpose(2, 0, 1)
-        return cls(spec.L, spec.components, tensors)
-
-    def apply(self, i, j, x, y):
-        v = np.einsum(
-            "uab,a,b->u", self.tensors[(i, j)], fd.to_vector(x), fd.to_vector(y)
-        )
-        return fd.from_vector(self.components[self.L.meet_of(i, j)], v)
-
     def validate(self, tol=AXIOM_TOL):
         """Check a') q_{i,i} = multiplication, b') the adjoint symmetry,
         c') the mixed associativity q(q(x,y),z) = q(x,q(y,z))."""
@@ -473,8 +465,14 @@ class QFamily:
 
 
 def q_family_from_spec(spec):
-    """Assemble the full bilinear family from the structure morphisms."""
-    return QFamily.from_spec(spec)
+    """Assemble the full bilinear family from the structure morphisms,
+    one stacked pair product per group of pairs from _meet_groups."""
+    tensors = {}
+    for k, pairs, g, h in _meet_groups(spec, spec.span):
+        prod = fd.pair_products(spec.components[k], g, h)
+        for pair, t in zip(pairs, prod):
+            tensors[pair] = t.transpose(2, 0, 1)
+    return QFamily(spec.L, spec.components, tensors)
 
 
 def phi_from_q(q, tol=AXIOM_TOL):
@@ -913,7 +911,11 @@ def restrict_spec(spec, M):
 
 def _sorted_indices(L, M):
     """The distinct members of M, ascending; InputError names the first
-    that is not an index of L."""
+    non-integer in M, else the least member that is out of range."""
+    M = list(M)
+    for a in M:
+        if not _is_int(a):
+            raise InputError(f"index {a!r} is not an integer")
     M = sorted(set(M))
     for a in M:
         if not 0 <= a < L.n:
@@ -964,6 +966,9 @@ class FinishingSplit:
 
 @dataclass
 class IdealGradationReport:
+    """max_leak is the largest absolute entry of pi's rows off the ideal
+    and columns in it: how far any phi_{i,j} maps I_j outside I_i."""
+
     ideal_dim: int
     max_leak: float
     quotient: GradedSpec
@@ -978,6 +983,20 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
     dimension: every closed two-sided ideal of a matrix-block algebra is a
     sub-sum of blocks, and the graded intersection I ^ A_i is then exactly
     the selected blocks at i.
+
+    The spec is validated at tol first, unless a verdict <= tol is on
+    record. On a validated spec, with I_j the selected blocks of A_j,
+    I = sum of the I_j is a *-ideal iff phi_{i,j}(I_j) lies in I_i for all
+    i <= j:
+      - (only if) for y in I_j, 1_i y = q_{i,j}(1_i, y) = phi_{i,j}(y),
+        which lies in I and in A_i, so in I_i;
+      - (if) pi_i(x) = sum over j >= i of phi_{i,j}(x_j), so pi maps I
+        into the sum of the I_i; pi is invertible (unitriangular), so
+        pi(I) has dimension sum dim I_i and is that sum, a block ideal of
+        the direct sum of the A_i; pi is a *-isomorphism onto that sum.
+    So the selection is accepted iff no entry of pi's rows off the ideal
+    and columns in it exceeds tol (a NaN entry fails); otherwise the
+    lexicographically first map phi_{i,j} with such an entry is named.
     """
     L = spec.L
     selection = {}
@@ -990,78 +1009,44 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
                 f"range for {nb} blocks"
             )
         selection[i] = chosen
+    if spec.validated_tol > tol:
+        validate_spec(spec, tol)
 
     # in_ideal[i][a]: basis element a of A_i lies in a selected block
     in_ideal = []
     for i, c in enumerate(spec.components):
         block_of = np.repeat(range(c.nblocks), [d * d for d in c.blocks])
         in_ideal.append(np.isin(block_of, list(selection[i])))
-    ideal_basis = [(j, b) for j in range(L.n) for b in np.flatnonzero(in_ideal[j])]
-    ideal_dim = len(ideal_basis)
-
-    # leaks[g, p] holds, for graded basis element g = E_a at i and ideal
-    # basis element p = E_b at j, the largest unselected coordinate of
-    # q_{i,j}(E_a, E_b) and then of q_{j,i}(E_b, E_a), both in A_{i^j};
-    # a NaN coordinate makes the leak NaN
-    q = q_family_from_spec(spec).tensors
-    leaks = np.zeros((spec.total_dim, ideal_dim, 2))
-    start = 0
-    for j in range(L.n):
-        ideal = np.flatnonzero(in_ideal[j])
-        if not ideal.size:
-            continue
-        cols = slice(start, start + ideal.size)
-        start += ideal.size
-        for i in range(L.n):
-            out = ~in_ideal[L.meet_of(i, j)]
-            left = np.abs(q[(i, j)][out][:, :, ideal]).max(axis=0, initial=0.0)
-            right = np.abs(q[(j, i)][out][:, ideal]).max(axis=0, initial=0.0)
-            leaks[spec.span(i), cols] = np.stack([left, right.T], axis=-1)
-    bad = np.flatnonzero(~(leaks <= tol))
-    if bad.size:
-        g, p, _ = np.unravel_index(bad[0], leaks.shape)
-        i, a, _ = spec.graded_basis()[g]
-        j, b = ideal_basis[p]
+    dropped = np.concatenate(in_ideal) if in_ideal else np.zeros(0, dtype=bool)
+    leaks = np.abs(spec.pi[np.ix_(~dropped, dropped)])
+    r, c = np.nonzero(~(leaks <= tol))
+    if r.size:
+        owner = _owners(spec.components)
+        i, j = divmod(int((owner[~dropped][r] * L.n + owner[dropped][c]).min()), L.n)
+        leak = spec.pi_block(i, j)[np.ix_(~in_ideal[i], in_ideal[j])]
         raise NotAnIdeal(
-            f"product of {spec.basis_label(i, a)} and "
-            f"{spec.basis_label(j, b)} leaves the selected blocks "
-            f"by {leaks.flat[bad[0]]:.3e}"
+            f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
+            f"itself by {fd.maxabs(leak):.3e}"
         )
-    max_leak = float(leaks.max(initial=0.0))
 
     # quotient: drop the selected blocks, compress the structure maps
     quot_comps = [
         AlgebraShape([d for blk, d in enumerate(c.blocks) if blk not in selection[i]])
         for i, c in enumerate(spec.components)
     ]
-    keep_coords = [np.flatnonzero(~sel) for sel in in_ideal]
-
-    # well-definedness on the quotient: every phi_{i,j} must map the ideal
-    # coordinates at j into the ideal coordinates at i; the
-    # lexicographically first map that does not is named
-    dropped = np.concatenate(in_ideal) if in_ideal else np.zeros(0, dtype=bool)
-    owner = _owners(spec.components)
-    r, c = np.nonzero(~(np.abs(spec.pi[np.ix_(~dropped, dropped)]) <= tol))
-    leaking = set(zip(owner[~dropped][r].tolist(), owner[dropped][c].tolist()))
-    if leaking:
-        i, j = min(leaking)
-        leak = spec.pi_block(i, j)[np.ix_(keep_coords[i], np.flatnonzero(in_ideal[j]))]
-        raise NotAnIdeal(
-            f"phi[{L.names[i]},{L.names[j]}] maps the ideal outside "
-            f"itself by {fd.maxabs(leak):.3e}"
-        )
     quotient = GradedSpec._of_pi(L, quot_comps, spec.pi[np.ix_(~dropped, ~dropped)])
-
     quotient_maps = [
         StarHom(
             spec.components[i],
             quot_comps[i],
-            np.eye(spec.components[i].dim, dtype=complex)[keep_coords[i]],
+            np.eye(spec.components[i].dim, dtype=complex)[~in_ideal[i]],
         )
         for i in range(L.n)
     ]
     validate_spec(quotient, tol)
-    return IdealGradationReport(ideal_dim, max_leak, quotient, quotient_maps)
+    return IdealGradationReport(
+        int(dropped.sum()), float(leaks.max(initial=0.0)), quotient, quotient_maps
+    )
 
 
 # -------------------------------------------------------- commutativity
@@ -1135,7 +1120,14 @@ def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
                 )
         chain[(i, j)] = base
         if (i, j) in partial:
-            r = fd.maxabs(base.matrix - partial[(i, j)].matrix)
+            h = partial[(i, j)]
+            if (h.source, h.target) != (base.source, base.target):
+                raise fd.ShapeMismatch(
+                    f"given phi for ({L.names[i]}, {L.names[j]}) maps "
+                    f"{h.source} -> {h.target}, its chain composition "
+                    f"{base.source} -> {base.target}"
+                )
+            r = fd.maxabs(base.matrix - h.matrix)
             if not r <= tol:
                 raise PathDependence(
                     f"given phi for ({L.names[i]}, {L.names[j]}) disagrees "

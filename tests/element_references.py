@@ -5,12 +5,17 @@ verify_k0 now gathers every generator's block traces from the matrix Pi
 at once and multiplies per-index determinants; the reference builds one
 graded element per generator, takes its faithful image block by block and
 runs one fraction-free elimination over the whole matrix.
-verify_ideal_gradation now reads its leaks off the q family; the
-reference multiplies basis elements with gmul, both ways round. Both
-references raise the same exceptions with the same messages on finite
-input. On non-finite input they differ: the element route computes
-pi @ x, where inf * 0 and nan * 0 spread a non-finite entry across its
-row, and the leak loop accumulates with max(), which drops a NaN leak.
+The k0 reference raises the same exceptions with the same messages on
+finite input. On non-finite input the routes differ: the element route
+computes pi @ x, where inf * 0 and nan * 0 spread a non-finite entry
+across its row.
+
+verify_ideal_gradation now validates the spec and reads one slice of pi:
+the rows outside the selected blocks, the columns inside them. The
+reference multiplies basis elements with gmul, both ways round, and
+names the first product that leaves the selected blocks. On a spec that
+validates the two accept the same selections; their messages differ.
+The leak loop accumulates with max(), which drops a NaN leak.
 
 sort_key is the per-entry key that spectra used to order characters.
 """
@@ -61,28 +66,36 @@ def verify_k0_reference(spec):
     return kt.K0Report(per_component, sum(per_component), phi_matrix, True)
 
 
-def ideal_leak_reference(spec, ideal_blocks, tol=gr.AXIOM_TOL):
+def ideal_leak_reference(spec, ideal_blocks, tol=gr.AXIOM_TOL, products=None):
     """The largest leak of a product of a basis element with an ideal
     basis element out of the selected blocks; raises NotAnIdeal on the
-    first product that leaks by more than tol."""
+    first product that leaks by more than tol. products, when given, is a
+    dict that keeps each gmul product's support and blocks across calls
+    on the same spec, so that many selections cost one pass of gmul."""
     selection = {
         i: frozenset(ideal_blocks.get(i, ())) for i in range(spec.L.n)
     }
+    products = {} if products is None else products
 
     def in_ideal(i, a):
         k, _, _ = spec.components[i].basis_triples()[a]
         return k in selection[i]
 
+    def product(x, y):
+        """(index, blocks) over the support of gmul(E_x, E_y)."""
+        if (x, y) not in products:
+            prod = gr.gmul(spec.basis_element(*x), spec.basis_element(*y))
+            products[(x, y)] = [(k, prod.comps[k].mats) for k in prod.support(tol=0.0)]
+        return products[(x, y)]
+
     ideal_basis = [(i, a) for i, a, _ in spec.graded_basis() if in_ideal(i, a)]
     max_leak = 0.0
     for i, a, _ in spec.graded_basis():
-        xa = spec.basis_element(i, a)
         for j, b in ideal_basis:
-            eb = spec.basis_element(j, b)
-            for prod in (gr.gmul(xa, eb), gr.gmul(eb, xa)):
+            for prod in (product((i, a), (j, b)), product((j, b), (i, a))):
                 leak = 0.0
-                for k in prod.support(tol=0.0):
-                    for blk, m in enumerate(prod.comps[k].mats):
+                for k, mats in prod:
+                    for blk, m in enumerate(mats):
                         if blk not in selection[k]:
                             leak = max(leak, fd.maxabs(m))
                 max_leak = max(max_leak, leak)

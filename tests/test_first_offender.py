@@ -150,7 +150,7 @@ def _m2_identity_chain():
 
 
 def test_q_not_multiplication():
-    q = gr.QFamily.from_spec(_m2_identity_chain())
+    q = gr.q_family_from_spec(_m2_identity_chain())
     q.tensors[(1, 1)] = q.tensors[(1, 1)].copy()
     q.tensors[(1, 1)][0, 1, 2] = 0.5
     assert raised(gr.QAxiomViolation, q.validate) == (
@@ -159,7 +159,7 @@ def test_q_not_multiplication():
 
 
 def test_q_adjoint_symmetry():
-    q = gr.QFamily.from_spec(_m2_identity_chain())
+    q = gr.q_family_from_spec(_m2_identity_chain())
     q.tensors[(0, 1)] = q.tensors[(0, 1)].copy()
     q.tensors[(0, 1)][1, 0, 0] = 0.5
     assert raised(gr.QAxiomViolation, q.validate) == (
@@ -170,7 +170,7 @@ def test_q_adjoint_symmetry():
 def test_q_associativity():
     L = sl.chain(2)
     spec = gr.GradedSpec(L, [SCALAR] * 2, {(0, 1): fd.identity_hom(SCALAR)})
-    q = gr.QFamily.from_spec(spec)
+    q = gr.q_family_from_spec(spec)
     q.tensors[(0, 1)] = 2 * q.tensors[(0, 1)]
     q.tensors[(1, 0)] = 2 * q.tensors[(1, 0)]
     assert raised(gr.QAxiomViolation, q.validate) == (

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
@@ -21,6 +21,7 @@ from conftest import (
     block_chain_spec,
     m2_chain_spec,
     mixed_diamond_spec,
+    standard_corpus,
     unital_embedding,
 )
 from closure_references import complete_phi_by_enumeration
@@ -67,6 +68,17 @@ class TestConstruction:
                 match=rf"^phi given for pair \({key[0]}, {key[1]}\), outside indices 0\.\.1$",
             ):
                 gr.GradedSpec(sl.chain(2), [SCALAR] * 2, {(0, 1): ident, key: ident})
+
+    def test_non_integer_key_named_as_given(self):
+        ident = fd.identity_hom(SCALAR)
+        for key in [(0.0, 1), (False, True), (0, "1")]:
+            with pytest.raises(
+                gr.SpecMismatch,
+                match=rf"^phi given for pair \({key[0]}, {key[1]}\), outside indices 0\.\.1$",
+            ):
+                gr.GradedSpec(sl.chain(2), [SCALAR] * 2, {key: ident})
+        spec = gr.GradedSpec(sl.chain(2), [SCALAR] * 2, {(np.int64(0), np.int64(1)): ident})
+        assert list(spec.phi) == [(0, 0), (0, 1), (1, 1)]
 
     def test_first_missing_pair_is_lexicographic(self):
         ident = fd.identity_hom(SCALAR)
@@ -367,7 +379,7 @@ class TestValidateSpec:
             report = gr.validate_spec(spec)
             decided = []
             for h in spec.phi.values():
-                full = fd.starhom_residuals(h.source, h.target, h.matrix)[1].max(initial=0.0)
+                full = fd.mult_residuals(h.source, h.target, h.matrix).max(initial=0.0)
                 if max(h.source.blocks) > 1:
                     rel = float(fd.unit_relation_residuals(h.source, h.target, h.matrix))
                     assert full <= fd.unit_kappa(h.source) * rel, name
@@ -450,7 +462,8 @@ def validate_spec_reference(spec, tol=gr.AXIOM_TOL):
             )
     for i, j in sorted(spec.phi):
         h = spec.phi[(i, j)]
-        star, mult = fd.starhom_residuals(h.source, h.target, h.matrix)
+        star = fd.star_residuals(h.source, h.target, h.matrix)
+        mult = fd.mult_residuals(h.source, h.target, h.matrix)
         try:
             fd.check_starhom_residuals(h.source, star, mult, tol)
         except ValidationFailure as e:
@@ -755,7 +768,7 @@ class TestAxiomBAgainstReference:
 def assert_q_matches_per_pair(spec, name=""):
     """Every stacked q tensor equals its own pair_products(A_k, phi_ki,
     phi_kj), k = i ^ j, entry for entry."""
-    fam = gr.QFamily.from_spec(spec)
+    fam = gr.q_family_from_spec(spec)
     assert set(fam.tensors) == {(i, j) for i in range(spec.L.n) for j in range(spec.L.n)}
     for (i, j), t in fam.tensors.items():
         k = spec.L.meet_of(i, j)
@@ -806,23 +819,13 @@ class TestQFamily:
         calls = []
         real = fd.pair_products
         monkeypatch.setattr(fd, "pair_products", lambda *a: calls.append(1) or real(*a))
-        gr.QFamily.from_spec(all_scalar_spec(sl.chain(12)))
+        gr.q_family_from_spec(all_scalar_spec(sl.chain(12)))
         assert len(calls) <= 12
 
     def test_family_axioms_hold_on_corpus(self, corpus):
         for name, spec in corpus.items():
             fam = gr.q_family_from_spec(spec)
             assert fam.validate(), name
-
-    def test_family_apply_matches_pointwise(self, rng):
-        spec = mixed_diamond_spec()
-        fam = gr.q_family_from_spec(spec)
-        for i in range(4):
-            for j in range(4):
-                x = fd.random_element(spec.components[i], rng)
-                y = fd.random_element(spec.components[j], rng)
-                d = fam.apply(i, j, x, y) - gr.q_from_phi(spec, i, j, x, y)
-                assert fd.frob_norm(d) < 1e-12
 
     def test_broken_family_rejected(self):
         spec = all_scalar_spec(sl.diamond())
@@ -1413,6 +1416,23 @@ class TestChainClosure:
         ):
             gr.complete_phi_by_chains(sl.chain(3), [SCALAR] * 3, partial)
 
+    def test_wrongly_shaped_shortcut_rejected(self):
+        # phi_{0,2} given as a map M_2 -> C on a chain of scalars: zeros
+        # used to read as a path disagreement, ones to pass the closure
+        ident = fd.identity_hom(SCALAR)
+        for fill in (0.0, 1.0):
+            shortcut = fd.StarHom(M2, SCALAR, np.full((1, 4), fill))
+            partial = {(0, 1): ident, (1, 2): ident, (0, 2): shortcut}
+            with pytest.raises(
+                fd.ShapeMismatch,
+                match=(
+                    r"^given phi for \(0, 2\) maps AlgebraShape\(\[2\]\) -> "
+                    r"AlgebraShape\(\[1\]\), its chain composition "
+                    r"AlgebraShape\(\[1\]\) -> AlgebraShape\(\[1\]\)$"
+                ),
+            ):
+                gr.complete_phi_by_chains(sl.chain(3), [SCALAR] * 3, partial)
+
     def test_agrees_with_enumeration(self):
         # scalar 0/1 covers, M_2 corner or unital embeddings and random
         # shortcuts off by 1e-12: the same decision as composing along
@@ -1525,6 +1545,16 @@ class TestRestrictSpec:
             with pytest.raises(InputError, match=rf"^index {bad} is out of range for 3 indices$"):
                 sp.restriction_spectrum_map(spec, M)
 
+    def test_non_integer_index_named(self):
+        spec = wb.demo_spec("chain-3")
+        for M, bad in [([0.5, 2], "0.5"), ([True, 2], "True"), ([2, "a"], "'a'")]:
+            with pytest.raises(InputError, match=rf"^index {bad} is not an integer$"):
+                gr.restrict_spec(spec, M)
+            with pytest.raises(InputError, match=rf"^index {bad} is not an integer$"):
+                sp.restriction_spectrum_map(spec, M)
+        sub, remap = gr.restrict_spec(spec, iter([np.int64(2), 1]))
+        assert remap == {1: 0, 2: 1}
+
     def test_first_offender_in_lexicographic_order(self):
         # phi_{0,0} and phi_{0,1} both fail; the diagonal comes first
         twice = fd.StarHom(SCALAR, SCALAR, np.array([[2.0]]))
@@ -1535,7 +1565,7 @@ class TestRestrictSpec:
             sp.finishing_correspondence(sub)
 
 
-# ----------------------------------------- ideal leaks against the gmul loop
+# ----------------------------------------- ideal decisions against the gmul loop
 
 def block_selections(spec):
     """Every per-index subset of blocks."""
@@ -1547,33 +1577,84 @@ def block_selections(spec):
         yield {i: s for i, s in enumerate(picks) if s}
 
 
-def assert_leaks_match_reference(spec, selection):
-    """verify_ideal_gradation fails at the product check exactly where the
-    gmul loop does, with its message, and otherwise reports its largest
-    leak (a later check may still fail)."""
+def assert_ideal_decision_matches_reference(spec, selection, products=None):
+    """On a spec that validates, verify_ideal_gradation accepts exactly the
+    selections the gmul loop accepts. An accepted selection reports its
+    dimension and a leak within tol, and its quotient's pi is the spec's pi
+    on the coordinates outside the selected blocks, byte for byte."""
     try:
-        want = ideal_leak_reference(spec, selection)
-    except gr.NotAnIdeal as exc:
-        with pytest.raises(gr.NotAnIdeal) as got:
+        ideal_leak_reference(spec, selection, products=products)
+    except gr.NotAnIdeal:
+        with pytest.raises(gr.NotAnIdeal, match=r"^phi\[.+\] maps the ideal outside itself by "):
+            gr.verify_ideal_gradation(spec, selection)
+        return
+    report = gr.verify_ideal_gradation(spec, selection)
+    kept = np.array([
+        blk not in selection.get(i, ())
+        for i, c in enumerate(spec.components)
+        for blk, _, _ in c.basis_triples()
+    ], dtype=bool)
+    assert report.ideal_dim == int((~kept).sum())
+    assert report.max_leak <= gr.AXIOM_TOL
+    assert report.quotient.pi.tobytes() == spec.pi[np.ix_(kept, kept)].tobytes()
+
+
+def assert_validation_first(spec, selection):
+    """verify_ideal_gradation raises what validate_spec raises on a spec
+    that fails it; on one that passes, it decides as the gmul loop does."""
+    twin = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi)
+    try:
+        gr.validate_spec(twin)
+    except ValidationFailure as exc:
+        with pytest.raises(type(exc)) as got:
             gr.verify_ideal_gradation(spec, selection)
         assert str(got.value) == str(exc)
-        return
+        return False
+    assert_ideal_decision_matches_reference(spec, selection)
+    return True
+
+
+def ideal_specs(corpus):
+    """Every validated spec the ideal decision is checked on."""
+    return {
+        **corpus,
+        **{f"oracle-{name}": spec for name, spec in ORACLE_SPECS.items()},
+        "coset-z4": wb.demo_spec("coset-z4"),
+        "coset-s3": wb.build_coset_spec(*wb.coset_s3_family())[0],
+    }
+
+
+IDEAL_SPEC_NAMES = (
+    [*standard_corpus()]
+    + [f"oracle-{name}" for name in ORACLE_SPECS]
+    + ["coset-z4", "coset-s3"]
+)
+
+
+@st.composite
+def validating_perturbed_specs(draw):
+    """An oracle spec whose off-diagonal maps are conjugated by angles
+    around AXIOM_TOL, kept only when it validates. Conjugation by a
+    blockwise unitary keeps every map's block pattern."""
+    spec = ORACLE_SPECS[draw(st.sampled_from(sorted(ORACLE_SPECS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = st.floats(-11.0, -8.5).map(lambda e: 10.0**e)
+    spec = perturbed(spec, rng, lambda t, j: draw(angle))
     try:
-        report = gr.verify_ideal_gradation(spec, selection)
-    except GradedCstarError as exc:
-        assert not str(exc).startswith("product of"), str(exc)
-        return
-    assert report.max_leak == pytest.approx(want, abs=1e-12)
+        gr.validate_spec(gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi))
+    except ValidationFailure:
+        assume(False)
+    return spec
 
 
 class TestIdealsAgainstReference:
-    @pytest.mark.parametrize(
-        "name", ["all-scalar-diamond", "m2-chain", "mixed-diamond", "block-chain"]
-    )
+    @pytest.mark.parametrize("name", IDEAL_SPEC_NAMES)
     def test_every_block_selection(self, corpus, name):
-        spec = corpus[name]
+        spec = ideal_specs(corpus)[name]
+        gr.validate_spec(spec)
+        products = {}
         for selection in block_selections(spec):
-            assert_leaks_match_reference(spec, selection)
+            assert_ideal_decision_matches_reference(spec, selection, products)
 
     @settings(max_examples=15, deadline=None)
     @given(perturbed_specs(), st.randoms(use_true_random=False))
@@ -1582,12 +1663,23 @@ class TestIdealsAgainstReference:
             i: {b for b in range(c.nblocks) if random.random() < 0.5}
             for i, c in enumerate(spec.components)
         }
-        assert_leaks_match_reference(spec, selection)
+        assert_validation_first(spec, selection)
+
+    @settings(max_examples=10, deadline=None)
+    @given(validating_perturbed_specs(), st.randoms(use_true_random=False))
+    def test_validating_perturbed_specs(self, spec, random):
+        products = {}
+        for _ in range(8):
+            selection = {
+                i: {b for b in range(c.nblocks) if random.random() < 0.3}
+                for i, c in enumerate(spec.components)
+            }
+            assert_ideal_decision_matches_reference(spec, selection, products)
 
     def test_nan_leak_fails(self):
-        # block-chain with phi_01(1) = (I_2, nan): the product of the top
-        # unit with E0[0,0] at the bottom has nan * 0 in the unselected
-        # scalar block. The gmul loop's max(0.0, nan) keeps 0.0.
+        # block-chain with phi_01(1) = (I_2, nan): validate_spec refuses
+        # the map before any ideal is looked at. The gmul loop's
+        # max(0.0, nan) keeps 0.0.
         spec = block_chain_spec()
         m = spec.phi[(0, 1)].matrix.copy()
         m[4, 0] = np.nan
@@ -1596,8 +1688,96 @@ class TestIdealsAgainstReference:
             {(0, 1): fd.StarHom(spec.components[1], spec.components[0], m)},
         )
         assert ideal_leak_reference(spec, {0: {0}}) == 0.0
-        with pytest.raises(gr.NotAnIdeal) as got:
+        assert not assert_validation_first(spec, {0: {0}})
+        with pytest.raises(gr.HomNotStar, match=r"^phi\[0,1\]: .*nan"):
             gr.verify_ideal_gradation(spec, {0: {0}})
-        assert str(got.value) == (
-            "product of 1:E0[0,0] and 0:E0[0,0] leaves the selected blocks by nan"
+
+    def test_nan_entry_of_pi_fails(self):
+        # the same map under a forged verdict: selecting the top and the
+        # M_2 block puts the nan in pi's rows off the ideal, columns in it
+        spec = block_chain_spec()
+        m = spec.phi[(0, 1)].matrix.copy()
+        m[4, 0] = np.nan
+        spec = gr.GradedSpec(
+            spec.L, spec.components,
+            {(0, 1): fd.StarHom(spec.components[1], spec.components[0], m)},
         )
+        spec.validated_tol = gr.AXIOM_TOL
+        with pytest.raises(
+            gr.NotAnIdeal, match=r"^phi\[0,1\] maps the ideal outside itself by nan$"
+        ):
+            gr.verify_ideal_gradation(spec, {0: {0}, 1: {0}})
+
+    def test_first_map_named_and_leak_reported(self, corpus):
+        # on the diamond, selecting only the bottom's atom a leaks through
+        # phi[0,a]; the accepted commencing part reports a leak of 0
+        spec = corpus["all-scalar-diamond"]
+        L = spec.L
+        a, b = L.index_of("a"), L.index_of("b")
+        with pytest.raises(
+            gr.NotAnIdeal, match=r"^phi\[0,a\] maps the ideal outside itself by 1\.000e\+00$"
+        ):
+            gr.verify_ideal_gradation(spec, {a: {0}, b: {0}})
+        assert gr.verify_ideal_gradation(spec, {0: {0}, a: {0}}).max_leak == 0.0
+
+
+class TestIdealRoute:
+    """verify_ideal_gradation decides on pi alone: no q family, no pair
+    products outside validate_spec, and the source validated at most once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        validated, inside = [], []
+        real_validate, real_products = gr.validate_spec, fd.pair_products
+
+        def validate_spec(spec, tol=gr.AXIOM_TOL):
+            validated.append((spec, tol))
+            inside.append(True)
+            try:
+                return real_validate(spec, tol)
+            finally:
+                inside.pop()
+
+        def pair_products(*args):
+            assert inside, "pair_products called outside validate_spec"
+            return real_products(*args)
+
+        def no_q_family(spec):
+            raise AssertionError("q family built")
+
+        monkeypatch.setattr(gr, "validate_spec", validate_spec)
+        monkeypatch.setattr(fd, "pair_products", pair_products)
+        monkeypatch.setattr(gr, "q_family_from_spec", no_q_family)
+        return validated
+
+    def test_source_validated_once_then_never(self, calls):
+        spec = mixed_diamond_spec()
+        L = spec.L
+        commencing = {L.index_of("0"): {0}, L.index_of("a"): {0}}
+        gr.verify_ideal_gradation(spec, commencing)
+        assert [tol for s, tol in calls if s is spec] == [gr.AXIOM_TOL]
+        assert spec.validated_tol == gr.AXIOM_TOL
+        calls.clear()
+        gr.verify_ideal_gradation(spec, {L.index_of("0"): {0}})
+        with pytest.raises(gr.NotAnIdeal):
+            gr.verify_ideal_gradation(spec, {L.index_of("a"): {0}})
+        assert [s for s, _ in calls if s is spec] == []
+
+    def test_looser_verdict_is_rechecked(self, calls):
+        spec = m2_chain_spec()
+        gr.validate_spec(spec, 1e-6)
+        calls.clear()
+        gr.verify_ideal_gradation(spec, {0: {0}})
+        assert [tol for s, tol in calls if s is spec] == [gr.AXIOM_TOL]
+
+    def test_rejection_validates_only_the_source(self, calls):
+        spec = all_scalar_spec(sl.chain(64))
+        with pytest.raises(gr.NotAnIdeal, match=r"^phi\[0,1\] maps the ideal"):
+            gr.verify_ideal_gradation(spec, {1: {0}})
+        assert [s for s, _ in calls] == [spec]
+
+    def test_block_range_checked_before_validation(self, calls):
+        spec = m2_chain_spec()
+        with pytest.raises(InputError, match="out of range for 1 blocks"):
+            gr.verify_ideal_gradation(spec, {0: {5}})
+        assert calls == []

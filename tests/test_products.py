@@ -227,7 +227,10 @@ def build_action_reference(group, spec, maps, tol=pr.ACTION_TOL):
                 )
             try:
                 fd.check_starhom_residuals(
-                    h.source, *fd.starhom_residuals(h.source, h.target, h.matrix), tol
+                    h.source,
+                    fd.star_residuals(h.source, h.target, h.matrix),
+                    fd.mult_residuals(h.source, h.target, h.matrix),
+                    tol,
                 )
             except ValidationFailure as exc:
                 raise pr.ActionInvalid(
@@ -786,7 +789,7 @@ class TestCrossedProduct:
         assert block.blocks == (2,)
         S = np.diag([1.0, 2.0])
         ad = np.kron(S, np.linalg.inv(S).T)  # vec(S x S^-1), row-major
-        star, mult = fd.starhom_residuals(block, block, ad)
+        star, mult = fd.star_residuals(block, block, ad), fd.mult_residuals(block, block, ad)
         assert fd.maxabs(mult) < 1e-12 and fd.maxabs(star) > 0.1
         real = cp.realizations[0]
         bent = dataclasses.replace(real, matrix=ad @ real.matrix)
