@@ -55,7 +55,7 @@ def _index_tokens(spec, raw):
             continue
         if tok in lookup:
             out.append(lookup[tok])
-        elif tok.isdigit() and int(tok) < spec.L.n:
+        elif tok.isdecimal() and int(tok) < spec.L.n:
             out.append(int(tok))
         else:
             raise wb.DocumentError(f"unknown semilattice index {tok!r}")

@@ -21,10 +21,10 @@ correctly. Nothing draws random numbers, so the output is a function of
 the action alone. Counting measure, trivial modular function, and
 full = reduced are all silently in force: the group is finite.
 
-Besides validating the output spec, crossed_product checks one thing:
-that the realizations carry convolution products, the mixed ones across
-indices included, and adjoints to the output's products and adjoints.
-build_crossed_product says why nothing else needs checking.
+Besides validating the output spec, crossed_product checks one thing per
+index: that its realization is a *-isomorphism onto the block algebra.
+build_crossed_product proves that the products across indices follow and
+says why nothing else needs checking.
 """
 
 import itertools
@@ -83,32 +83,21 @@ class FiniteGroup:
                     raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
         self.mul = table
         self.order = n
-        identity = None
-        for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-                identity = e
-                break
-        if identity is None:
+        table = np.asarray(table, dtype=np.intp)
+        # the first e with e x = x e = x for every x
+        units = np.flatnonzero(((table == np.arange(n)) & (table.T == np.arange(n))).all(1))
+        if not units.size:
             raise NotAGroup("no two-sided identity element")
-        self.identity = identity
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise NotAGroup(
-                            f"associativity fails at ({a}, {b}, {c})"
-                        )
-        inverse = []
-        for a in range(n):
-            found = None
-            for b in range(n):
-                if table[a][b] == identity and table[b][a] == identity:
-                    found = b
-                    break
-            if found is None:
-                raise NotAGroup(f"element {a} has no two-sided inverse")
-            inverse.append(found)
-        self.inverse = tuple(inverse)
+        self.identity = identity = int(units[0])
+        bad = sl._first_nonassociative(table)
+        if bad is not None:
+            raise NotAGroup(f"associativity fails at {bad[:3]}")
+        # inverse[a]: the first b with a b = b a = identity
+        both = (table == identity) & (table.T == identity)
+        lacking = np.flatnonzero(~both.any(axis=1))
+        if lacking.size:
+            raise NotAGroup(f"element {lacking[0]} has no two-sided inverse")
+        self.inverse = tuple(both.argmax(axis=1).tolist())
         if names is None:
             names = tuple(str(i) for i in range(n))
         else:
@@ -135,21 +124,8 @@ def cyclic_group(n):
 
 def product_group(g, h):
     """Direct product; index (a, b) -> a * |h| + b."""
-    n = g.order * h.order
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(g.order):
-        for a2 in range(h.order):
-            for b1 in range(g.order):
-                for b2 in range(h.order):
-                    mul[a1 * h.order + a2][b1 * h.order + b2] = (
-                        g.mul[a1][b1] * h.order + h.mul[a2][b2]
-                    )
-    names = [
-        f"({g.names[a1]},{h.names[a2]})"
-        for a1 in range(g.order)
-        for a2 in range(h.order)
-    ]
-    return FiniteGroup(mul, names)
+    names = [f"({a},{b})" for a in g.names for b in h.names]
+    return FiniteGroup(sl._componentwise_table(g.mul, h.mul), names)
 
 
 def symmetric_group(n):
@@ -568,7 +544,8 @@ def _realize_component(act, i, irreps):
 
 
 def _crossed_spec(spec, g, reals):
-    """The output spec: Pi's block (i, j) is R_i (1_g (x) phi_ij) R_j^-1."""
+    """The output spec: Pi's block (i, j) is R_i (1_g (x) phi_ij) R_j^-1.
+    Only comparable blocks are written, so from_pi would check nothing."""
     off = gr._offsets([re.shape for re in reals])
     pi = np.eye(off[-1], dtype=complex)
     for (i, j) in spec.L.comparable_pairs():
@@ -578,62 +555,39 @@ def _crossed_spec(spec, g, reals):
                 @ np.kron(np.eye(g), spec.pi_block(i, j))
                 @ reals[j].inverse
             )
-    return gr.GradedSpec.from_pi(spec.L, [re.shape for re in reals], pi)
+    return gr.GradedSpec._of_pi(spec.L, [re.shape for re in reals], pi)
 
 
-def _check_transport(act, out, reals, tol=TRANSPORT_TOL):
-    """The realizations must carry convolution to the output's products
-    and adjoints.
+def _check_transport(act, reals, tol=TRANSPORT_TOL):
+    """Each realization must be a *-isomorphism of the convolution algebra
+    C(G, A_i) onto its block algebra.
 
     R_i is reals[i].matrix, with columns d_s (x) E_a in group-element-major
-    order. Product identity, once per ordered pair (i, j) with
-    k = i ^ j, over every (s, a, t, b) at once:
-    phi_ki(R_i(d_s (x) E_a)) phi_kj(R_j(d_t (x) E_b))
-    = R_k(d_st (x) q_ij(E_a, alpha_s(E_b))), with q_ij the input's
-    bilinear family. Star identity, once per component:
-    R_i(d_{s^-1} (x) alpha_{s^-1}(E_a*)) = R_i(d_s (x) E_a)*.
+    order. Product identity, once per index i, over every (s, a, t, b) at
+    once, with A_i's own product table from fd.unit_products:
+    R_i(d_st (x) E_a alpha_s(E_b)) = R_i(d_s (x) E_a) R_i(d_t (x) E_b).
+    Star identity: R_i(d_{s^-1} (x) alpha_{s^-1}(E_a*)) = R_i(d_s (x) E_a)*.
     """
-    spec = act.spec
-    group = act.group
-    g = group.order
-    L = spec.L
-    mul = np.asarray(group.mul)
-    inv = np.asarray(group.inverse)
-    alpha = [
-        np.stack([act.maps[(s, i)].matrix for s in range(g)])
-        for i in range(L.n)
-    ]
-    # blocks[i][p, s, a] is entry p of R_i(d_s (x) E_a)
-    blocks = [
-        re.matrix.reshape(re.matrix.shape[0], g, c.dim)
-        for re, c in zip(reals, spec.components)
-    ]
-    q = gr.q_family_from_spec(spec).tensors
+    g, mul, inv = act.group.order, np.asarray(act.group.mul), np.asarray(act.group.inverse)
     resids = []
-    for i in range(L.n):
-        if spec.components[i].dim == 0:
+    for i, (re, shape) in enumerate(zip(reals, act.spec.components)):
+        d = shape.dim
+        if d == 0:
             continue
+        alpha = np.stack([act.maps[(s, i)].matrix for s in range(g)])
+        # block[p, s, a] is entry p of R_i(d_s (x) E_a)
+        block = re.matrix.reshape(-1, g, d)
         star = np.einsum(
-            "psn,sna->psa",
-            blocks[i][:, inv],
-            alpha[i][inv][:, :, fd.adjoint_permutation(spec.components[i])],
+            "psn,sna->psa", block[:, inv], alpha[inv][:, :, fd.adjoint_permutation(shape)]
         )
-        adj = np.conj(reals[i].matrix)[fd.adjoint_permutation(out.components[i])]
+        adj = np.conj(re.matrix)[fd.adjoint_permutation(re.shape)]
         resids.append(fd.maxabs(star.reshape(adj.shape) - adj))
-        for j in range(L.n):
-            k = L.meet_of(i, j)
-            if 0 in (spec.components[j].dim, spec.components[k].dim):
-                continue
-            got = fd.pair_products(
-                out.components[k],
-                out.pi_block(k, i) @ reals[i].matrix,
-                out.pi_block(k, j) @ reals[j].matrix,
-            )
-            want = np.einsum(
-                "nam,smb,pstn->satbp", q[(i, j)], alpha[j], blocks[k][:, mul],
-                optimize=True,
-            )
-            resids.append(fd.maxabs(got - want.reshape(got.shape)))
+        a, b, c = fd.unit_products(shape)
+        table = np.zeros((d, d, d))
+        table[c, a, b] = 1.0
+        got = fd.pair_products(re.shape, re.matrix, re.matrix)
+        want = np.einsum("nam,smb,pstn->satbp", table, alpha, block[:, mul], optimize=True)
+        resids.append(fd.maxabs(got - want.reshape(got.shape)))
     worst = fd.maxabs(resids)
     if not worst <= tol:
         raise TransportMismatch(
@@ -646,12 +600,26 @@ def build_crossed_product(act, tol=gr.AXIOM_TOL):
     """Full crossed-product construction with its coordinate data.
 
     Realizes each component, transports the structure maps, validates the
-    resulting spec and checks the transport. Nothing else needs checking:
-    each R_i is bijective, multiplicative (the i = j case of the transport
-    check) and *-preserving, so the convolution laws are pulled back from
-    the block algebra; and the components stay independent because Pi is
-    unitriangular and the action maps are invertible, which build_action
-    checks.
+    resulting spec and checks that each R_i is a *-isomorphism of C(G, A_i)
+    onto its block algebra. The convolution laws are then pulled back from
+    the block algebras, and the components stay independent because Pi is
+    unitriangular and the action maps are invertible.
+
+    The products across indices follow. With phi'_ki = R_k (1 (x) phi_ki)
+    R_i^-1, the output maps as _crossed_spec builds them, and k = i ^ j:
+      phi'_ki(R_i(d_s (x) E_a)) phi'_kj(R_j(d_t (x) E_b))
+      = R_k(d_s (x) phi_ki(E_a)) R_k(d_t (x) phi_kj(E_b))
+      = R_k(d_st (x) phi_ki(E_a) alpha_s(phi_kj(E_b)))
+      = R_k(d_st (x) q_ij(E_a, alpha_s(E_b))),
+    by the construction of Pi', the product identity at k and equivariance.
+    build_action checks equivariance; without it, validate_spec(out)
+    implies it: each 1 (x) phi is multiplicative, so phi(x) phi(alpha_s y)
+    = phi(x) alpha_s(phi(y)). x = 1 gives phi(alpha_s y) = P alpha_s(phi(y))
+    with P = phi(1); y = 1 gives P <= alpha_s(P) for every s, s^-1 too, so
+    alpha_s(P) = P and phi(alpha_s y) = alpha_s(P phi(y)) = alpha_s(phi(y)).
+    By bilinearity the mixed residual is at most the per-index residual at
+    k times the l1 coefficient norms of phi_ki(E_a) and phi_kj(E_b), plus
+    the rounding of R_i^-1 R_i and the equivariance residual through R_k.
 
     R_i is bijective by Green's imprimitivity theorem for finite groups:
     the part of C(G, A_i) over a block orbit O with stabilizer H is
@@ -671,7 +639,7 @@ def build_crossed_product(act, tol=gr.AXIOM_TOL):
     reals = [_realize_component(act, i, irreps) for i in range(spec.L.n)]
     out = _crossed_spec(spec, act.group.order, reals)
     gr.validate_spec(out, tol)
-    _check_transport(act, out, reals)
+    _check_transport(act, reals)
     return CrossedProduct(action=act, spec=out, realizations=reals)
 
 

@@ -74,22 +74,14 @@ class Semilattice:
         self.le.flags.writeable = False
 
     def _check(self, table):
-        meet, n = self.meet, self.n
-        for i in range(n):
-            if meet[i][i] != i:
-                raise IdempotencyViolation(i, meet[i][i])
-        for i in range(n):
-            for j in range(i + 1, n):
-                if meet[i][j] != meet[j][i]:
-                    raise CommutativityViolation(i, j, meet[i][j], meet[j][i])
-        # one i at a time, first violation in (i, j, k) order:
-        # left[j, k] = (i ^ j) ^ k, right[j, k] = i ^ (j ^ k)
-        for i in range(n):
-            left, right = table[table[i]], table[i][table]
-            bad = np.flatnonzero(left != right)
-            if bad.size:
-                j, k = divmod(int(bad[0]), n)
-                raise AssociativityViolation(i, j, k, left[j, k], right[j, k])
+        # the first offender of each law, in row-major order
+        for i in np.flatnonzero(table.diagonal() != np.arange(self.n))[:1].tolist():
+            raise IdempotencyViolation(i, int(table[i, i]))
+        for i, j in np.argwhere(np.triu(table != table.T))[:1].tolist():
+            raise CommutativityViolation(i, j, int(table[i, j]), int(table[j, i]))
+        bad = _first_nonassociative(table)
+        if bad is not None:
+            raise AssociativityViolation(*bad)
 
     def __repr__(self):
         return f"Semilattice({self.n} elements: {', '.join(self.names)})"
@@ -179,17 +171,35 @@ class Semilattice:
         return frozenset(np.flatnonzero(below == 2).tolist())
 
 
+def _first_nonassociative(table):
+    """(i, j, k, (i . j) . k, i . (j . k)) at the first triple, in
+    lexicographic order, where the square integer array table is not
+    associative, or None; Semilattice and FiniteGroup both check here."""
+    n = len(table)
+    # one i at a time: left[j, k] = (i . j) . k, right[j, k] = i . (j . k)
+    for i in range(n):
+        left, right = table[table[i]], table[i][table]
+        bad = np.flatnonzero(left != right)
+        if bad.size:
+            j, k = divmod(int(bad[0]), n)
+            return i, j, k, int(left[j, k]), int(right[j, k])
+    return None
+
+
+def _componentwise_table(t1, t2):
+    """The componentwise operation of two square integer tables on pairs,
+    row-major: (i, j) -> i * len(t2) + j."""
+    n1, n2 = len(t1), len(t2)
+    t1 = np.asarray(t1, dtype=np.intp).reshape(n1, n1)
+    t2 = np.asarray(t2, dtype=np.intp).reshape(n2, n2)
+    # axes (i1, i2, j1, j2), flattened to rows i1 * n2 + i2, columns j1 * n2 + j2
+    return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+
+
 def product_semilattice(L1, L2):
     """Componentwise meet on L1 x L2, row-major: (i, j) -> i * L2.n + j."""
-    n1, n2 = L1.n, L2.n
-    m1 = np.asarray(L1.meet, dtype=np.intp).reshape(n1, n1)
-    m2 = np.asarray(L2.meet, dtype=np.intp).reshape(n2, n2)
-    # axes (i1, i2, j1, j2), flattened to rows i1 * n2 + i2, columns j1 * n2 + j2
-    meet = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
-    names = [
-        f"({L1.names[i1]},{L2.names[i2]})" for i1 in range(n1) for i2 in range(n2)
-    ]
-    return Semilattice(meet, names)
+    names = [f"({a},{b})" for a in L1.names for b in L2.names]
+    return Semilattice(_componentwise_table(L1.meet, L2.meet), names)
 
 
 def product_index(L2, i1, i2):

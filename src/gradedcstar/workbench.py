@@ -73,6 +73,25 @@ def _entry_from_doc(obj, where):
     return z
 
 
+def _int_table_from_doc(obj, where):
+    """A list of rows of JSON integers, as given: checked by type, not
+    isinstance, so that booleans and floats are refused."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise DocumentError(f"{where}: must be a list of rows")
+    for r, row in enumerate(obj):
+        for c, x in enumerate(row):
+            if type(x) is not int:
+                raise DocumentError(f"{where}: row {r}, column {c} must be an integer")
+    return obj
+
+
+def _names_from_doc(obj, where):
+    """An optional list of names, as given."""
+    if obj is not None and not isinstance(obj, list):
+        raise DocumentError(f"{where}: names must be a list")
+    return obj
+
+
 def _pairs_from_doc(obj, shape):
     """The complex array of shape `shape` that nested lists of [re, im]
     pairs describe, in one conversion; None if any entry would fail
@@ -180,9 +199,10 @@ def parse_spec(doc, tol=gr.AXIOM_TOL):
     sem = doc["semilattice"]
     if not isinstance(sem, dict) or "meet" not in sem:
         raise DocumentError("semilattice: need an object with a meet table")
-    names = sem.get("names")
+    meet = _int_table_from_doc(sem["meet"], "semilattice: meet")
+    names = _names_from_doc(sem.get("names"), "semilattice")
     try:
-        L = sl.Semilattice(sem["meet"], names)
+        L = sl.Semilattice(meet, names)
     except InputError as exc:
         raise DocumentError(f"semilattice: {exc}") from exc
     if len(set(L.names)) != L.n:
@@ -202,7 +222,7 @@ def parse_spec(doc, tol=gr.AXIOM_TOL):
     for i in range(L.n):
         blocks = comp_doc[L.names[i]]
         if not isinstance(blocks, list) or not all(
-            isinstance(b, int) and b >= 1 for b in blocks
+            type(b) is int and b >= 1 for b in blocks
         ):
             raise DocumentError(
                 f"components[{L.names[i]!r}]: block list must hold positive "
@@ -221,7 +241,7 @@ def parse_spec(doc, tol=gr.AXIOM_TOL):
         ):
             raise DocumentError(f"{where}: need from, to, and matrix fields")
         for fieldname in ("from", "to"):
-            if entry[fieldname] not in index:
+            if not isinstance(entry[fieldname], str) or entry[fieldname] not in index:
                 raise DocumentError(
                     f"{where}: unknown index name {entry[fieldname]!r}"
                 )
@@ -263,7 +283,8 @@ def group_to_document(group):
 def document_to_group(doc):
     if not isinstance(doc, dict) or "mul" not in doc:
         raise DocumentError("group document needs a mul table")
-    return pr.FiniteGroup(doc["mul"], doc.get("names"))
+    mul = _int_table_from_doc(doc["mul"], "mul")
+    return pr.FiniteGroup(mul, _names_from_doc(doc.get("names"), "group"))
 
 
 def action_to_document(act):
@@ -284,7 +305,7 @@ def action_to_document(act):
 
 
 def document_to_action(doc, group, spec):
-    if not isinstance(doc, dict) or "maps" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("maps"), list):
         raise DocumentError("action document needs a maps list")
     gindex = {name: g for g, name in enumerate(group.names)}
     lindex = {name: i for i, name in enumerate(spec.L.names)}
@@ -299,11 +320,11 @@ def document_to_action(doc, group, spec):
             raise DocumentError(
                 f"{where}: need element, index, and matrix fields"
             )
-        if entry["element"] not in gindex:
+        if not isinstance(entry["element"], str) or entry["element"] not in gindex:
             raise DocumentError(
                 f"{where}: unknown group element {entry['element']!r}"
             )
-        if entry["index"] not in lindex:
+        if not isinstance(entry["index"], str) or entry["index"] not in lindex:
             raise DocumentError(f"{where}: unknown index {entry['index']!r}")
         g = gindex[entry["element"]]
         i = lindex[entry["index"]]
@@ -329,7 +350,7 @@ def element_to_document(x):
 
 
 def document_to_element(doc, spec):
-    if not isinstance(doc, dict) or "components" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("components"), dict):
         raise DocumentError("element document needs a components object")
     lindex = {name: i for i, name in enumerate(spec.L.names)}
     comps = [fd.zero(c) for c in spec.components]

@@ -1,18 +1,88 @@
-"""The Wedderburn route to crossed products, kept as a test oracle.
+"""Oracles for crossed products: the Wedderburn route and the per-pair
+transport identity.
 
 products._realize_component builds each convolution algebra's blocks
 exactly, orbit by orbit, from the block permutation, the stabilizers and
-their twisted group algebras. This is the route it replaced: decompose the
-left-regular representation of C(G, A_i) numerically with
+their twisted group algebras. The first oracle is the route it replaced:
+decompose the left-regular representation of C(G, A_i) numerically with
 ktheory.wedderburn. Both must find the same algebra, so the same block
 shapes and, once the blocks are matched, the same K0 generator matrix.
+
+products._check_transport checks one product identity per index; the
+second oracle, transport_reference, checks the identity for every ordered
+pair of indices through the output's structure maps and the input's q
+family, as the package once did. build_crossed_product's docstring proves
+that the per-index identities imply it.
 """
 
 import numpy as np
 
 from gradedcstar import findim as fd
+from gradedcstar import graded as gr
 from gradedcstar import ktheory as kt
 from gradedcstar import products as pr
+
+
+def transport_reference(act, out, reals, tol=pr.TRANSPORT_TOL):
+    """The realizations carry convolution to the output's products and
+    adjoints, across every ordered pair of indices.
+
+    R_i is reals[i].matrix, with columns d_s (x) E_a in group-element-major
+    order. Product identity, once per ordered pair (i, j) with k = i ^ j,
+    over every (s, a, t, b) at once:
+    phi'_ki(R_i(d_s (x) E_a)) phi'_kj(R_j(d_t (x) E_b))
+    = R_k(d_st (x) q_ij(E_a, alpha_s(E_b))), with phi' the output's maps
+    and q_ij the input's bilinear family. Star identity, once per index:
+    R_i(d_{s^-1} (x) alpha_{s^-1}(E_a*)) = R_i(d_s (x) E_a)*. Returns the
+    largest residual; raises TransportMismatch above tol.
+    """
+    spec = act.spec
+    group = act.group
+    g = group.order
+    L = spec.L
+    mul = np.asarray(group.mul)
+    inv = np.asarray(group.inverse)
+    alpha = [
+        np.stack([act.maps[(s, i)].matrix for s in range(g)])
+        for i in range(L.n)
+    ]
+    # blocks[i][p, s, a] is entry p of R_i(d_s (x) E_a)
+    blocks = [
+        re.matrix.reshape(re.matrix.shape[0], g, c.dim)
+        for re, c in zip(reals, spec.components)
+    ]
+    q = gr.q_family_from_spec(spec).tensors
+    resids = []
+    for i in range(L.n):
+        if spec.components[i].dim == 0:
+            continue
+        star = np.einsum(
+            "psn,sna->psa",
+            blocks[i][:, inv],
+            alpha[i][inv][:, :, fd.adjoint_permutation(spec.components[i])],
+        )
+        adj = np.conj(reals[i].matrix)[fd.adjoint_permutation(out.components[i])]
+        resids.append(fd.maxabs(star.reshape(adj.shape) - adj))
+        for j in range(L.n):
+            k = L.meet_of(i, j)
+            if 0 in (spec.components[j].dim, spec.components[k].dim):
+                continue
+            got = fd.pair_products(
+                out.components[k],
+                out.pi_block(k, i) @ reals[i].matrix,
+                out.pi_block(k, j) @ reals[j].matrix,
+            )
+            want = np.einsum(
+                "nam,smb,pstn->satbp", q[(i, j)], alpha[j], blocks[k][:, mul],
+                optimize=True,
+            )
+            resids.append(fd.maxabs(got - want.reshape(got.shape)))
+    worst = fd.maxabs(resids)
+    if not worst <= tol:
+        raise pr.TransportMismatch(
+            f"output products deviate from convolution by {worst:.3e}"
+        )
+    return worst
 
 
 def left_translation_matrix(group, s):

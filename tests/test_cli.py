@@ -424,3 +424,134 @@ class TestNonFiniteEntries:
         assert code == 2
         assert out == ""
         assert "DocumentError" in err and "entry 0" in err
+
+
+def _coset_z4_documents():
+    spec, act = wb.build_coset_spec(*wb.coset_z4_family())
+    return {
+        "spec": wb.spec_to_document(spec),
+        "group": wb.group_to_document(act.group),
+        "action": wb.action_to_document(act),
+        "element": wb.element_to_document(spec.component_unit(0)),
+    }
+
+
+def _float_meet(docs):
+    meet = [[float(x) for x in row] for row in docs["spec"]["semilattice"]["meet"]]
+    meet[1][2] = 1.9  # {0,2} ^ G = {0,2}, index 1
+    docs["spec"]["semilattice"]["meet"] = meet
+
+
+# argv with document names for paths, the mutation of the coset-z4
+# documents, and the DocumentError message
+MALFORMED = {
+    "superscript-sub": (
+        ["restrict", "spec", "--sub", "²"], None, "unknown semilattice index '²'"
+    ),
+    "element-components-list": (
+        ["norm", "spec", "element"],
+        lambda d: d["element"].update(components=[1, 2]),
+        "element document needs a components object",
+    ),
+    "meet-string-entry": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["semilattice"]["meet"][0].__setitem__(1, "a"),
+        "semilattice: meet: row 0, column 1 must be an integer",
+    ),
+    "meet-number": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["semilattice"].update(meet=5),
+        "semilattice: meet: must be a list of rows",
+    ),
+    "names-number": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["semilattice"].update(names=5),
+        "semilattice: names must be a list",
+    ),
+    "meet-floats": (
+        ["validate", "spec"], _float_meet, "semilattice: meet: row 0, column 0 must be an integer"
+    ),
+    "boolean-blocks": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["components"].update({"{0}": [True] * 4}),
+        "components['{0}']: block list must hold positive integers",
+    ),
+    "unhashable-phi-name": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["phi"][0].update({"from": [1]}),
+        "phi[0]: unknown index name [1]",
+    ),
+    "group-string-entry": (
+        ["crossed", "spec", "group", "action"],
+        lambda d: d["group"].update(mul=[[0, "a"], [1, 0]]),
+        "mul: row 0, column 1 must be an integer",
+    ),
+    "group-names-number": (
+        ["crossed", "spec", "group", "action"],
+        lambda d: d["group"].update(names=5),
+        "group: names must be a list",
+    ),
+    "action-maps-number": (
+        ["crossed", "spec", "group", "action"],
+        lambda d: d["action"].update(maps=5),
+        "action document needs a maps list",
+    ),
+    "unhashable-action-element": (
+        ["crossed", "spec", "group", "action"],
+        lambda d: d["action"]["maps"][0].update(element=[1]),
+        "maps[0]: unknown group element [1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_document_exits_two(tmp_path, capsys, case):
+    argv, mutate, message = case
+    docs = _coset_z4_documents()
+    if mutate is not None:
+        mutate(docs)
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a}.json") if a in docs else a for a in argv]
+    # any exception other than the package's own would escape main
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"error: DocumentError: {message}"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "demo", ["all-scalar-diamond", "chain-3", "coset-z4", "coset-s3", "m2-chain"]
+)
+def test_no_command_builds_the_q_family(tmp_path, capsys, monkeypatch, demo):
+    # the q family is the per-pair route the package no longer takes on any
+    # command path: the crossed product certifies one index at a time
+    spec = wb.demo_spec(demo)
+    path = demo_file(tmp_path, demo)
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps(wb.element_to_document(spec.component_unit(0))))
+
+    def no_q_family(spec):
+        raise AssertionError("a command built the q family")
+
+    monkeypatch.setattr(gr, "q_family_from_spec", no_q_family)
+    commutative = all(c.blocks == (1,) * c.nblocks for c in spec.components)
+    runs = [
+        (["validate", path], 0),
+        (["k0", path], 0),
+        (["characters", path], 0 if commutative else 2),
+        (["restrict", path, "--sub", str(spec.L.top())], 0 if commutative else 2),
+        (["norm", path, element], 0),
+        (["tensor", path, path, "-o", tmp_path / "t.json"], 0),
+    ]
+    if demo == "coset-s3":
+        _, act = wb.build_coset_spec(*wb.coset_s3_family())
+        group, action = tmp_path / "group.json", tmp_path / "action.json"
+        group.write_text(json.dumps(wb.group_to_document(act.group)))
+        action.write_text(json.dumps(wb.action_to_document(act)))
+        runs.append((["crossed", path, group, action, "-o", tmp_path / "c.json"], 0))
+    capsys.readouterr()
+    for argv, want in runs:
+        code, _, err = run(capsys, *map(str, argv))
+        assert code == want, (argv[0], err)

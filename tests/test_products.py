@@ -15,7 +15,11 @@ from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
 from gradedcstar.errors import GradedCstarError, ValidationFailure
-from crossed_references import assert_matches_oracle, left_translation_matrix
+from crossed_references import (
+    assert_matches_oracle,
+    left_translation_matrix,
+    transport_reference,
+)
 
 C2 = fd.AlgebraShape([1, 1])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -24,8 +28,11 @@ CONV_TOL = 1e-9
 
 # ---------------------------------------------------------------- oracles
 # The convolution-law and independence checks that build_crossed_product
-# no longer runs: a valid action and the transport check imply both. They
-# stay here as references, run on every crossed product these tests build.
+# no longer runs: a valid action and the transport check imply both. The
+# transport check itself certifies each realization once per index; the
+# identity for every ordered pair of indices, which follows by the proof in
+# build_crossed_product, is crossed_references.transport_reference. All
+# three stay as references, run on every crossed product these tests build.
 
 def _component_arrays(act, i):
     shape = act.spec.components[i]
@@ -156,13 +163,15 @@ def reference_total_independence(act, rtol=fd.RANK_RTOL):
 
 
 def crossed(act):
-    """build_crossed_product, cross-checked against both references and
-    against the Wedderburn route: the same block shapes on every index and
-    the same K0 generator matrix up to the matching of the blocks."""
+    """build_crossed_product, cross-checked against the references above,
+    against the per-pair transport identity and against the Wedderburn
+    route: the same block shapes on every index and the same K0 generator
+    matrix up to the matching of the blocks."""
     cp = pr.build_crossed_product(act)
     for i in range(act.spec.L.n):
         reference_convolution_axioms(act, i)
     reference_total_independence(act)
+    assert transport_reference(act, cp.spec, cp.realizations) < 1e-12
     assert_matches_oracle(cp)
     return cp
 
@@ -340,7 +349,50 @@ class TestBuildActionAgainstReference:
         pr.build_action(group, spec, maps)
 
 
+def finite_group_reference(mul):
+    """The verdict of FiniteGroup's checks by exhaustive loops, in its
+    order: identity, then associativity at the first (a, b, c) in
+    lexicographic order, then inverses. The message of the first failure,
+    or None."""
+    n = len(mul)
+    units = [e for e in range(n) if all(mul[e][x] == x == mul[x][e] for x in range(n))]
+    if not units:
+        return "no two-sided identity element"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    for a in range(n):
+        if not any(mul[a][b] == units[0] == mul[b][a] for b in range(n)):
+            return f"element {a} has no two-sided inverse"
+    return None
+
+
+@st.composite
+def tables_with_identity(draw):
+    # row and column 0 are the identity's, so most tables reach the
+    # associativity and inverse checks
+    n = draw(st.integers(1, 6))
+    mul = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    for x in range(n):
+        mul[0][x] = mul[x][0] = x
+    return mul
+
+
 class TestFiniteGroup:
+    @settings(max_examples=150, deadline=None)
+    @given(tables_with_identity())
+    def test_first_failure_matches_the_loops(self, mul):
+        message = finite_group_reference(mul)
+        if message is None:
+            group = pr.FiniteGroup(mul)
+            assert all(mul[a][group.inv(a)] == group.identity for a in range(len(mul)))
+            return
+        with pytest.raises(pr.NotAGroup) as got:
+            pr.FiniteGroup(mul)
+        assert str(got.value) == message
+
     def test_cyclic_small(self):
         g = pr.cyclic_group(4)
         assert g.order == 4
@@ -367,6 +419,13 @@ class TestFiniteGroup:
 
     def test_product_of_cyclics(self):
         v4 = pr.product_group(pr.cyclic_group(2), pr.cyclic_group(2))
+        z2, z3 = pr.cyclic_group(2), pr.cyclic_group(3)
+        z6 = pr.product_group(z2, z3)
+        assert z6.mul == tuple(
+            tuple((a1 + b1) % 2 * 3 + (a2 + b2) % 3 for b1 in range(2) for b2 in range(3))
+            for a1 in range(2)
+            for a2 in range(3)
+        )
         assert v4.order == 4
         assert all(v4.inv(a) == a for a in range(4))
         assert all(
@@ -747,7 +806,7 @@ class TestCrossedProduct:
         act = translation_action(pr.cyclic_group(2))
         cp = crossed(act)
         with pytest.raises(pr.TransportMismatch):
-            pr._check_transport(act, cp.spec, cp.realizations, tol=-1.0)
+            pr._check_transport(act, cp.realizations, tol=-1.0)
 
     def test_independence_check_wiring(self):
         act = translation_action(pr.cyclic_group(2))
@@ -762,7 +821,7 @@ class TestCrossedProduct:
         spec, act = wb.build_coset_spec(group, subgroups)
         cp = crossed(act)
         assert cp.spec.total_dim == group.order * spec.total_dim
-        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+        assert pr._check_transport(act, cp.realizations) < 1e-12
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_perturbed_realization_fails_transport(self, index):
@@ -778,7 +837,9 @@ class TestCrossedProduct:
         bent[0, 0] += 1e-5
         reals[index] = dataclasses.replace(reals[index], matrix=bent)
         with pytest.raises(pr.TransportMismatch):
-            pr._check_transport(act, cp.spec, reals)
+            pr._check_transport(act, reals)
+        with pytest.raises(pr.TransportMismatch):
+            transport_reference(act, cp.spec, reals)
 
     def test_star_only_break_fails_transport(self):
         # conjugating the M_2 realization by a non-unitary S keeps it
@@ -794,7 +855,9 @@ class TestCrossedProduct:
         real = cp.realizations[0]
         bent = dataclasses.replace(real, matrix=ad @ real.matrix)
         with pytest.raises(pr.TransportMismatch):
-            pr._check_transport(act, cp.spec, [bent])
+            pr._check_transport(act, [bent])
+        with pytest.raises(pr.TransportMismatch):
+            transport_reference(act, cp.spec, [bent])
 
     def test_nontrivial_cocycle_on_the_m2_chain(self):
         # Z2 x Z2 acts on M_2 by Ad of Z^a X^b. XZ = -ZX, so the
@@ -814,7 +877,7 @@ class TestCrossedProduct:
         act = pr.build_action(group, spec, maps)
         cp = crossed(act)
         assert [c.blocks for c in cp.spec.components] == [(4,), (1, 1, 1, 1)]
-        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+        assert pr._check_transport(act, cp.realizations) < 1e-12
         report = kt.verify_k0(cp.spec)
         assert report.unimodular and report.total_rank == 5
 
@@ -827,7 +890,7 @@ class TestCrossedProduct:
         act = pr.build_action(pr.cyclic_group(2), spec, {(1, 0): swap})
         cp = crossed(act)
         assert cp.spec.components[0].blocks == (4,)
-        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+        assert pr._check_transport(act, cp.realizations) < 1e-12
 
     def test_stabilizer_acts_on_a_permuted_orbit(self):
         # Z4's generator sends (x, y) to (y, X x X): the orbit is both
@@ -845,7 +908,7 @@ class TestCrossedProduct:
         act = pr.build_action(pr.cyclic_group(4), spec, maps)
         cp = crossed(act)
         assert cp.spec.components[0].blocks == (4, 4)
-        assert pr._check_transport(act, cp.spec, cp.realizations) < 1e-12
+        assert pr._check_transport(act, cp.realizations) < 1e-12
 
     @pytest.mark.parametrize(
         "make, sides",
@@ -910,3 +973,18 @@ class TestCrossedProduct:
         }
         with pytest.raises(GradedCstarError):
             pr.build_crossed_product(pr.GradedAction(group, spec, maps))
+
+    def test_unchecked_non_equivariant_action_is_refused(self):
+        # coset-z4 with index 1 acting trivially: every map is an action on
+        # its own index, but translation on index 0 does not commute with
+        # the pullback from index 1. build_action refuses it; assembled
+        # without build_action, the transported maps are not *-homs, so the
+        # output spec fails validation before the transport check runs
+        spec, act = wb.build_coset_spec(*wb.coset_z4_family())
+        maps = dict(act.maps)
+        for s in range(act.group.order):
+            maps[(s, 1)] = fd.identity_hom(spec.components[1])
+        with pytest.raises(pr.ActionInvalid, match="does not commute"):
+            pr.build_action(act.group, spec, maps)
+        with pytest.raises(gr.HomNotStar):
+            pr.build_crossed_product(pr.GradedAction(act.group, spec, maps))

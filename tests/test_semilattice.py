@@ -365,6 +365,37 @@ def test_associativity_reports_the_first_violation(table):
     assert str(e.value) == f"(({i} ^ {j}) ^ {k}) = {left} but ({i} ^ ({j} ^ {k})) = {right}"
 
 
+def oracle_first_law_violation(table):
+    """The message of the first idempotency, then commutativity (i < j,
+    row-major) violation, by loops; None if both laws hold."""
+    n = len(table)
+    for i in range(n):
+        if table[i][i] != i:
+            return f"meet[{i}][{i}] = {table[i][i]}, expected {i}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
+                return f"meet[{i}][{j}] = {table[i][j]} but meet[{j}][{i}] = {table[j][i]}"
+    return None
+
+
+@st.composite
+def square_tables(draw):
+    n = draw(st.integers(1, 5))
+    return [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_tables())
+def test_idempotency_and_commutativity_report_the_first_violation(table):
+    message = oracle_first_law_violation(table)
+    if message is None:
+        return
+    with pytest.raises((IdempotencyViolation, CommutativityViolation)) as e:
+        Semilattice(table)
+    assert str(e.value) == message
+
+
 def test_finishing_sets_of_a_large_chain_are_its_upsets():
     L = chain(40)
     got = L.enumerate_finishing_subsemilattices()
