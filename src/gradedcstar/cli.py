@@ -10,7 +10,6 @@ is only recorded in validate's report header. Timing goes to stderr.
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -36,7 +35,7 @@ def _emit(doc, out_path):
     if out_path:
         wb.save_document(doc, out_path)
         return [f"wrote {out_path}"]
-    return [json.dumps(doc, indent=2)]
+    return [wb.dumps_spec_document(doc)]
 
 
 def _fmt_complex(z, tol=1e-10):

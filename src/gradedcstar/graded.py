@@ -28,12 +28,14 @@ blocks at j into its blocks at i: verify_ideal_gradation reads that off pi.
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import findim as fd
 from .errors import InputError, ValidationFailure
 from .findim import AlgebraShape, StarHom
+from .semilattice import Semilattice
 
 AXIOM_TOL = 1e-9
 
@@ -100,7 +102,8 @@ class GradedSpec:
     L.comparable_pairs(), lexicographic with the diagonals included; each
     lookup is a StarHom over a read-only view of pi's block, so nothing
     written through it reaches the spec. validated_tol is the smallest
-    tolerance validate_spec has passed the spec at, inf before any pass.
+    tolerance validate_spec has passed the spec at, inf before any pass;
+    validated_bounds is the SpecBounds of the last pass, None before any.
     """
 
     def __init__(self, L, components, phi):
@@ -165,6 +168,7 @@ class GradedSpec:
         pi.flags.writeable = False
         self.pi = pi
         self.validated_tol = np.inf
+        self.validated_bounds = None
 
     @property
     def phi(self):
@@ -507,6 +511,20 @@ class SpecValidationReport:
     pairs_checked: int
 
 
+class SpecBounds(NamedTuple):
+    """Bounds that a passing validate_spec certified, over every basis
+    element and basis pair of the spec: the largest entry of
+    |phi_{i,i} - id| (identity), the largest Frobenius star residual of a
+    map at a basis element (star), a bound on the Frobenius basis-pair
+    residuals of every map (hom) and one on the entries of every axiom (b)
+    basis-pair residual (axiom_b)."""
+
+    identity: float
+    star: float
+    hom: float
+    axiom_b: float
+
+
 def validate_spec(spec, tol=AXIOM_TOL):
     """Numeric validation of the grading axioms.
 
@@ -517,7 +535,8 @@ def validate_spec(spec, tol=AXIOM_TOL):
     pair when those cannot certify them; the basis-pair checks decide
     every failure. Raises on the first failure; returns the max residuals
     of the checks that decided on success, and records tol on the spec
-    as validated_tol. A NaN residual fails.
+    as validated_tol and the bounds it certified as validated_bounds. A
+    NaN residual fails.
     """
     L = spec.L
     pi = spec.pi
@@ -610,7 +629,9 @@ def validate_spec(spec, tol=AXIOM_TOL):
             if not b_res <= budget:
                 break
         else:
+            beta = k_eps * b_res + k_delta * hom_bound + k_zeta * id_res
             spec.validated_tol = min(spec.validated_tol, tol)
+            spec.validated_bounds = SpecBounds(id_res, star_res, hom_bound, float(beta))
             return SpecValidationReport(
                 id_res, mult_res, star_res, float(b_res), pairs_checked
             )
@@ -647,6 +668,7 @@ def validate_spec(spec, tol=AXIOM_TOL):
                     spec.basis_label(i, a), spec.basis_label(j, b), r,
                 )
     spec.validated_tol = min(spec.validated_tol, tol)
+    spec.validated_bounds = SpecBounds(id_res, star_res, hom_bound, b_res)
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs_checked)
 
 
@@ -891,21 +913,23 @@ def restrict_spec(spec, M):
     """The sub-spec over a meet-closed index set, plus old->new index map.
 
     The sub-spec's axioms are a subset of the spec's, so it inherits the
-    spec's validated_tol."""
+    spec's validated_tol and validated_bounds."""
     M = _sorted_indices(spec.L, M)
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
     new_of = np.full(spec.L.n, -1)  # old index -> new index, -1 off M
     new_of[M] = np.arange(len(M))
     meet = np.asarray(spec.L.meet, dtype=np.intp)
-    from .semilattice import Semilattice
-
-    subL = Semilattice(new_of[meet[np.ix_(M, M)]], [spec.L.names[a] for a in M])
+    # a meet-closed subset of a checked semilattice is one: no check
+    subL = Semilattice._of_table(
+        new_of[meet[np.ix_(M, M)]], [spec.L.names[a] for a in M], spec.L.le[np.ix_(M, M)]
+    )
     coords = new_of[_owners(spec.components)] >= 0
     sub = GradedSpec._of_pi(
         subL, [spec.components[a] for a in M], spec.pi[np.ix_(coords, coords)]
     )
     sub.validated_tol = spec.validated_tol
+    sub.validated_bounds = spec.validated_bounds
     return sub, {old: int(new_of[old]) for old in M}
 
 

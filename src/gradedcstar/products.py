@@ -3,9 +3,10 @@
 tensor_spec combines two specs over the product semilattice, with
 componentwise Kronecker blocks and Kronecker structure maps: the product's
 Pi is one gather of Pi_a (x) Pi_b, which relabels its graded basis, and
-the output spec is built over it. Minimal and maximal tensor norms agree
-for finite-dimensional algebras, so a single construction covers both
-readings.
+the output spec is built over it and certified from the factors'
+validation bounds when both carry them. Minimal and maximal tensor norms
+agree for finite-dimensional algebras, so a single construction covers
+both readings.
 
 crossed_product turns a validated group action into a new graded spec
 over the same semilattice. Each component is the convolution *-algebra
@@ -310,7 +311,39 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
 
     Components multiply blockwise and structure maps act factorwise, so
     the product's Pi is Pi_a (x) Pi_b with its graded basis relabeled.
-    The result is validated in full before being returned.
+
+    When both factors carry validated_bounds, the product is certified
+    from them instead of validated. The relabeling sends E (x) F, for
+    matrix units E and F, to a matrix unit, and entrywise and Frobenius
+    norms are multiplicative under (x). Write nu for a factor's largest
+    column 2-norm of Pi, which bounds the Frobenius norm of the image of a
+    matrix unit under every map, and expand
+        (X + D1) (x) (Y + D2) - X (x) Y = D1 (x) Y + X (x) D2 + D1 (x) D2.
+      - Identity: phi_{i,i} = I + D1 and psi_{i',i'} = I + D2 give
+        zeta_T <= zeta_a + zeta_b + zeta_a zeta_b.
+      - Star: at E (x) F take X = phi(E)*, D1 = phi(E*) - phi(E)* and
+        likewise Y, D2; ||X||, ||Y|| <= nu, so
+        sigma_T <= sigma_a nu_b + nu_a sigma_b + sigma_a sigma_b.
+      - Multiplicativity: at the basis pair (E (x) F, E' (x) F') take
+        X = phi(E E'), D1 = phi(E) phi(E') - X and likewise Y, D2; E E' is a
+        matrix unit or 0, so the same form bounds delta_T.
+      - Axiom (b): at indices (i, i'), (j, j') with meet (k, k') and
+        (m, m') < (k, k'), and matrix units x = E (x) F, y = E' (x) F', let
+        v = phi_{m,i}(E) phi_{m,j}(E') and r = phi_{m,k}(phi_{k,i}(E)
+        phi_{k,j}(E')) - v, and w, s likewise in the second factor. The
+        product's residual is r (x) w + v (x) s + r (x) s, with
+        |v|, |w| <= ||v||_F <= nu^2 entrywise. For m < k, |r| <= beta, the
+        factor's own axiom (b) bound. For m = k, a triple its own check
+        never visits, r = (phi_{k,k} - I) u for u = phi_{k,i}(E)
+        phi_{k,j}(E'), so |r| <= zeta ||u||_1 <= zeta sqrt(dim) nu^2 with
+        dim the largest component dimension. With
+        beta' = max(beta, zeta sqrt(dim) nu^2),
+        beta_T <= beta'_a nu_b^2 + nu_a^2 beta'_b + beta'_a beta'_b.
+    These bound every quantity validate_spec(product, tol) compares with
+    tol, so when all four are <= tol it would pass: tol and the bounds are
+    recorded on the product, which can then be a certified factor in
+    turn. Otherwise, a factor without bounds included, the product is
+    validated in full and raises what validate_spec raises.
     """
     L = sl.product_semilattice(a.L, b.L)
     nb = b.L.n
@@ -334,8 +367,40 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     owner = gr._owners(comps)
     pi[~L.le[np.ix_(owner, owner)]] = 0
     out = gr.GradedSpec._of_pi(L, comps, pi)
-    gr.validate_spec(out, tol)
+    bounds = _tensor_bounds(a, b)
+    if bounds is not None and all(x <= tol for x in bounds):
+        out.validated_tol = tol
+        out.validated_bounds = bounds
+    else:
+        gr.validate_spec(out, tol)
     return out
+
+
+def _tensor_bounds(a, b):
+    """The SpecBounds tensor_spec derives for a (x) b from the factors'
+    validated_bounds, or None when a factor has none."""
+    if a.validated_bounds is None or b.validated_bounds is None:
+        return None
+    (za, sa, da, ba, na), (zb, sb, db, bb, nb) = map(_factor_terms, (a, b))
+
+    def cross(x, y, nx, ny):
+        return x * ny + nx * y + x * y
+
+    return gr.SpecBounds(
+        cross(za, zb, 1.0, 1.0),
+        cross(sa, sb, na, nb),
+        cross(da, db, na, nb),
+        cross(ba, bb, na**2, nb**2),
+    )
+
+
+def _factor_terms(spec):
+    """(zeta, sigma, delta, beta', nu) of a factor with validated_bounds,
+    as in tensor_spec."""
+    zeta, sigma, delta, beta = spec.validated_bounds
+    nu = float(np.linalg.norm(spec.pi, axis=0).max(initial=0.0))
+    dim = max((c.dim for c in spec.components), default=0)
+    return zeta, sigma, delta, float(max(beta, zeta * np.sqrt(dim) * nu**2)), nu
 
 
 # ------------------------------------------------------- crossed products

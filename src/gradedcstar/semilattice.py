@@ -73,6 +73,20 @@ class Semilattice:
         self.le = table == np.arange(n)[:, None]
         self.le.flags.writeable = False
 
+    @classmethod
+    def _of_table(cls, table, names, le):
+        """The semilattice over a square integer array that the caller
+        knows is a meet table, with its order matrix le and distinct
+        names: the unchecked store for a product or a meet-closed subset
+        of checked semilattices."""
+        L = cls.__new__(cls)
+        L.meet = tuple(map(tuple, table.tolist()))
+        L.n = len(L.meet)
+        L.names = tuple(names)
+        L.le = le
+        L.le.flags.writeable = False
+        return L
+
     def _check(self, table):
         # the first offender of each law, in row-major order
         for i in np.flatnonzero(table.diagonal() != np.arange(self.n))[:1].tolist():
@@ -197,9 +211,16 @@ def _componentwise_table(t1, t2):
 
 
 def product_semilattice(L1, L2):
-    """Componentwise meet on L1 x L2, row-major: (i, j) -> i * L2.n + j."""
+    """Componentwise meet on L1 x L2, row-major: (i, j) -> i * L2.n + j.
+
+    The componentwise meet of two semilattices is idempotent, commutative
+    and associative because each component is, and (i1, i2) <= (j1, j2)
+    iff both components are, so the table goes unchecked and the order is
+    the Kronecker product of the factors' orders."""
     names = [f"({a},{b})" for a in L1.names for b in L2.names]
-    return Semilattice(_componentwise_table(L1.meet, L2.meet), names)
+    return Semilattice._of_table(
+        _componentwise_table(L1.meet, L2.meet), names, np.kron(L1.le, L2.le)
+    )
 
 
 def product_index(L2, i1, i2):

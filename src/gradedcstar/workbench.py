@@ -14,6 +14,7 @@ re-parsing a document reproduces every matrix bit for bit.
 """
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -378,9 +379,59 @@ def load_document(path):
 
 
 def save_document(doc, path):
+    """Write a spec document as dumps_spec_document renders it, then a
+    newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps_spec_document(doc) + "\n")
+
+
+def dumps_spec_document(doc):
+    """json.dumps(doc, indent=2), byte for byte, for a spec document as
+    spec_to_document writes it.
+
+    json serves indent=2 only from its pure-Python encoder, so just the
+    skeleton, with phi emptied, goes through it. Each phi entry and its
+    matrix of floats are filled into templates, the matrix's cached per
+    shape, from the floats' reprs; NaN and the infinities then read as
+    json writes them."""
+    text = json.dumps(dict(doc, phi=[]), indent=2)
+    # a raw newline cannot occur inside a JSON string, and only root keys
+    # sit at an indent of two
+    head, _, tail = text.partition('\n  "phi": []')
+    entries = [
+        _PHI_ENTRY % (
+            json.dumps(e["from"]),
+            json.dumps(e["to"]),
+            _matrix_text(e["matrix"]),
+        )
+        for e in doc["phi"]
+    ]
+    return head + '\n  "phi": ' + _json_list(entries, 1) + tail
+
+
+_PHI_ENTRY = '{\n      "from": %s,\n      "to": %s,\n      "matrix": %s\n    }'
+
+
+def _json_list(items, level):
+    """A JSON list of rendered items at this nesting level, as indent=2
+    lays it out."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_template(rows, cols):
+    """The phi matrix of rows x cols [re, im] pairs with a %s per float."""
+    return _json_list([_json_list([_json_list(["%s", "%s"], 5)] * cols, 4)] * rows, 3)
+
+
+def _matrix_text(matrix):
+    cols = len(matrix[0]) if matrix else 0
+    floats = chain.from_iterable(chain.from_iterable(matrix))
+    text = _matrix_template(len(matrix), cols) % tuple(map(float.__repr__, floats))
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def document_digest(doc):

@@ -297,6 +297,20 @@ class TestConstructions:
         assert spec.L.n == 4
         assert spec.total_dim == 4
 
+    def test_tensor_validates_each_factor_once(self, tmp_path, capsys, monkeypatch):
+        # the factors' bounds certify the product: no third validation
+        a = demo_file(tmp_path, "coset-z4", "a.json")
+        b = demo_file(tmp_path, "m2-chain", "b.json")
+        capsys.readouterr()
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(1) or real(*a))
+        code, out, _ = run(capsys, "tensor", str(a), str(b))
+        assert code == 0
+        assert len(calls) == 2
+        t = pr.tensor_spec(wb.demo_spec("coset-z4"), wb.demo_spec("m2-chain"))
+        assert out == json.dumps(wb.spec_to_document(t), indent=2) + "\n"
+
     def test_crossed_emits_valid_document(self, tmp_path, capsys):
         spec_path = demo_file(tmp_path, "m2-chain")
         spec = wb.demo_spec("m2-chain")

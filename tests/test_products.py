@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCALAR, M2, all_scalar_spec, block_chain_spec, m2_chain_spec, mixed_diamond_spec, unital_embedding
@@ -603,12 +603,17 @@ def k0_generators(spec):
 
 
 def tensor(a, b):
-    """tensor_spec, with every structure map checked bit for bit against
-    tensor_hom and the rank matrix against K_A (x) K_B: the tensor
+    """tensor_spec on validated factors, so that their bounds certify the
+    product, with every structure map checked bit for bit against
+    tensor_hom, the rank matrix against K_A (x) K_B: the tensor
     product of the generators (i1, b1) and (i2, b2) is the generator
     ((i1, i2), b1 nblocks(B_i2) + b2) (Blackadar, K-Theory for Operator
-    Algebras, 1998)."""
+    Algebras, 1998), and the certificate against full validation."""
+    for spec in (a, b):
+        if spec.validated_bounds is None:
+            gr.validate_spec(spec)
     t = pr.tensor_spec(a, b)
+    assert_certificate_sound(t)
     nb = b.L.n
     for (x, y), h in t.phi.items():
         (i1, i2), (j1, j2) = divmod(x, nb), divmod(y, nb)
@@ -625,6 +630,38 @@ def tensor(a, b):
     want = np.kron(kt.verify_k0(a).phi_matrix, kt.verify_k0(b).phi_matrix)
     assert np.array_equal(got[np.ix_(perm, perm)], want)
     return t
+
+
+def assert_certificate_sound(t):
+    """The product rebuilt from its Pi with no verdict passes
+    validate_spec. At tol = 1, above fd.GENERATOR_TOL_MAX, every check
+    runs over basis pairs, so that report holds the exact residuals, and
+    each is within the bound recorded on t."""
+    fresh = gr.GradedSpec.from_pi(t.L, t.components, t.pi)
+    gr.validate_spec(fresh)
+    got = gr.validate_spec(fresh, 1.0)
+    bounds = t.validated_bounds
+    assert t.validated_tol <= gr.AXIOM_TOL
+    assert got.identity_residual <= bounds.identity
+    assert got.hom_star_residual <= bounds.star
+    assert got.hom_mult_residual <= bounds.hom
+    assert got.axiom_b_residual <= bounds.axiom_b
+
+
+def tensor_reference(a, b):
+    """The product built pair by pair from tensor_hom over a checked
+    product semilattice, with no verdict."""
+    nb = b.L.n
+    L = sl.Semilattice(
+        sl._componentwise_table(a.L.meet, b.L.meet),
+        [f"({x},{y})" for x in a.L.names for y in b.L.names],
+    )
+    comps = [pr.tensor_shape(ca, cb) for ca in a.components for cb in b.components]
+    phi = {
+        (x, y): tensor_hom(a.phi[(x // nb, y // nb)], b.phi[(x % nb, y % nb)])
+        for x, y in L.comparable_pairs()
+    }
+    return gr.GradedSpec(L, comps, phi)
 
 
 def tensor_intersection_dims(a, b, tensor, l, m):
@@ -726,6 +763,177 @@ class TestTensor:
         a = m2_chain_spec()
         t = tensor(a, a)
         assert tensor_intersection_dims(a, a, t, 1, 1) == (5, 5, 1, 1)
+
+
+def certificate_factors():
+    """Named factor builders: exact specs, and coset specs whose residuals
+    are rounding errors."""
+    return {
+        "m2-chain": m2_chain_spec,
+        "mixed-diamond": mixed_diamond_spec,
+        "block-chain": block_chain_spec,
+        "all-scalar-diamond": lambda: all_scalar_spec(sl.diamond()),
+        "coset-z4": lambda: wb.demo_spec("coset-z4"),
+        "coset-s3": lambda: wb.build_coset_spec(*wb.coset_s3_family())[0],
+    }
+
+
+@st.composite
+def noisy_factors(draw):
+    """A certificate factor with complex noise of a drawn size added to
+    every comparable block of Pi, diagonals included, so that the
+    identity, star, multiplicativity and axiom (b) residuals all move;
+    validated, and kept only when it passes."""
+    spec = certificate_factors()[draw(st.sampled_from(sorted(certificate_factors())))]()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.floats(-16.0, -11.0).map(lambda e: 10.0**e))
+    owner = gr._owners(spec.components)
+    noise = rng.standard_normal(spec.pi.shape) + 1j * rng.standard_normal(spec.pi.shape)
+    noise *= size * spec.L.le[np.ix_(owner, owner)]
+    spec = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi + noise)
+    try:
+        gr.validate_spec(spec)
+    except ValidationFailure:
+        assume(False)
+    return spec
+
+
+def counted_validations(monkeypatch):
+    """The specs gr.validate_spec is called on from now on."""
+    calls = []
+    real = gr.validate_spec
+    monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a[0]) or real(*a))
+    return calls
+
+
+def broken_m2_chain(kind):
+    """A spec that fails by about 1e-6: m2-chain with an additive error
+    on phi_{0,1} fails the *-hom check; a chain of three M_2 whose
+    phi_{0,2} is a rotation by 1e-6 radians, the other maps the identity,
+    fails axiom (b)."""
+    h = unital_embedding(M2)
+    if kind == "hom":
+        noise = 1e-6 * np.random.default_rng(5).standard_normal(h.matrix.shape)
+        return gr.GradedSpec(sl.chain(2), [M2, SCALAR], {(0, 1): fd.StarHom(SCALAR, M2, h.matrix + noise)})
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    u = np.array([[c, -s], [s, c]])
+    images = [fd.AlgElement(M2, [u @ fd.basis_element(M2, a).mats[0] @ u.T]) for a in range(M2.dim)]
+    ident = fd.identity_hom(M2)
+    return gr.GradedSpec(
+        sl.chain(3), [M2] * 3,
+        {(0, 1): ident, (1, 2): ident, (0, 2): fd.StarHom.from_images(M2, M2, images)},
+    )
+
+
+def loosely_validated(kind):
+    """broken_m2_chain(kind) after it passes at tol 1e-3, so that it
+    carries bounds of about 1e-6."""
+    spec = broken_m2_chain(kind)
+    gr.validate_spec(spec, 1e-3)
+    assert spec.validated_bounds is not None
+    return spec
+
+
+class TestTensorCertificate:
+    @pytest.mark.parametrize("left", sorted(certificate_factors()))
+    @pytest.mark.parametrize("right", ["m2-chain", "coset-z4", "all-scalar-diamond"])
+    def test_validated_factors_certify_the_product(self, left, right, monkeypatch):
+        a, b = certificate_factors()[left](), certificate_factors()[right]()
+        gr.validate_spec(a)
+        gr.validate_spec(b)
+        calls = counted_validations(monkeypatch)
+        t = pr.tensor_spec(a, b)
+        assert calls == []
+        assert t.validated_tol == gr.AXIOM_TOL
+        assert_certificate_sound(t)
+
+    def test_product_of_products_is_certified(self, monkeypatch):
+        t = tensor(m2_chain_spec(), wb.demo_spec("coset-z4"))
+        u = tensor(all_scalar_spec(sl.chain(2)), t)
+        calls = counted_validations(monkeypatch)
+        pr.tensor_spec(u, t)
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(noisy_factors(), noisy_factors())
+    def test_noisy_factors(self, a, b):
+        calls = []
+        real = gr.validate_spec
+        gr.validate_spec = lambda *args: calls.append(args[0]) or real(*args)
+        try:
+            t = pr.tensor_spec(a, b)
+        finally:
+            gr.validate_spec = real
+        if calls:
+            # the bounds did not certify: validated in full, as the
+            # reference product is
+            assert calls == [t]
+            gr.validate_spec(tensor_reference(a, b))
+        else:
+            assert_certificate_sound(t)
+
+    def test_library_target(self, monkeypatch):
+        a = wb.build_all_scalar(sl.chain(16))
+        gr.validate_spec(a)
+
+        def refuse(table):
+            raise AssertionError("semilattice check")
+
+        monkeypatch.setattr(sl, "_first_nonassociative", refuse)
+        calls = counted_validations(monkeypatch)
+        t = pr.tensor_spec(a, a)
+        assert calls == []
+        assert t.L.n == 256 and t.validated_bounds == (0.0, 0.0, 0.0, 0.0)
+
+    def test_factor_without_verdict_validates_the_product(self, monkeypatch):
+        a, b = m2_chain_spec(), wb.demo_spec("coset-z4")
+        gr.validate_spec(b)
+        calls = counted_validations(monkeypatch)
+        t = pr.tensor_spec(a, b)
+        assert calls == [t]
+        assert_certificate_sound(t)
+
+    @pytest.mark.parametrize("field", gr.SpecBounds._fields)
+    def test_bound_above_tol_validates_the_product(self, field, monkeypatch):
+        a, b = m2_chain_spec(), wb.demo_spec("coset-z4")
+        gr.validate_spec(a)
+        gr.validate_spec(b)
+        a.validated_bounds = a.validated_bounds._replace(**{field: 2 * gr.AXIOM_TOL})
+        real = gr.validate_spec
+        calls = counted_validations(monkeypatch)
+        t = pr.tensor_spec(a, b)
+        assert calls == [t]
+        ref = tensor_reference(a, b)
+        real(ref)
+        assert t.validated_bounds == ref.validated_bounds
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: broken_m2_chain("hom"), id="no-verdict-hom"),
+            pytest.param(lambda: broken_m2_chain("axiom-b"), id="no-verdict-axiom-b"),
+            pytest.param(lambda: loosely_validated("hom"), id="bounds-above-tol-hom"),
+            pytest.param(lambda: loosely_validated("axiom-b"), id="bounds-above-tol-axiom-b"),
+            pytest.param(
+                lambda: gr.GradedSpec(
+                    sl.chain(2), [SCALAR, SCALAR],
+                    {(0, 1): fd.StarHom(SCALAR, SCALAR, np.array([[np.nan]]))},
+                ),
+                id="nan",
+            ),
+        ],
+    )
+    def test_fallback_raises_what_validation_raises(self, make, monkeypatch):
+        other = wb.demo_spec("coset-z4")
+        gr.validate_spec(other)
+        for a, b in ((make(), other), (other, make())):
+            with pytest.raises(ValidationFailure) as want:
+                gr.validate_spec(tensor_reference(a, b))
+            calls = counted_validations(monkeypatch)
+            with pytest.raises(type(want.value)) as got:
+                pr.tensor_spec(a, b)
+            assert str(got.value) == str(want.value)
+            assert len(calls) == 1
 
 
 class TestCrossedProduct:

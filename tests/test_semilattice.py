@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedcstar.graded import covering_pairs
+from gradedcstar import semilattice as sl
+from gradedcstar import workbench as wb
+from gradedcstar.graded import covering_pairs, restrict_spec
 from gradedcstar.semilattice import (
     AssociativityViolation,
     CommutativityViolation,
@@ -257,6 +259,35 @@ def test_product_order_is_componentwise():
                 for j2 in range(L2.n):
                     a, b = i1 * L2.n + i2, j1 * L2.n + j2
                     assert P.leq(a, b) == (L1.leq(i1, j1) and L2.leq(i2, j2))
+
+
+def test_product_and_restriction_run_no_semilattice_check(monkeypatch):
+    # both build over tables that checked semilattices already determine,
+    # and must equal what the checked constructor builds from them
+    spec = wb.build_all_scalar(product_semilattice(diamond(), chain(2)))
+    products = [(chain(3), diamond()), (diamond(), antichain_with_bottom(3)), (chain(1), chain(4))]
+    subsets = [sorted(spec.L.generated_subsemilattice(S)) for S in ([3], [3, 5], [2, 5, 7], range(8))]
+    want = [
+        Semilattice(sl._componentwise_table(L1.meet, L2.meet), [f"({a},{b})" for a in L1.names for b in L2.names])
+        for L1, L2 in products
+    ] + [
+        Semilattice([[M.index(spec.L.meet[a][b]) for b in M] for a in M], [spec.L.names[a] for a in M])
+        for M in subsets
+    ]
+
+    def refuse(table):
+        raise AssertionError("semilattice check")
+
+    monkeypatch.setattr(sl, "_first_nonassociative", refuse)
+    got = [product_semilattice(L1, L2) for L1, L2 in products]
+    for M in subsets:
+        sub, remap = restrict_spec(spec, M)
+        assert remap == {old: new for new, old in enumerate(M)}
+        got.append(sub.L)
+    for g, w in zip(got, want):
+        assert (g.n, g.meet, g.names) == (w.n, w.meet, w.names)
+        assert g.le.dtype == bool and (g.le == w.le).all()
+        assert not g.le.flags.writeable
 
 
 # --------------------------------------------------------- goodness, atoms

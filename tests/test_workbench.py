@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
@@ -12,7 +14,7 @@ from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
 from gradedcstar.errors import InputError
 
-from conftest import standard_corpus
+from conftest import SCALAR, standard_corpus
 
 
 def rotated_chain_spec():
@@ -153,6 +155,66 @@ class TestSpecDocuments:
         assert spec.phi[(0, 1)].matrix[0, 0] == 2.0
         with pytest.raises(gr.HomNotStar):
             gr.validate_spec(spec)
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 5e-324, 1.7976931348623157e308, 0.1]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def spec_documents(draw):
+    """The document of a spec over a small semilattice with drawn names
+    (any text), drawn block lists (zero algebras included) and a pi of
+    drawn magnitudes, NaN, the infinities and signed zeros among them,
+    with or without drawn metadata. The spec is not valid; only its
+    document is rendered."""
+    L = draw(st.sampled_from([
+        sl.chain(1), sl.chain(3), sl.diamond(), sl.antichain_with_bottom(2),
+        sl.product_semilattice(sl.chain(2), sl.chain(2)),
+    ]))
+    names = draw(st.lists(st.text(max_size=4), min_size=L.n, max_size=L.n, unique=True))
+    L = sl.Semilattice(L.meet, names)
+    comps = [fd.AlgebraShape(draw(st.lists(st.integers(1, 2), max_size=2))) for _ in range(L.n)]
+    owner = gr._owners(comps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = owner.size
+    with np.errstate(over="ignore"):
+        parts = rng.standard_normal((2, n, n)) * 10.0 ** rng.integers(-320, 309, (2, n, n))
+    special = rng.random((2, n, n)) < draw(st.sampled_from([0.0, 0.2]))
+    parts[special] = rng.choice(SPECIAL_FLOATS, special.sum())
+    values = np.empty((n, n), dtype=complex)
+    values.real, values.imag = parts
+    pi = np.where(L.le[np.ix_(owner, owner)], values, 0)
+    spec = gr.GradedSpec.from_pi(L, comps, pi)
+    metadata = draw(st.none() | st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3))
+    return wb.spec_to_document(spec, metadata)
+
+
+class TestRendering:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_documents())
+    def test_renderer_matches_json(self, doc):
+        assert wb.dumps_spec_document(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("name", [n for n in wb.DEMO_NAMES if n != "chain-<n>"] + ["chain-3"])
+    def test_demos(self, name):
+        doc = wb.spec_to_document(wb.demo_spec(name))
+        assert wb.dumps_spec_document(doc) == json.dumps(doc, indent=2)
+
+    def test_non_finite_entries_read_as_json_writes_them(self, tmp_path):
+        h = fd.StarHom(SCALAR, SCALAR, np.array([[complex(np.nan, -np.inf)]]))
+        k = fd.StarHom(SCALAR, SCALAR, np.array([[complex(np.inf, -0.0)]]))
+        spec = gr.GradedSpec(sl.chain(3), [SCALAR] * 3, {(0, 1): h, (1, 2): k, (0, 2): h})
+        doc = wb.spec_to_document(spec)
+        text = wb.dumps_spec_document(doc)
+        assert text == json.dumps(doc, indent=2)
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+        wb.save_document(doc, tmp_path / "d.json")
+        assert (tmp_path / "d.json").read_text() == text + "\n"
 
 
 class TestChainClosure:
