@@ -21,8 +21,13 @@ representations pi_i, the C*-norm sup_i ||pi_i(x)||, split exact sequences
 along finishing index sets, graded morphisms into plain or graded targets,
 and block-sum ideals with their quotient specs. On a valid spec the total
 algebra is *-isomorphic to the direct sum of the A_i through
-x -> (pi_i(x))_i, so a block sum is an ideal iff every phi_{i,j} maps its
-blocks at j into its blocks at i: verify_ideal_gradation reads that off pi.
+x -> (pi_i(x))_i, and validate_spec is the one checker of the grading
+axioms; the rest is read off pi. A block sum is an ideal iff every
+phi_{i,j} maps its blocks at j into its blocks at i
+(verify_ideal_gradation); a q family satisfies its axioms iff the maps
+read off it validate and generate it again (spec_from_q); a family into a
+plain target is a graded morphism iff psi pi^-1 is a *-homomorphism out of
+the direct sum (build_morphism).
 """
 
 import itertools
@@ -410,61 +415,26 @@ class QFamily:
         self.tensors = tensors
 
     def validate(self, tol=AXIOM_TOL):
-        """Check a') q_{i,i} = multiplication, b') the adjoint symmetry,
-        c') the mixed associativity q(q(x,y),z) = q(x,q(y,z))."""
-        L, comps = self.L, self.components
-        n = L.n
-        for i in range(n):
-            t = self.tensors[(i, i)]
-            a, b, c = fd.unit_products(comps[i])
-            want = np.zeros_like(t)
-            want[c, a, b] = 1.0
-            r = fd.maxabs(t - want)
-            if not r <= tol:
-                raise QAxiomViolation(
-                    f"q_{{i,i}} is not multiplication at index {L.names[i]}, "
-                    f"residual {r:.3e}"
-                )
-        for i in range(n):
-            for j in range(n):
-                k = L.meet_of(i, j)
-                pi = fd.adjoint_permutation(comps[i])
-                pj = fd.adjoint_permutation(comps[j])
-                pk = fd.adjoint_permutation(comps[k])
-                t = self.tensors[(i, j)]
-                s = self.tensors[(j, i)]
-                # q_{i,j}(E_a, E_b) = q_{j,i}(E_b*, E_a*)*
-                want = np.conj(s[np.ix_(pk, pj, pi)]).transpose(0, 2, 1)
-                r = fd.maxabs(t - want)
-                if not r <= tol:
-                    raise QAxiomViolation(
-                        f"adjoint symmetry fails for pair "
-                        f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
-                    )
-        for i in range(n):
-            for j in range(n):
-                ij = L.meet_of(i, j)
-                for k in range(n):
-                    jk = L.meet_of(j, k)
-                    lhs = np.einsum(
-                        "wuc,uab->wabc",
-                        self.tensors[(ij, k)],
-                        self.tensors[(i, j)],
-                        optimize=True,
-                    )
-                    rhs = np.einsum(
-                        "wau,ubc->wabc",
-                        self.tensors[(i, jk)],
-                        self.tensors[(j, k)],
-                        optimize=True,
-                    )
-                    r = fd.maxabs(lhs - rhs)
-                    if not r <= tol:
-                        raise QAxiomViolation(
-                            f"associativity fails at indices "
-                            f"({L.names[i]}, {L.names[j]}, {L.names[k]}), "
-                            f"residual {r:.3e}"
-                        )
+        """Check a') q_{i,i} = multiplication, b') the adjoint symmetry
+        q_{i,j}(x, y)* = q_{j,i}(y*, x*) and c') the mixed associativity
+        q(q(x,y),z) = q(x,q(y,z)); True, or QAxiomViolation.
+
+        q satisfies a')-c') iff the maps phi_{i,j} = q_{j,i}(-, 1_i), for
+        i <= j, form a spec that passes validate_spec and whose own q
+        family is q; spec_from_q decides that:
+          - (if) the q family of a valid spec satisfies a')-c');
+          - (only if) the phi <-> q round trip. Each A_i is a unital
+            ideal of the span of the A_j with j >= i, so c') and a') make
+            1_i commute with them: q_{i,j}(1_i, y) = q_{j,i}(y, 1_i)
+            = phi_{i,j}(y). By c') again q_{k,j}(z, y) = z phi_{k,j}(y)
+            and q_{j,k}(y, z) = phi_{k,j}(y) z for z in A_k, k <= j, so
+            q_{i,j}(x, y) = q_{k,j}(phi_{k,i}(x), y)
+            = phi_{k,i}(x) phi_{k,j}(y) for k = i ^ j: q is the q family
+            of the phi. a') gives phi_{i,i} = id, b') makes every phi
+            *-preserving, c') on (j, j, i) multiplicative, and c') on
+            (m, i, j), for m <= k, is axiom (b).
+        """
+        spec_from_q(self, tol)
         return True
 
 
@@ -480,23 +450,49 @@ def q_family_from_spec(spec):
 
 
 def phi_from_q(q, tol=AXIOM_TOL):
-    """Recover the structure morphisms: phi_{i,j}(y) = q_{j,i}(y, 1_{A_i}).
-
-    Valid because every component is unital. The q family is validated
-    first; the output passes validate_spec whenever q satisfies its axioms.
-    """
-    q.validate(tol)
-    phi = {}
-    for i, j in q.L.comparable_pairs():
-        unit_vec = fd.to_vector(fd.unit(q.components[i]))
-        m = np.einsum("uab,b->ua", q.tensors[(j, i)], unit_vec)
-        phi[(i, j)] = StarHom(q.components[j], q.components[i], m)
-    return phi
+    """Recover the structure morphisms: phi_{i,j}(y) = q_{j,i}(y, 1_{A_i}),
+    the maps of spec_from_q(q, tol)."""
+    return dict(spec_from_q(q, tol).phi)
 
 
 def spec_from_q(q, tol=AXIOM_TOL):
-    spec = GradedSpec(q.L, q.components, phi_from_q(q, tol))
-    validate_spec(spec, tol)
+    """The validated spec whose q family is q, read off q as
+    phi_{i,j}(y) = q_{j,i}(y, 1_{A_i}), which every unital component
+    allows; QAxiomViolation when there is none (see QFamily.validate).
+
+    Raises ShapeMismatch naming the first ordered pair, row-major, whose
+    tensor is missing or not (dim A_{i^j}, dim A_i, dim A_j);
+    QAxiomViolation chained from validate_spec's failure on the maps, or
+    naming the first ordered pair whose tensor differs from the spec's own
+    q family by more than tol (a NaN fails).
+    """
+    L, comps = q.L, q.components
+    for i, j in itertools.product(range(L.n), repeat=2):
+        shape = tuple(comps[a].dim for a in (L.meet_of(i, j), i, j))
+        if np.shape(q.tensors.get((i, j))) != shape:
+            raise fd.ShapeMismatch(
+                f"q for pair ({L.names[i]}, {L.names[j]}) has shape "
+                f"{np.shape(q.tensors.get((i, j)))}, expected {shape}"
+            )
+    phi = {}
+    for i, j in L.comparable_pairs():
+        unit_vec = fd.to_vector(fd.unit(comps[i]))
+        m = np.einsum("uab,b->ua", q.tensors[(j, i)], unit_vec)
+        phi[(i, j)] = StarHom(comps[j], comps[i], m)
+    spec = GradedSpec(L, comps, phi)
+    try:
+        validate_spec(spec, tol)
+    except ValidationFailure as exc:
+        raise QAxiomViolation(f"the maps read off q fail validation: {exc}") from exc
+    want = q_family_from_spec(spec).tensors
+    for pair in sorted(want):
+        r = fd.maxabs(q.tensors[pair] - want[pair])
+        if not r <= tol:
+            i, j = pair
+            raise QAxiomViolation(
+                f"q differs from the q family of its own maps at pair "
+                f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
+            )
     return spec
 
 
@@ -810,54 +806,82 @@ class GradedMorphism:
 def build_morphism(spec, target, psi, tol=AXIOM_TOL):
     """Validate a component family and wrap it as a GradedMorphism.
 
-    Every psi_i must already be a *-homomorphism; the compatibility (plain
-    target) or intertwining (graded target) condition is checked on all
-    basis pairs and failures name the offending pair.
+    Graded target: every psi_i must be a *-homomorphism, checked with one
+    fd.check_starhoms per (source, target) shape stack; the first failing
+    member by index raises what fd.validate_starhom raises for it. The
+    family must intertwine the structure maps, D pi_A = pi_B D for D the
+    block-diagonal total matrix; the lexicographically first comparable
+    pair (i, j) whose block psi_i phi_{i,j} - phi'_{i,j} psi_j exceeds
+    tol (a NaN fails) is named.
+
+    Plain target: the spec is validated first, unless a verdict <= tol is
+    on record. With Psi = [psi_0 ... psi_{n-1}] the linear extension of
+    the family to the total algebra, the family is compatible (every
+    psi_i a *-homomorphism and psi_{j^k}(q_{j,k}(x, y)) = psi_j(x) psi_k(y))
+    iff Psi is a *-homomorphism: A_j A_k = q_{j,k}(A_j, A_k) and the
+    involution is componentwise. On a valid spec pi is a *-isomorphism of
+    the total algebra onto the direct sum of the A_i, whose ambient shape
+    has the graded basis as its basis, so Psi is one iff
+    Theta = Psi pi^-1 is a *-homomorphism out of that sum: one stacked
+    check, with no q family. A failure raises IncompatibleFamily chained
+    from that check's failure and names the basis element or pair of the
+    direct sum as spec.basis_label does.
     """
     m = GradedMorphism(spec, target, psi)
     L = spec.L
     if m.graded_target:
         if target.L is not L and target.L.meet != L.meet:
             raise SpecMismatch("graded target lives over a different semilattice")
-        for i in range(L.n):
-            h = m.psi[i]
+        groups = {}  # (source, target) shape -> members
+        for i, h in enumerate(m.psi):
             if h.source != spec.components[i] or h.target != target.components[i]:
-                raise fd.ShapeMismatch(
-                    f"psi[{L.names[i]}] maps {h.source} -> {h.target}"
-                )
-            fd.validate_starhom(h, tol)
-        for i, j in L.comparable_pairs():
-            lhs = m.psi[i].matrix @ spec.pi_block(i, j)
-            rhs = target.pi_block(i, j) @ m.psi[j].matrix
-            r = fd.maxabs(lhs - rhs)
-            if not r <= tol:
-                raise IncompatibleFamily(
-                    f"psi does not intertwine structure maps at pair "
-                    f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
-                )
+                raise fd.ShapeMismatch(f"psi[{L.names[i]}] maps {h.source} -> {h.target}")
+            groups.setdefault((h.source, h.target), []).append(i)
+        failing = {}
+        for (source, shape), members in groups.items():
+            mats = [m.psi[i].matrix for i in members]
+            failures = fd.check_starhoms(source, shape, mats, tol)[3]
+            failing.update({members[p]: e for p, e in failures.items()})
+        if failing:
+            raise failing[min(failing)]
+        # block by block, so that a non-finite entry stays in its own block
+        resid = np.zeros((target.total_dim, spec.total_dim), dtype=complex)
+        for i in range(L.n):
+            resid[target.span(i)] = m.psi[i].matrix @ spec.pi[spec.span(i)]
+            resid[:, spec.span(i)] -= target.pi[:, target.span(i)] @ m.psi[i].matrix
+        r, c = np.nonzero(~(np.abs(resid) <= tol))
+        if r.size:
+            rows, cols = _owners(target.components), _owners(spec.components)
+            i, j = divmod(int((rows[r] * L.n + cols[c]).min()), L.n)
+            block = resid[target.span(i), spec.span(j)]
+            raise IncompatibleFamily(
+                f"psi does not intertwine structure maps at pair "
+                f"({L.names[i]}, {L.names[j]}), residual {fd.maxabs(block):.3e}"
+            )
         return m
     for i in range(L.n):
         h = m.psi[i]
         if h.source != spec.components[i] or h.target != target:
             raise fd.ShapeMismatch(f"psi[{L.names[i]}] maps {h.source} -> {h.target}")
-        fd.validate_starhom(h, tol)
-    q = q_family_from_spec(spec).tensors
-    for j in range(L.n):
-        for k in range(L.n):
-            t = L.meet_of(j, k)
-            resid = np.linalg.norm(
-                np.moveaxis(q[(j, k)], 0, -1) @ m.psi[t].matrix.T
-                - fd.pair_products(target, m.psi[j].matrix, m.psi[k].matrix),
-                axis=-1,
-            )
-            bad = np.flatnonzero(~(resid <= tol))
-            if bad.size:
-                a, b = divmod(int(bad[0]), spec.components[k].dim)
-                raise IncompatibleFamily(
-                    f"psi_{{j^k}}(xy) != psi_j(x) psi_k(y) at "
-                    f"({spec.basis_label(j, a)}, {spec.basis_label(k, b)}), "
-                    f"residual {resid[a, b]:.3e}"
-                )
+    if spec.validated_tol > tol:
+        validate_spec(spec, tol)
+    theta = np.linalg.solve(spec.pi.T, m.total_matrix().T).T
+    ambient = spec.ambient_shape()
+    failures = fd.check_starhoms(ambient, target, theta[None], tol)[3]
+    if failures:
+        e = failures[0]
+        label = {
+            ambient.basis_label(g): spec.basis_label(i, a)
+            for i, a, g in spec.graded_basis()
+        }
+        if isinstance(e, fd.NotStarPreserving):
+            where = f"star fails at {label[e.label]}"
+        else:
+            where = f"products fail at ({label[e.pair[0]]}, {label[e.pair[1]]})"
+        raise IncompatibleFamily(
+            f"psi pi^-1 is not a *-homomorphism out of the sum of the "
+            f"components: {where}, residual {e.residual:.3e}"
+        ) from e
     return m
 
 
@@ -883,8 +907,8 @@ def analyze_morphism(m):
     can be checked against it.
     """
     src = m.source
-    ker_dims = [fd.kernel_dim(h) for h in m.psi]
     image_dims = [fd.rank(h.matrix) for h in m.psi]
+    ker_dims = [h.source.dim - r for h, r in zip(m.psi, image_dims)]
     total = m.total_matrix()
     total_rank = fd.rank(total)
     total_kernel = src.total_dim - total_rank

@@ -15,10 +15,9 @@ verify_k0 needs no decomposition: the total algebra of a valid spec is
 *-isomorphic to the direct sum of its components through x -> (pi_i(x))_i,
 so its blocks are the component blocks, in index order, and the rank map
 is the multiplicity matrix of that inclusion, read off the structure maps
-as exact integers in one gather on the matrix of that isomorphism.
-Invertibility over the integers is certified by an exact determinant of
-+-1. The matrix is block-triangular along the order, so that determinant
-is the product of the determinants of its per-index diagonal blocks.
+as exact integers in one gather on the matrix of that isomorphism. On a
+validated spec that matrix is block-unitriangular along the order, so it
+is invertible over the integers with no determinant to take.
 
 K_1 of a finite-dimensional C*-algebra is the trivial group; reports carry
 that as a stated zero rather than a computation.
@@ -30,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import findim as fd
-from .errors import InputError, NumericFailure, ValidationFailure
+from . import graded as gr
+from .errors import InputError, NumericFailure
 from .findim import AlgebraShape
 
 # Nothing here draws random numbers. The name stays because the perfbench
@@ -60,10 +60,6 @@ class NonIntegralBlock(NumericFailure):
 
 class DecompositionError(NumericFailure):
     """Internal consistency check of a decomposition failed."""
-
-
-class NotUnimodular(ValidationFailure):
-    pass
 
 
 def _nearest_integer(v, what):
@@ -420,6 +416,9 @@ def _matrix_units(c, v, n, m, onb_mats, herm_span, tol):
 
 @dataclass
 class K0Report:
+    """unimodular is always True: verify_k0 returns only on a validated
+    spec, whose rank matrix has determinant 1."""
+
     per_component_ranks: list
     total_rank: int
     phi_matrix: list
@@ -427,35 +426,9 @@ class K0Report:
     k1_total_rank: int = 0
 
 
-def _integer_det(rows):
-    """Exact determinant of a square integer matrix, by fraction-free
-    elimination (every division below is exact)."""
-    a = [list(map(int, row)) for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for t in range(k + 1, n):
-                if a[t][k] != 0:
-                    a[k], a[t] = a[t], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def verify_k0(spec):
-    """Check that the rank map of the faithful representation is an
-    isomorphism of free abelian groups.
+    """The rank map of the faithful representation, an isomorphism of free
+    abelian groups.
 
     Rows of phi_matrix are the generators (one per component block, in
     index order), columns the blocks of the total algebra, which are the
@@ -465,11 +438,19 @@ def verify_k0(spec):
     one gather on pi: the column of E^(b)_00 at i, summed over the
     diagonal rows of each block. Each trace must land on an integer, with
     an imaginary part within RANK_ROUND_TOL of 0.
-    Invertibility over the integers is certified by an exact determinant
-    of +-1; entries with t not <= i are structural zeros, so the matrix is
-    block-triangular along any linear extension of <= and its determinant
-    is the product of the determinants of its per-index diagonal blocks.
+
+    The spec is validated at gr.AXIOM_TOL first, unless a verdict within
+    it is on record. The matrix is then invertible over the integers, with
+    determinant 1:
+      - diagonal block i holds the block traces of phi_{i,i}(E^(b)_00);
+        phi_{i,i} is the identity within tol, so the block rounds to the
+        identity matrix exactly;
+      - entries with t not <= i are structural zeros of pi;
+      - so the matrix is block-unitriangular along any linear extension
+        of <=, and its determinant is 1.
     """
+    if spec.validated_tol > gr.AXIOM_TOL:
+        gr.validate_spec(spec, gr.AXIOM_TOL)
     per_component = [c.nblocks for c in spec.components]
     labels, gens, diag, starts = [], [], [], []
     for i, c in enumerate(spec.components):
@@ -496,10 +477,4 @@ def verify_k0(spec):
             f"of an integer"
         )
     phi_matrix = [[int(v) for v in row] for row in np.round(real).tolist()]
-    det, lo = 1, 0
-    for n in per_component:
-        det *= _integer_det([row[lo : lo + n] for row in phi_matrix[lo : lo + n]])
-        lo += n
-    if abs(det) != 1:
-        raise NotUnimodular(f"rank matrix has determinant {det}, not +-1")
     return K0Report(per_component, sum(per_component), phi_matrix, True)

@@ -11,11 +11,13 @@ comparison of Pi with the order matrix, and restriction onto a cofinal
 sub-semilattice is one comparison of Pi's columns with the sub-spec's Pi.
 A brute-force enumeration through simultaneous diagonalization of a
 generic multiplication operator stays as the oracle the tests compare
-with; it, _product_table and check_character stay importable here because
-the benchmark's tracer (perfbench/tracing.py) wraps them by name, and no
-command path calls them.
+with. No command path calls it; it stays importable here because the
+benchmark's tracer (perfbench/tracing.py) wraps brute_force_characters by
+name and counts draws through this module's make_rng, and _product_table
+and check_character stay because brute_force_characters calls them.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -363,30 +365,19 @@ def genus_of_line_arrangement(n):
     """Surface invariants of the 2n-gon with edge pairing
     a_1 ... a_n a_1^{-1} ... a_n^{-1}.
 
-    The edge identification glues vertex j to vertex j + (n - 1) mod 2n;
-    vertex classes are found by walking those orbits (the gcd value is
-    only a cross-check used in the tests). With E = n and F = 1 the Euler
-    characteristic gives the genus; odd n leaves two vertex classes that
-    the identification then pinches together, reported via the flag
-    rather than folded into the genus.
+    The edge identification glues vertex j to vertex j + (n - 1) mod 2n,
+    so the vertex classes are the orbits of that rotation of Z/2n, of
+    which there are gcd(n - 1, 2n) = gcd(n - 1, 2): one for even n, two
+    for odd n. With E = n and F = 1 the Euler characteristic gives the
+    genus; odd n leaves two vertex classes that the identification then
+    pinches together, reported via the flag rather than folded into the
+    genus.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise BadN(f"need an integer n >= 2, got {n!r}")
     n = int(n)
-    total = 2 * n
-    step = n - 1
-    seen = [False] * total
-    orbits = 0
-    for start in range(total):
-        if seen[start]:
-            continue
-        orbits += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = (j + step) % total
+    orbits = math.gcd(n - 1, 2 * n)
     euler = orbits - n + 1
-    assert (2 - euler) % 2 == 0
     return SurfaceReport(
         n=n,
         vertex_orbits=orbits,

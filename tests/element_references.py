@@ -1,14 +1,17 @@
-"""The element-at-a-time routes that ktheory.verify_k0 and
-graded.verify_ideal_gradation replaced, kept as test oracles.
+"""The routes that ktheory.verify_k0, graded.verify_ideal_gradation,
+QFamily.validate and graded.build_morphism replaced by reading Pi, kept
+as test oracles.
 
 verify_k0 now gathers every generator's block traces from the matrix Pi
-at once and multiplies per-index determinants; the reference builds one
-graded element per generator, takes its faithful image block by block and
-runs one fraction-free elimination over the whole matrix.
-The k0 reference raises the same exceptions with the same messages on
-finite input. On non-finite input the routes differ: the element route
-computes pi @ x, where inf * 0 and nan * 0 spread a non-finite entry
-across its row.
+at once, on a validated spec, whose rank matrix is block-unitriangular
+and so has determinant 1 with nothing to compute. The reference builds
+one graded element per generator, takes its faithful image block by
+block and runs one fraction-free elimination over the whole matrix,
+raising NotUnimodular unless the determinant is +-1; it takes no
+verdict, so on an invalid spec it decides where verify_k0 refuses to.
+On non-finite input the routes differ: the element route computes
+pi @ x, where inf * 0 and nan * 0 spread a non-finite entry across its
+row.
 
 verify_ideal_gradation now validates the spec and reads one slice of pi:
 the rows outside the selected blocks, the columns inside them. The
@@ -16,6 +19,17 @@ reference multiplies basis elements with gmul, both ways round, and
 names the first product that leaves the selected blocks. On a spec that
 validates the two accept the same selections; their messages differ.
 The leak loop accumulates with max(), which drops a NaN leak.
+
+QFamily.validate now reads the structure maps off q, validates them and
+compares q with their q family. q_axioms_reference checks the three
+axioms a')-c') directly, over every index, pair and triple, with its own
+messages.
+
+build_morphism now decides a plain-target family with one *-hom check of
+Psi pi^-1 on a validated source, and checks a graded target's members in
+stacks. morphism_reference checks every member with validate_starhom,
+then intertwining pair by pair, or compatibility over the whole q family
+pair by pair, with the messages of those checks.
 
 sort_key is the per-entry key that spectra used to order characters.
 """
@@ -25,6 +39,37 @@ import numpy as np
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
 from gradedcstar import ktheory as kt
+from gradedcstar.errors import ValidationFailure
+
+
+class NotUnimodular(ValidationFailure):
+    pass
+
+
+def integer_det(rows):
+    """Exact determinant of a square integer matrix, by fraction-free
+    elimination (every division below is exact)."""
+    a = [list(map(int, row)) for row in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for t in range(k + 1, n):
+                if a[t][k] != 0:
+                    a[k], a[t] = a[t], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def component_minimal_projections(spec):
@@ -60,9 +105,9 @@ def k0_matrix_reference(spec):
 def verify_k0_reference(spec):
     per_component = [c.nblocks for c in spec.components]
     phi_matrix = k0_matrix_reference(spec)
-    det = kt._integer_det(phi_matrix)
+    det = integer_det(phi_matrix)
     if abs(det) != 1:
-        raise kt.NotUnimodular(f"rank matrix has determinant {det}, not +-1")
+        raise NotUnimodular(f"rank matrix has determinant {det}, not +-1")
     return kt.K0Report(per_component, sum(per_component), phi_matrix, True)
 
 
@@ -106,6 +151,107 @@ def ideal_leak_reference(spec, ideal_blocks, tol=gr.AXIOM_TOL, products=None):
                         f"by {leak:.3e}"
                     )
     return max_leak
+
+
+def q_axioms_reference(q, tol=gr.AXIOM_TOL):
+    """Check a') q_{i,i} = multiplication, b') the adjoint symmetry,
+    c') the mixed associativity q(q(x,y),z) = q(x,q(y,z)), index by
+    index, pair by pair and triple by triple."""
+    L, comps = q.L, q.components
+    n = L.n
+    for i in range(n):
+        t = q.tensors[(i, i)]
+        a, b, c = fd.unit_products(comps[i])
+        want = np.zeros_like(t)
+        want[c, a, b] = 1.0
+        r = fd.maxabs(t - want)
+        if not r <= tol:
+            raise gr.QAxiomViolation(
+                f"q_{{i,i}} is not multiplication at index {L.names[i]}, "
+                f"residual {r:.3e}"
+            )
+    for i in range(n):
+        for j in range(n):
+            k = L.meet_of(i, j)
+            pi = fd.adjoint_permutation(comps[i])
+            pj = fd.adjoint_permutation(comps[j])
+            pk = fd.adjoint_permutation(comps[k])
+            t = q.tensors[(i, j)]
+            s = q.tensors[(j, i)]
+            # q_{i,j}(E_a, E_b) = q_{j,i}(E_b*, E_a*)*
+            want = np.conj(s[np.ix_(pk, pj, pi)]).transpose(0, 2, 1)
+            r = fd.maxabs(t - want)
+            if not r <= tol:
+                raise gr.QAxiomViolation(
+                    f"adjoint symmetry fails for pair "
+                    f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
+                )
+    for i in range(n):
+        for j in range(n):
+            ij = L.meet_of(i, j)
+            for k in range(n):
+                jk = L.meet_of(j, k)
+                lhs = np.einsum(
+                    "wuc,uab->wabc", q.tensors[(ij, k)], q.tensors[(i, j)], optimize=True
+                )
+                rhs = np.einsum(
+                    "wau,ubc->wabc", q.tensors[(i, jk)], q.tensors[(j, k)], optimize=True
+                )
+                r = fd.maxabs(lhs - rhs)
+                if not r <= tol:
+                    raise gr.QAxiomViolation(
+                        f"associativity fails at indices "
+                        f"({L.names[i]}, {L.names[j]}, {L.names[k]}), "
+                        f"residual {r:.3e}"
+                    )
+    return True
+
+
+def morphism_reference(spec, target, psi, tol=gr.AXIOM_TOL):
+    """Check every member with validate_starhom, then intertwining (graded
+    target) or compatibility over every basis pair of every ordered index
+    pair, read off the q family (plain target)."""
+    m = gr.GradedMorphism(spec, target, psi)
+    L = spec.L
+    if m.graded_target:
+        for i in range(L.n):
+            h = m.psi[i]
+            if h.source != spec.components[i] or h.target != target.components[i]:
+                raise fd.ShapeMismatch(f"psi[{L.names[i]}] maps {h.source} -> {h.target}")
+            fd.validate_starhom(h, tol)
+        for i, j in L.comparable_pairs():
+            lhs = m.psi[i].matrix @ spec.pi_block(i, j)
+            rhs = target.pi_block(i, j) @ m.psi[j].matrix
+            r = fd.maxabs(lhs - rhs)
+            if not r <= tol:
+                raise gr.IncompatibleFamily(
+                    f"psi does not intertwine structure maps at pair "
+                    f"({L.names[i]}, {L.names[j]}), residual {r:.3e}"
+                )
+        return m
+    for i in range(L.n):
+        h = m.psi[i]
+        if h.source != spec.components[i] or h.target != target:
+            raise fd.ShapeMismatch(f"psi[{L.names[i]}] maps {h.source} -> {h.target}")
+        fd.validate_starhom(h, tol)
+    q = gr.q_family_from_spec(spec).tensors
+    for j in range(L.n):
+        for k in range(L.n):
+            t = L.meet_of(j, k)
+            resid = np.linalg.norm(
+                np.moveaxis(q[(j, k)], 0, -1) @ m.psi[t].matrix.T
+                - fd.pair_products(target, m.psi[j].matrix, m.psi[k].matrix),
+                axis=-1,
+            )
+            bad = np.flatnonzero(~(resid <= tol))
+            if bad.size:
+                a, b = divmod(int(bad[0]), spec.components[k].dim)
+                raise gr.IncompatibleFamily(
+                    f"psi_{{j^k}}(xy) != psi_j(x) psi_k(y) at "
+                    f"({spec.basis_label(j, a)}, {spec.basis_label(k, b)}), "
+                    f"residual {resid[a, b]:.3e}"
+                )
+    return m
 
 
 def sort_key(values):

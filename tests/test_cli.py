@@ -278,6 +278,9 @@ class TestAnalysis:
         code, out, _ = run(capsys, "genus", "3")
         assert "genus: 1" in out
         assert "pinched: true" in out
+        code, out, _ = run(capsys, "genus", "1000000000000")
+        assert code == 0
+        assert "genus: 500000000000" in out
 
     def test_genus_bad_n_exits_two(self, capsys):
         code, out, err = run(capsys, "genus", "1")

@@ -13,6 +13,7 @@ from gradedcstar import graded as gr
 from gradedcstar import semilattice as sl
 
 from conftest import M2, SCALAR, unital_embedding
+from element_references import morphism_reference, q_axioms_reference
 
 
 def adjoint_action(shape, u):
@@ -153,7 +154,12 @@ def test_q_not_multiplication():
     q = gr.q_family_from_spec(_m2_identity_chain())
     q.tensors[(1, 1)] = q.tensors[(1, 1)].copy()
     q.tensors[(1, 1)][0, 1, 2] = 0.5
+    # the maps read off q are the spec's own, so q_{1,1} is the offender
     assert raised(gr.QAxiomViolation, q.validate) == (
+        "q differs from the q family of its own maps at pair (1, 1), "
+        "residual 5.000e-01"
+    )
+    assert raised(gr.QAxiomViolation, lambda: q_axioms_reference(q)) == (
         "q_{i,i} is not multiplication at index 1, residual 5.000e-01"
     )
 
@@ -163,6 +169,10 @@ def test_q_adjoint_symmetry():
     q.tensors[(0, 1)] = q.tensors[(0, 1)].copy()
     q.tensors[(0, 1)][1, 0, 0] = 0.5
     assert raised(gr.QAxiomViolation, q.validate) == (
+        "q differs from the q family of its own maps at pair (0, 1), "
+        "residual 5.000e-01"
+    )
+    assert raised(gr.QAxiomViolation, lambda: q_axioms_reference(q)) == (
         "adjoint symmetry fails for pair (0, 1), residual 5.000e-01"
     )
 
@@ -173,17 +183,48 @@ def test_q_associativity():
     q = gr.q_family_from_spec(spec)
     q.tensors[(0, 1)] = 2 * q.tensors[(0, 1)]
     q.tensors[(1, 0)] = 2 * q.tensors[(1, 0)]
-    assert raised(gr.QAxiomViolation, q.validate) == (
+    # phi_{0,1} = q_{1,0}(-, 1_0) = 2 id is not multiplicative
+    with pytest.raises(gr.QAxiomViolation) as info:
+        q.validate()
+    assert str(info.value) == (
+        "the maps read off q fail validation: phi[0,1]: h(x*y) != h(x)h(y) "
+        "at basis pair ('E0[0,0]', 'E0[0,0]'), residual 2.000e+00"
+    )
+    assert isinstance(info.value.__cause__, gr.HomNotStar)
+    assert raised(gr.QAxiomViolation, lambda: q_axioms_reference(q)) == (
         "associativity fails at indices (0, 1, 1), residual 2.000e+00"
+    )
+
+
+def test_q_shape_named_before_any_axiom():
+    # a tensor the maps are read off, (1, 0), and one they are not, (0, 1)
+    for pair in [(1, 0), (0, 1)]:
+        q = gr.q_family_from_spec(_m2_identity_chain())
+        q.tensors[pair] = q.tensors[pair][:, :, :1]
+        assert raised(fd.ShapeMismatch, q.validate) == (
+            f"q for pair {pair} has shape (4, 4, 1), expected (4, 4, 4)"
+        )
+    q = gr.q_family_from_spec(_m2_identity_chain())
+    del q.tensors[(1, 1)]
+    assert raised(fd.ShapeMismatch, q.validate) == (
+        "q for pair (1, 1) has shape (), expected (4, 4, 4)"
     )
 
 
 # ------------------------------------------------------------- morphisms
 
 def test_incompatible_plain_family_names_first_pair():
+    # Psi pi^-1 = [id, SIGN - id] fails at E_00 of A_0 times E_01 of A_1
     spec = _m2_identity_chain()
     psi = [fd.identity_hom(M2), SIGN]
-    assert raised(gr.IncompatibleFamily, lambda: gr.build_morphism(spec, M2, psi)) == (
+    with pytest.raises(gr.IncompatibleFamily) as info:
+        gr.build_morphism(spec, M2, psi)
+    assert str(info.value) == (
+        "psi pi^-1 is not a *-homomorphism out of the sum of the components: "
+        "products fail at (0:E0[0,0], 1:E0[0,1]), residual 2.000e+00"
+    )
+    assert isinstance(info.value.__cause__, fd.NotMultiplicative)
+    assert raised(gr.IncompatibleFamily, lambda: morphism_reference(spec, M2, psi)) == (
         "psi_{j^k}(xy) != psi_j(x) psi_k(y) at (0:E0[0,0], 1:E0[0,1]), "
         "residual 2.000e+00"
     )
@@ -192,15 +233,28 @@ def test_incompatible_plain_family_names_first_pair():
 def test_incompatible_graded_family():
     spec = _m2_identity_chain()
     psi = [fd.identity_hom(M2), SWAP]
+    message = "psi does not intertwine structure maps at pair (0, 1), residual 1.000e+00"
     assert raised(
         gr.IncompatibleFamily, lambda: gr.build_morphism(spec, spec, psi)
-    ) == "psi does not intertwine structure maps at pair (0, 1), residual 1.000e+00"
+    ) == message
+    assert raised(
+        gr.IncompatibleFamily, lambda: morphism_reference(spec, spec, psi)
+    ) == message
 
 
 def test_non_star_member_of_plain_family():
+    # the transpose member makes Psi pi^-1 = [id, T - id] fail first where
+    # E_00 of A_0 meets E_01 of A_1
     spec = _m2_identity_chain()
     psi = [fd.identity_hom(M2), transpose_map(M2)]
-    assert raised(fd.NotMultiplicative, lambda: gr.build_morphism(spec, M2, psi)) == (
+    with pytest.raises(gr.IncompatibleFamily) as info:
+        gr.build_morphism(spec, M2, psi)
+    assert str(info.value) == (
+        "psi pi^-1 is not a *-homomorphism out of the sum of the components: "
+        "products fail at (0:E0[0,0], 1:E0[0,1]), residual 1.000e+00"
+    )
+    assert isinstance(info.value.__cause__, fd.NotMultiplicative)
+    assert raised(fd.NotMultiplicative, lambda: morphism_reference(spec, M2, psi)) == (
         "h(x*y) != h(x)h(y) at basis pair ('E0[0,0]', 'E0[0,1]'), "
         "residual 1.000e+00"
     )

@@ -25,7 +25,7 @@ from conftest import (
     unital_embedding,
 )
 from closure_references import complete_phi_by_enumeration
-from element_references import ideal_leak_reference
+from element_references import ideal_leak_reference, morphism_reference, q_axioms_reference
 
 
 def as_matrix(x):
@@ -778,6 +778,31 @@ def assert_q_matches_per_pair(spec, name=""):
         np.testing.assert_array_equal(t, want.transpose(2, 0, 1), err_msg=f"{name} {(i, j)}")
 
 
+# additive noise on a q tensor: none, far below AXIOM_TOL, far above it
+Q_NOISE = (0.0, 1e-12, 1e-6, 0.25)
+
+
+@st.composite
+def noisy_q_families(draw):
+    """The q family of a corpus, oracle or failing spec, the spec's maps
+    perturbed as perturbed_specs does, with complex noise of a size from
+    Q_NOISE added to each tensor, or in half the draws only the sizes
+    below AXIOM_TOL."""
+    specs = {**standard_corpus(), **ORACLE_SPECS, **FAILING_SPECS}
+    spec = specs[draw(st.sampled_from(sorted(specs)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        spec = perturbed(spec, rng, lambda t, j: draw(st.sampled_from(PERTURBATIONS)))
+    q = gr.q_family_from_spec(spec)
+    sizes = draw(st.sampled_from([Q_NOISE[:2], Q_NOISE]))
+    for pair in sorted(q.tensors):
+        size = draw(st.sampled_from(sizes))
+        if size:
+            t = q.tensors[pair]
+            q.tensors[pair] = t + size * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+    return q
+
+
 class TestQFamily:
     def test_same_index_is_multiplication(self, rng):
         spec = m2_chain_spec()
@@ -850,6 +875,31 @@ class TestQFamily:
         rebuilt = gr.spec_from_q(gr.q_family_from_spec(spec))
         assert rebuilt.components == spec.components
         gr.validate_spec(rebuilt)
+
+    def test_spec_from_q_validates_once(self, corpus, monkeypatch):
+        calls = []
+        real = gr.validate_spec
+
+        def validate_spec(spec, tol=gr.AXIOM_TOL):
+            calls.append(spec)
+            return real(spec, tol)
+
+        monkeypatch.setattr(gr, "validate_spec", validate_spec)
+        rebuilt = gr.spec_from_q(gr.q_family_from_spec(corpus["mixed-diamond"]))
+        assert calls == [rebuilt]
+        assert rebuilt.validated_tol == gr.AXIOM_TOL
+        assert np.array_equal(rebuilt.pi, corpus["mixed-diamond"].pi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(noisy_q_families())
+    def test_same_decision_as_the_axiom_loops(self, q):
+        try:
+            q_axioms_reference(q)
+        except gr.QAxiomViolation:
+            with pytest.raises(gr.QAxiomViolation):
+                q.validate()
+            return
+        assert q.validate()
 
 
 # ----------------------------------------------------------- arithmetic
@@ -1253,6 +1303,110 @@ class TestMorphisms:
         x = spec.random_element(rng)
         via_matrix = m.total_matrix() @ gr.to_gvector(x)
         assert np.allclose(fd.to_vector(m.apply(x)), via_matrix, atol=1e-12)
+
+
+def onto_bottom(spec):
+    """psi_j = phi_{b,j} into A_b, b the bottom: pi_b, a *-homomorphism of
+    the total algebra on a valid spec."""
+    b = spec.L.bottom()
+    return [spec.structure_map(b, j) for j in range(spec.L.n)], spec.components[b]
+
+
+def into_ambient(spec):
+    """psi_j = pi's columns of A_j: the faithful morphism's family."""
+    m = gr.faithful_morphism(spec)
+    return m.psi, m.target
+
+
+@st.composite
+def perturbed_families(draw):
+    """(spec, target, psi) over a corpus or oracle spec: the onto-bottom or
+    the faithful family into a plain target, or the identities into the
+    spec itself; each member conjugated by an angle from PERTURBATIONS
+    (None: the zero map), or every member by one common unitary, or given
+    additive noise of 1e-6."""
+    specs = {**standard_corpus(), **ORACLE_SPECS}
+    name = draw(st.sampled_from(sorted(specs)))
+    spec = specs[name]
+    kind = draw(st.sampled_from(["bottom", "ambient", "graded"]))
+    if kind == "graded":
+        psi, target = [fd.identity_hom(c) for c in spec.components], spec
+    else:
+        psi, target = (onto_bottom if kind == "bottom" else into_ambient)(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(["each", "common", "noise"]))
+    if how == "common":
+        seed = draw(st.integers(0, 2**32 - 1))
+        psi = [conjugated(h, 0.7, np.random.default_rng(seed)) for h in psi]
+    elif how == "noise":
+        out = []
+        for h in psi:
+            noise = 1e-6 * rng.standard_normal(h.matrix.shape) if draw(st.booleans()) else 0.0
+            out.append(fd.StarHom(h.source, h.target, h.matrix + noise))
+        psi = out
+    else:
+        out = []
+        for h in psi:
+            theta = draw(st.sampled_from(PERTURBATIONS))
+            if theta is None:
+                out.append(fd.zero_hom(h.source, h.target))
+            else:
+                out.append(conjugated(h, theta, rng) if theta else h)
+        psi = out
+    return spec, target, psi
+
+
+class TestMorphismsAgainstReference:
+    """build_morphism accepts exactly the families the per-pair route
+    accepts; on a graded target it also raises the same exceptions with
+    the same messages."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_families())
+    def test_same_decision(self, family):
+        spec, target, psi = family
+        try:
+            morphism_reference(spec, target, psi)
+        except ValidationFailure as exc:
+            want = type(exc) if isinstance(target, gr.GradedSpec) else gr.IncompatibleFamily
+            with pytest.raises(want) as got:
+                gr.build_morphism(spec, target, psi)
+            if isinstance(target, gr.GradedSpec):
+                assert str(got.value) == str(exc)
+            return
+        m = gr.build_morphism(spec, target, psi)
+        assert m.psi == psi
+
+    def test_no_q_family(self, corpus, monkeypatch):
+        def no_q_family(spec):
+            raise AssertionError("q family built")
+
+        monkeypatch.setattr(gr, "q_family_from_spec", no_q_family)
+        for name, spec in {**corpus, **ORACLE_SPECS}.items():
+            gr.faithful_morphism(spec)
+            psi, target = onto_bottom(spec)
+            gr.build_morphism(spec, target, psi)
+            doubled = [fd.StarHom(h.source, h.target, 2 * h.matrix) for h in psi]
+            with pytest.raises(gr.IncompatibleFamily):
+                gr.build_morphism(spec, target, doubled)
+
+    def test_plain_target_validates_the_source(self, monkeypatch):
+        calls = []
+        real = gr.validate_spec
+
+        def validate_spec(spec, tol=gr.AXIOM_TOL):
+            calls.append(tol)
+            return real(spec, tol)
+
+        monkeypatch.setattr(gr, "validate_spec", validate_spec)
+        spec = m2_chain_spec()
+        gr.faithful_morphism(spec)
+        gr.faithful_morphism(spec)
+        assert calls == [gr.AXIOM_TOL]
+        twice = fd.StarHom(SCALAR, SCALAR, [[2.0]])
+        bad = gr.GradedSpec(spec.L, spec.components, {**spec.phi, (1, 1): twice})
+        with pytest.raises(gr.AxiomAViolation):
+            gr.faithful_morphism(bad)
 
 
 # --------------------------------------------------------------- ideals

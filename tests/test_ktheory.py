@@ -11,11 +11,16 @@ from gradedcstar import ktheory as kt
 from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
-from gradedcstar.errors import InputError
+from gradedcstar.errors import InputError, ValidationFailure
 
 from conftest import M2, all_scalar_spec, block_chain_spec, m2_chain_spec, \
     mixed_diamond_spec, standard_corpus
-from element_references import k0_matrix_reference, verify_k0_reference
+from element_references import (
+    NotUnimodular,
+    integer_det,
+    k0_matrix_reference,
+    verify_k0_reference,
+)
 from seeded_wedderburn import assert_matches_oracle
 from test_products import tensor
 
@@ -254,18 +259,18 @@ class TestWedderburn:
 
 class TestIntegerDet:
     def test_frozen_values(self):
-        assert kt._integer_det([[1, 0], [2, 1]]) == 1
-        assert kt._integer_det([[0, 1], [1, 0]]) == -1
-        assert kt._integer_det([[1, 2], [2, 4]]) == 0
-        assert kt._integer_det([[3]]) == 3
-        assert kt._integer_det([]) == 1
+        assert integer_det([[1, 0], [2, 1]]) == 1
+        assert integer_det([[0, 1], [1, 0]]) == -1
+        assert integer_det([[1, 2], [2, 4]]) == 0
+        assert integer_det([[3]]) == 3
+        assert integer_det([]) == 1
 
     def test_pivot_swap_case(self):
-        assert kt._integer_det([[0, 2], [3, 0]]) == -6
+        assert integer_det([[0, 2], [3, 0]]) == -6
 
     def test_matches_float_determinant(self):
         m = [[2, 1, 0, 3], [1, 1, 4, 0], [0, 2, 1, 1], [3, 0, 0, 2]]
-        assert kt._integer_det(m) == round(np.linalg.det(np.asarray(m)))
+        assert integer_det(m) == round(np.linalg.det(np.asarray(m)))
 
 
 class TestVerifyK0:
@@ -317,19 +322,44 @@ class TestVerifyK0:
 
     def test_unimodularity_guard_fires(self):
         # deliberately invalid spec: phi_00 = 2 id doubles every trace on
-        # the diagonal, so the generator matrix is [[2]]
+        # the diagonal, so the generator matrix is [[2]]. verify_k0
+        # validates first and refuses it at axiom (a); the element route
+        # takes no verdict and finds the determinant 2
         scalar = fd.AlgebraShape([1])
         twice = fd.StarHom(scalar, scalar, np.array([[2.0]]))
         spec = gr.GradedSpec(sl.chain(1), [scalar], {(0, 0): twice})
-        with pytest.raises(kt.NotUnimodular):
+        with pytest.raises(gr.AxiomAViolation):
             kt.verify_k0(spec)
+        with pytest.raises(NotUnimodular, match="determinant 2,"):
+            verify_k0_reference(spec)
 
     def test_non_finite_trace_is_non_integral(self):
         scalar = fd.AlgebraShape([1])
         bad = fd.StarHom(scalar, scalar, np.array([[np.nan]]))
         spec = gr.GradedSpec(sl.chain(2), [scalar, scalar], {(0, 1): bad})
-        with pytest.raises(kt.NonIntegralBlock):
+        with pytest.raises(gr.HomNotStar):
             kt.verify_k0(spec)
+        with pytest.raises(kt.NonIntegralBlock):
+            verify_k0_reference(spec)
+
+    def test_validates_only_without_a_verdict(self, monkeypatch):
+        calls = []
+        real = gr.validate_spec
+
+        def validate_spec(spec, tol=gr.AXIOM_TOL):
+            calls.append(tol)
+            return real(spec, tol)
+
+        monkeypatch.setattr(gr, "validate_spec", validate_spec)
+        spec = m2_chain_spec()
+        kt.verify_k0(spec)
+        assert calls == [gr.AXIOM_TOL]
+        kt.verify_k0(spec)
+        assert calls == [gr.AXIOM_TOL]
+        loose = m2_chain_spec()
+        real(loose, 1e-6)
+        kt.verify_k0(loose)
+        assert calls == [gr.AXIOM_TOL] * 2
 
     def test_coset_z4_tensor_square(self):
         # 49 blocks, the largest generator matrix in the suite
@@ -417,10 +447,30 @@ def traced_entries(spec):
     return out
 
 
+def with_verdict(spec):
+    """spec with a verdict on record that no validate_spec gave it, so that
+    verify_k0 goes straight to its gather."""
+    spec.validated_tol = gr.AXIOM_TOL
+    return spec
+
+
+def refused_as_validation_refuses(spec):
+    """Whether validate_spec refuses a verdict-free copy of spec; if it
+    does, verify_k0 raises the same exception with the same message."""
+    try:
+        gr.validate_spec(gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi))
+    except ValidationFailure as exc:
+        with pytest.raises(type(exc)) as got:
+            kt.verify_k0(spec)
+        assert str(got.value) == str(exc)
+        return True
+    return False
+
+
 def assert_same_as_reference(spec, reference_spec=None):
     try:
         want = verify_k0_reference(reference_spec or spec)
-    except (kt.NonIntegralBlock, kt.NotUnimodular) as exc:
+    except (kt.NonIntegralBlock, NotUnimodular) as exc:
         with pytest.raises(type(exc)) as got:
             kt.verify_k0(spec)
         assert str(got.value) == str(exc)
@@ -433,9 +483,15 @@ def assert_det_is_per_index_product(spec):
     det, lo = 1, 0
     for c in spec.components:
         n = c.nblocks
-        det *= kt._integer_det([row[lo : lo + n] for row in m[lo : lo + n]])
+        det *= integer_det([row[lo : lo + n] for row in m[lo : lo + n]])
         lo += n
-    assert kt._integer_det(m) == det
+    assert integer_det(m) == det
+
+
+def assert_unimodular(spec):
+    """On a validated spec the full elimination finds determinant 1, as
+    verify_k0's docstring proves."""
+    assert integer_det(k0_matrix_reference(spec)) == 1
 
 
 class TestVerifyK0AgainstElementRoute:
@@ -443,11 +499,16 @@ class TestVerifyK0AgainstElementRoute:
     def test_same_report(self, name):
         assert_same_as_reference(K0_SPECS[name])
         assert_det_is_per_index_product(K0_SPECS[name])
+        assert_unimodular(K0_SPECS[name])
 
     @settings(max_examples=80, deadline=None)
     @given(scaled_specs())
     def test_same_report_or_error_on_scaled_maps(self, spec):
-        assert_same_as_reference(spec)
+        # verify_k0 refuses what validation refuses; on the rest it agrees
+        # with the element route, whose determinant is then 1
+        if not refused_as_validation_refuses(spec):
+            assert_same_as_reference(spec)
+            assert_unimodular(spec)
         try:
             assert_det_is_per_index_product(spec)
         except kt.NonIntegralBlock:
@@ -458,9 +519,13 @@ class TestVerifyK0AgainstElementRoute:
     @settings(max_examples=60, deadline=None)
     @given(non_finite_specs())
     def test_non_finite_entries_fail_only_where_traced(self, spec):
-        # The element route takes pi @ x, where a non-finite entry anywhere
-        # in a traced row spreads through inf * 0 and nan * 0; the gather
-        # reads only the traced entries themselves, both of their parts.
+        # Validation refuses every non-finite entry. Past a verdict on
+        # record, the element route takes pi @ x, where a non-finite entry
+        # anywhere in a traced row spreads through inf * 0 and nan * 0;
+        # the gather reads only the traced entries themselves, both of
+        # their parts.
+        assert refused_as_validation_refuses(spec)
+        spec = with_verdict(spec)
         pi = spec.pi
         for label, c, rows, col in traced_entries(spec):
             if not np.isfinite(pi[rows, col]).all():
@@ -485,8 +550,10 @@ class TestVerifyK0AgainstElementRoute:
         m = spec.phi[(0, 0)].matrix.copy()
         m[0, 0] = complex(0.0, np.inf)
         spec = with_maps(spec, {(0, 0): m})
-        with pytest.raises(kt.NonIntegralBlock) as got:
+        with pytest.raises(gr.AxiomAViolation):
             kt.verify_k0(spec)
+        with pytest.raises(kt.NonIntegralBlock) as got:
+            kt.verify_k0(with_verdict(spec))
         assert str(got.value) == (
             f"trace of block 0 of the image of generator ({spec.L.names[0]}, 0) "
             f"infj is not within {kt.RANK_ROUND_TOL} of an integer"
@@ -500,7 +567,9 @@ class TestVerifyK0AgainstElementRoute:
         m = spec.phi[(0, 0)].matrix.copy()
         m[0, 1] = np.nan
         spec = with_maps(spec, {(0, 0): m})
-        assert kt.verify_k0(spec).phi_matrix == [[1, 0], [2, 1]]
+        with pytest.raises(gr.AxiomAViolation):
+            kt.verify_k0(spec)
+        assert kt.verify_k0(with_verdict(spec)).phi_matrix == [[1, 0], [2, 1]]
         with pytest.raises(kt.NonIntegralBlock, match="nan"):
             verify_k0_reference(spec)
 
@@ -511,9 +580,11 @@ class TestVerifyK0AgainstElementRoute:
             spec = K0_SPECS[name]
             doubled = with_maps(spec, {(0, 0): 2 * spec.phi[(0, 0)].matrix})
             assert_det_is_per_index_product(doubled)
-            with pytest.raises(kt.NotUnimodular) as got:
+            with pytest.raises(gr.AxiomAViolation):
                 kt.verify_k0(doubled)
-            det = kt._integer_det(k0_matrix_reference(doubled))
+            with pytest.raises(NotUnimodular) as got:
+                verify_k0_reference(doubled)
+            det = integer_det(k0_matrix_reference(doubled))
             assert str(got.value) == f"rank matrix has determinant {det}, not +-1"
 
     def test_zero_components_give_the_empty_matrix(self):
@@ -527,4 +598,4 @@ class TestVerifyK0AgainstElementRoute:
         assert report.per_component_ranks == [0, 0, 0]
         assert report.total_rank == 0
         assert report.unimodular
-        assert kt._integer_det(report.phi_matrix) == 1
+        assert integer_det(report.phi_matrix) == 1

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -713,7 +714,36 @@ class TestRestriction:
 
 # ------------------------------------------------- polygon identification
 
+def genus_by_orbit_walk(n):
+    """The SurfaceReport of the 2n-gon identification, its vertex classes
+    found by walking the orbits of j -> j + (n - 1) mod 2n."""
+    total = 2 * n
+    seen = [False] * total
+    orbits = 0
+    for start in range(total):
+        if seen[start]:
+            continue
+        orbits += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = (j + n - 1) % total
+    euler = orbits - n + 1
+    return sp.SurfaceReport(n, orbits, euler, (2 - euler) // 2, orbits > 1)
+
+
 class TestSurface:
+    def test_closed_form_matches_the_orbit_walk(self):
+        for n in range(2, 2001):
+            assert sp.genus_of_line_arrangement(n) == genus_by_orbit_walk(n), n
+
+    def test_huge_n_returns_at_once(self):
+        start = time.perf_counter()
+        rep = sp.genus_of_line_arrangement(10**12)
+        assert time.perf_counter() - start < 1.0
+        assert rep == sp.SurfaceReport(10**12, 1, 2 - 10**12, 5 * 10**11, False)
+        assert sp.genus_of_line_arrangement(10**12 + 1).vertex_orbits == 2
+
     def test_frozen_small_cases(self):
         expect = {
             2: (1, 0, 1, False),
