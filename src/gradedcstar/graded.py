@@ -107,8 +107,11 @@ class GradedSpec:
     L.comparable_pairs(), lexicographic with the diagonals included; each
     lookup is a StarHom over a read-only view of pi's block, so nothing
     written through it reaches the spec. validated_tol is the smallest
-    tolerance validate_spec has passed the spec at, inf before any pass;
-    validated_bounds is the SpecBounds of the last pass, None before any.
+    tolerance the spec is known to satisfy the axioms within, inf until
+    then; validated_bounds is the SpecBounds of the last verdict, None
+    before any. _set_verdict is their one writer (validate_spec, and the
+    constructions that prove the axioms) and require_verdict their one
+    reader.
     """
 
     def __init__(self, L, components, phi):
@@ -174,6 +177,12 @@ class GradedSpec:
         self.pi = pi
         self.validated_tol = np.inf
         self.validated_bounds = None
+
+    def _set_verdict(self, tol, bounds):
+        """Record that the spec satisfies the axioms within tol, with the
+        SpecBounds certified for it; the smallest such tol is kept."""
+        self.validated_tol = min(self.validated_tol, tol)
+        self.validated_bounds = bounds
 
     @property
     def phi(self):
@@ -626,8 +635,7 @@ def validate_spec(spec, tol=AXIOM_TOL):
                 break
         else:
             beta = k_eps * b_res + k_delta * hom_bound + k_zeta * id_res
-            spec.validated_tol = min(spec.validated_tol, tol)
-            spec.validated_bounds = SpecBounds(id_res, star_res, hom_bound, float(beta))
+            spec._set_verdict(tol, SpecBounds(id_res, star_res, hom_bound, float(beta)))
             return SpecValidationReport(
                 id_res, mult_res, star_res, float(b_res), pairs_checked
             )
@@ -663,9 +671,16 @@ def validate_spec(spec, tol=AXIOM_TOL):
                     L.names[i], L.names[j], L.names[m],
                     spec.basis_label(i, a), spec.basis_label(j, b), r,
                 )
-    spec.validated_tol = min(spec.validated_tol, tol)
-    spec.validated_bounds = SpecBounds(id_res, star_res, hom_bound, b_res)
+    spec._set_verdict(tol, SpecBounds(id_res, star_res, hom_bound, b_res))
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs_checked)
+
+
+def require_verdict(spec, tol):
+    """validate_spec(spec, tol), unless a verdict within tol is on record:
+    the one test of spec.validated_tol against a tolerance. A NaN tol
+    always validates."""
+    if not spec.validated_tol <= tol:
+        validate_spec(spec, tol)
 
 
 def _axiom_b_kappas(components):
@@ -863,8 +878,7 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
         h = m.psi[i]
         if h.source != spec.components[i] or h.target != target:
             raise fd.ShapeMismatch(f"psi[{L.names[i]}] maps {h.source} -> {h.target}")
-    if spec.validated_tol > tol:
-        validate_spec(spec, tol)
+    require_verdict(spec, tol)
     theta = np.linalg.solve(spec.pi.T, m.total_matrix().T).T
     ambient = spec.ambient_shape()
     failures = fd.check_starhoms(ambient, target, theta[None], tol)[3]
@@ -952,8 +966,7 @@ def restrict_spec(spec, M):
     sub = GradedSpec._of_pi(
         subL, [spec.components[a] for a in M], spec.pi[np.ix_(coords, coords)]
     )
-    sub.validated_tol = spec.validated_tol
-    sub.validated_bounds = spec.validated_bounds
+    sub._set_verdict(spec.validated_tol, spec.validated_bounds)
     return sub, {old: int(new_of[old]) for old in M}
 
 
@@ -1045,6 +1058,18 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
     So the selection is accepted iff no entry of pi's rows off the ideal
     and columns in it exceeds tol (a NaN entry fails); otherwise the
     lexicographically first map phi_{i,j} with such an entry is named.
+
+    The quotient inherits the spec's verdict and bounds when no entry
+    leaks at all (max_leak == 0.0), and is validated at tol otherwise.
+    Let P be the projection onto the unselected blocks, at every index:
+    it keeps whole blocks, so it is central and P(uv) = P(u) P(v),
+    P(u*) = P(u)*. With nothing leaking, phi_{m,k}(I_k) lies in I_m
+    exactly, so P phi_{m,k} = P phi_{m,k} P: the quotient's maps are
+    P phi P and its products P(u) P(v) = P(uv). Each residual that the
+    quotient's validation forms, at a basis element or pair of the
+    quotient (one of the spec's, in an unselected block), is then P
+    applied to the spec's residual at the same element or pair, so no
+    entry or Frobenius norm of it exceeds the spec's bounds.
     """
     L = spec.L
     selection = {}
@@ -1057,8 +1082,7 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
                 f"range for {nb} blocks"
             )
         selection[i] = chosen
-    if spec.validated_tol > tol:
-        validate_spec(spec, tol)
+    require_verdict(spec, tol)
 
     # in_ideal[i][a]: basis element a of A_i lies in a selected block
     in_ideal = []
@@ -1091,10 +1115,12 @@ def verify_ideal_gradation(spec, ideal_blocks, tol=AXIOM_TOL):
         )
         for i in range(L.n)
     ]
-    validate_spec(quotient, tol)
-    return IdealGradationReport(
-        int(dropped.sum()), float(leaks.max(initial=0.0)), quotient, quotient_maps
-    )
+    max_leak = float(leaks.max(initial=0.0))
+    if max_leak == 0.0:
+        quotient._set_verdict(spec.validated_tol, spec.validated_bounds)
+    else:
+        validate_spec(quotient, tol)
+    return IdealGradationReport(int(dropped.sum()), max_leak, quotient, quotient_maps)
 
 
 # -------------------------------------------------------- commutativity

@@ -449,8 +449,7 @@ def verify_k0(spec):
       - so the matrix is block-unitriangular along any linear extension
         of <=, and its determinant is 1.
     """
-    if spec.validated_tol > gr.AXIOM_TOL:
-        gr.validate_spec(spec, gr.AXIOM_TOL)
+    gr.require_verdict(spec, gr.AXIOM_TOL)
     per_component = [c.nblocks for c in spec.components]
     labels, gens, diag, starts = [], [], [], []
     for i, c in enumerate(spec.components):

@@ -147,7 +147,8 @@ class GradedAction:
 
     maps[(g, i)] is the automorphism the group element g induces on
     component i. Built through build_action, which checks the action
-    laws and equivariance with the structure maps; equivariance is what
+    laws and equivariance with the structure maps, or by a construction
+    that proves them (workbench.build_coset_spec); equivariance is what
     lets a single group element act on the whole graded algebra at once.
     """
 
@@ -369,8 +370,7 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     out = gr.GradedSpec._of_pi(L, comps, pi)
     bounds = _tensor_bounds(a, b)
     if bounds is not None and all(x <= tol for x in bounds):
-        out.validated_tol = tol
-        out.validated_bounds = bounds
+        out._set_verdict(tol, bounds)
     else:
         gr.validate_spec(out, tol)
     return out

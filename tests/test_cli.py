@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradedcstar import cli
@@ -170,6 +171,23 @@ class TestAnalysis:
             "finishing {b, 1} <-> character (b, 0)",
             "finishing {a, 1} <-> character (a, 0)",
             "finishing {0, a, b, 1} <-> character (0, 0)",
+        ]
+
+    def test_characters_of_an_all_scalar_spec_with_a_zero_map(self, tmp_path, capsys):
+        # phi_01 = 0 is a *-hom, so the spec validates; with a structure
+        # map other than the identity there is no finishing correspondence
+        # to print, and the characters are listed alone
+        spec = gr.GradedSpec.from_pi(sl.chain(2), [fd.AlgebraShape([1])] * 2, np.eye(2))
+        path = tmp_path / "zero.json"
+        wb.save_document(wb.spec_to_document(spec), path)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 0, err
+        code, out, err = run(capsys, "characters", str(path))
+        assert code == 0, err
+        assert out.splitlines() == [
+            "2 characters",
+            "char (0, 0): [1, 0]",
+            "char (1, 0): [0, 1]",
         ]
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
+from gradedcstar import ktheory as kt
 from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import spectra as sp
@@ -1935,3 +1936,115 @@ class TestIdealRoute:
         with pytest.raises(InputError, match="out of range for 1 blocks"):
             gr.verify_ideal_gradation(spec, {0: {5}})
         assert calls == []
+
+
+# ------------------------------------------------ one reader of the verdict
+
+def pi_columns_hom(spec, ambient, j):
+    """pi's columns of index j, as a map into the ambient shape."""
+    return fd.StarHom(spec.components[j], ambient, spec.pi[:, spec.span(j)])
+
+
+VERDICT_READERS = ("graded_characters", "verify_k0", "build_morphism", "verify_ideal_gradation")
+
+
+def verdict_reader(name):
+    """(spec, call(tol)) for one of the four readers of a spec's verdict;
+    verify_k0 takes no tol and reads gr.AXIOM_TOL."""
+    if name == "graded_characters":
+        scalar = all_scalar_spec(sl.chain(3))
+        return scalar, lambda tol: sp.graded_characters(scalar, tol)
+    m2 = m2_chain_spec()
+    ambient = m2.ambient_shape()
+    psi = [pi_columns_hom(m2, ambient, j) for j in range(m2.L.n)]
+    return m2, {
+        "verify_k0": lambda tol: kt.verify_k0(m2),
+        "build_morphism": lambda tol: gr.build_morphism(m2, ambient, psi, tol),
+        "verify_ideal_gradation": lambda tol: gr.verify_ideal_gradation(m2, {0: {0}}, tol),
+    }[name]
+
+
+class TestRequireVerdict:
+    @pytest.mark.parametrize("name", VERDICT_READERS)
+    def test_readers_trust_a_verdict_within_tol(self, name, monkeypatch):
+        spec, call = verdict_reader(name)
+        gr.validate_spec(spec)
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a) or real(*a))
+        call(gr.AXIOM_TOL)
+        assert [s for s, *_ in calls if s is spec] == []
+
+    @pytest.mark.parametrize("name", VERDICT_READERS)
+    def test_readers_validate_on_a_nan_tol(self, name, monkeypatch):
+        # a NaN tol fails every comparison, so a verdict cannot be within
+        # it: the spec is validated, and validation at NaN fails
+        spec, call = verdict_reader(name)
+        gr.validate_spec(spec)
+        calls = []
+        real = gr.validate_spec
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(gr, "AXIOM_TOL", np.nan)
+        with pytest.raises(ValidationFailure):
+            call(np.nan)
+        assert len(calls) == 1 and calls[0][0] is spec and np.isnan(calls[0][1])
+
+
+# ------------------------------------------- quotients inherit the verdict
+
+def assert_quotient_verdict(spec, selection):
+    """An accepted selection that leaks nothing hands the spec's verdict
+    and bounds to the quotient with no validate_spec call on it, and a
+    copy of the quotient with no verdict measures residuals within those
+    bounds; one that leaks within tol has its quotient validated once.
+    Returns the leak, or None for a rejected selection."""
+    calls = []
+    real = gr.validate_spec
+    gr.validate_spec = lambda *a: calls.append(a[0]) or real(*a)
+    try:
+        report = gr.verify_ideal_gradation(spec, selection)
+    except gr.NotAnIdeal:
+        return None
+    finally:
+        gr.validate_spec = real
+    q = report.quotient
+    if report.max_leak != 0.0:
+        assert [s for s in calls if s is not spec] == [q]
+        return report.max_leak
+    assert [s for s in calls if s is not spec] == []
+    assert q.validated_tol == spec.validated_tol
+    assert q.validated_bounds == spec.validated_bounds
+    # at tol = 1 every check runs over basis pairs: exact residuals
+    got = real(gr.GradedSpec.from_pi(q.L, q.components, q.pi), 1.0)
+    bounds = q.validated_bounds
+    assert got.identity_residual <= bounds.identity
+    assert got.hom_star_residual <= bounds.star
+    assert got.hom_mult_residual <= bounds.hom
+    assert got.axiom_b_residual <= bounds.axiom_b
+    return 0.0
+
+
+class TestQuotientVerdict:
+    @pytest.mark.parametrize("name", IDEAL_SPEC_NAMES)
+    def test_every_block_selection(self, corpus, name):
+        spec = ideal_specs(corpus)[name]
+        gr.validate_spec(spec)
+        leaks = [assert_quotient_verdict(spec, sel) for sel in block_selections(spec)]
+        assert 0.0 in leaks
+
+    @settings(max_examples=15, deadline=None)
+    @given(validating_perturbed_specs(), st.randoms(use_true_random=False))
+    def test_validating_perturbed_specs(self, spec, random):
+        for _ in range(8):
+            selection = {
+                i: {b for b in range(c.nblocks) if random.random() < 0.3}
+                for i, c in enumerate(spec.components)
+            }
+            assert_quotient_verdict(spec, selection)
+
+    def test_leak_within_tol_validates_the_quotient(self):
+        # phi_01 = 1e-12 on the scalars is a *-hom within tol, and the
+        # top's block leaks through it by 1e-12
+        tiny = fd.StarHom(SCALAR, SCALAR, np.array([[1e-12]]))
+        spec = gr.GradedSpec(sl.chain(2), [SCALAR, SCALAR], {(0, 1): tiny})
+        assert assert_quotient_verdict(spec, {1: {0}}) == 1e-12

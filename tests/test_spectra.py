@@ -434,17 +434,19 @@ class TestFinishingCorrespondence:
 
 
     def test_indicator_mismatch_names_first_offender(self):
-        # unreachable through validation: phi_12 = 1 + 5e-6 passes the
-        # all-scalar screen but not validate_spec at CHAR_TOL, so the
-        # verdict is forged to reach the comparison with the order matrix
+        # phi_12 = phi_02 = 1 + 5e-6 under a forged verdict: the one
+        # comparison of Pi with the order matrix at tol runs before the
+        # verdict is read and names the first pair, row-major. The
+        # reference keeps the np.isclose screen, which lets the spec
+        # through, and rejects it as a failed check, as the comparison
+        # after validation used to (BijectionFailure)
         spec = scalar_chain_with(3, {(1, 2): 1.0 + 5e-6, (0, 2): 1.0 + 5e-6})
         spec.validated_tol = 0.0
-        with pytest.raises(sp.BijectionFailure) as exc:
+        with pytest.raises(sp.NotAllScalar) as exc:
             sp.finishing_correspondence(spec)
-        assert str(exc.value) == (
-            "character (0, 0) differs from the indicator of the finishing "
-            "set of 0 by 5.000e-06 at 2"
-        )
+        assert str(exc.value) == "structure map for pair (0, 2) is not the identity"
+        with pytest.raises(ValidationFailure):
+            finishing_correspondence_reference(spec)
 
     def test_no_cubic_array_at_chain_128(self):
         # the product table alone would be 128^3 complex numbers, 32 MiB

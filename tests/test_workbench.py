@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedcstar import cli
 from gradedcstar import findim as fd
 from gradedcstar import graded as gr
 from gradedcstar import products as pr
@@ -384,3 +385,125 @@ class TestBuilders:
             wb.demo_spec("nope")
         with pytest.raises(InputError, match="chain length"):
             wb.demo_spec("chain-x")
+
+
+# ------------------------------------------- builders certify by construction
+
+def small_semilattices():
+    """Chains 1-8, the diamond and antichains with a bottom, 1-5 atoms."""
+    return (
+        [sl.chain(n) for n in range(1, 9)]
+        + [sl.diamond()]
+        + [sl.antichain_with_bottom(k) for k in range(1, 6)]
+    )
+
+
+@st.composite
+def builder_semilattices(draw):
+    """One of small_semilattices, or the product of two of them."""
+    pick = st.sampled_from(small_semilattices())
+    if draw(st.booleans()):
+        return draw(pick)
+    return sl.product_semilattice(draw(pick), draw(pick))
+
+
+def z2_z3_coset_family():
+    # (a, b) is element 3a + b: {0, 3} is Z2 x 0, {0, 1, 2} is 0 x Z3
+    return pr.product_group(pr.cyclic_group(2), pr.cyclic_group(3)), [
+        {0}, {0, 3}, {0, 1, 2}, set(range(6)),
+    ]
+
+
+COSET_FAMILIES = {
+    "z4": wb.coset_z4_family,
+    "s3": wb.coset_s3_family,
+    "z2xz3": z2_z3_coset_family,
+}
+
+
+@st.composite
+def coset_families(draw):
+    """A nonempty sub-family of a coset family, closed under
+    intersection."""
+    group, subgroups = COSET_FAMILIES[draw(st.sampled_from(sorted(COSET_FAMILIES)))]()
+    picked = draw(st.sets(st.sampled_from(range(len(subgroups))), min_size=1))
+    family = {frozenset(subgroups[k]) for k in picked}
+    while extra := {a & b for a in family for b in family} - family:
+        family |= extra
+    return group, [set(s) for s in sorted(family, key=lambda s: (len(s), sorted(s)))]
+
+
+def assert_certified_as_validated(spec):
+    """A from_pi copy of a builder's spec, with no verdict, passes
+    validate_spec with every residual exactly 0.0 and records the verdict
+    and bounds the builder recorded."""
+    copy = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi)
+    assert copy.validated_bounds is None
+    report = gr.validate_spec(copy)
+    assert (
+        report.identity_residual, report.hom_mult_residual,
+        report.hom_star_residual, report.axiom_b_residual,
+    ) == (0.0, 0.0, 0.0, 0.0)
+    assert (spec.validated_tol, spec.validated_bounds) == (
+        copy.validated_tol, copy.validated_bounds,
+    )
+    assert spec.validated_bounds == (0.0, 0.0, 0.0, 0.0)
+
+
+def coset_action_reference(group, spec, cosets):
+    """Left translation one coset at a time: the loop build_coset_spec
+    used before it gathered coset labels."""
+    maps = {}
+    for s in range(group.order):
+        for i, cs in enumerate(cosets):
+            idx = {c: k for k, c in enumerate(cs)}
+            m = np.zeros((len(cs), len(cs)))
+            for k, c in enumerate(cs):
+                shifted = frozenset(group.mul[s][x] for x in c)
+                m[idx[shifted], k] = 1.0
+            maps[(s, i)] = fd.StarHom(spec.components[i], spec.components[i], m)
+    return maps
+
+
+class TestBuildersCertify:
+    @settings(max_examples=40, deadline=None)
+    @given(builder_semilattices())
+    def test_all_scalar(self, L):
+        assert_certified_as_validated(wb.build_all_scalar(L))
+
+    @settings(max_examples=30, deadline=None)
+    @given(coset_families())
+    def test_coset_spec_and_action(self, family):
+        group, subgroups = family
+        spec, act = wb.build_coset_spec(group, subgroups)
+        assert_certified_as_validated(spec)
+        cosets = [wb.left_cosets(group, s) for s in subgroups]
+        want = coset_action_reference(group, spec, cosets)
+        assert list(act.maps) == list(want)
+        for key, h in want.items():
+            assert np.array_equal(act.maps[key].matrix, h.matrix)
+        pr.build_action(group, spec, act.maps)  # raises unless the laws hold
+
+    @pytest.mark.parametrize("family", sorted(COSET_FAMILIES))
+    def test_pullback_morphism_reads_the_certified_spec(self, family, monkeypatch):
+        group, subgroups = COSET_FAMILIES[family]()
+        calls = []
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a))
+        monkeypatch.setattr(pr, "build_action", lambda *a: calls.append(a))
+        mor = wb.coset_pullback_morphism(group, subgroups)
+        assert calls == []
+        spec = wb.build_coset_spec(group, subgroups)[0]
+        assert np.array_equal(mor.source.pi, spec.pi)
+
+    @pytest.mark.parametrize(
+        "name", [n.replace("<n>", "5") for n in wb.DEMO_NAMES]
+    )
+    def test_demo_neither_validates_nor_checks_an_action(self, name, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(gr, "validate_spec", lambda *a: calls.append(a))
+        monkeypatch.setattr(pr, "build_action", lambda *a: calls.append(a))
+        assert cli.main(["demo", name]) == 0
+        spec = wb.demo_spec(name)
+        assert calls == []
+        monkeypatch.undo()
+        assert_certified_as_validated(spec)
