@@ -38,9 +38,9 @@ def _emit(doc, out_path):
     return [wb.dumps_spec_document(doc)]
 
 
-def _fmt_complex(z, tol=1e-10):
+def _fmt_complex(z):
     z = complex(z)
-    if abs(z.imag) <= tol:
+    if abs(z.imag) <= 1e-10:
         return f"{z.real:.6g}"
     return f"{z.real:.6g}{z.imag:+.6g}i"
 

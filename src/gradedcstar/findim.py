@@ -204,8 +204,8 @@ def embed_ambient(x):
     return out
 
 
-def from_ambient(shape, big, check_tol=None):
-    """Extract diagonal blocks; optionally insist the rest is ~0."""
+def from_ambient(shape, big):
+    """Extract the diagonal blocks."""
     big = np.asarray(big, dtype=complex)
     if big.shape != (shape.side, shape.side):
         raise ShapeMismatch(f"ambient {big.shape}, expected side {shape.side}")
@@ -213,12 +213,7 @@ def from_ambient(shape, big, check_tol=None):
     for d in shape.blocks:
         mats.append(big[off : off + d, off : off + d].copy())
         off += d
-    x = AlgElement(shape, mats)
-    if check_tol is not None:
-        leak = maxabs(big - embed_ambient(x))
-        if not leak <= check_tol:
-            raise ValidationFailure(f"off-block-diagonal mass {leak:.3e}")
-    return x
+    return AlgElement(shape, mats)
 
 
 def maxabs(arr):
@@ -242,13 +237,13 @@ def frob_norm(x):
     return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in x.mats)))
 
 
-def is_positive(x, tol=BASIS_TOL):
-    """Self-adjoint within tol and spectrum >= -tol, per block."""
-    scale_ = 1.0 + op_norm(x)
-    if op_norm(x - adjoint(x)) > tol * scale_:
+def is_positive(x):
+    """Self-adjoint and spectrum >= 0 within BASIS_TOL (1 + ||x||), per block."""
+    bound = BASIS_TOL * (1.0 + op_norm(x))
+    if op_norm(x - adjoint(x)) > bound:
         return False
     for m in x.mats:
-        if m.size and np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -tol * scale_:
+        if m.size and np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -bound:
             return False
     return True
 
@@ -347,8 +342,8 @@ def kernel_dim(h):
     return h.source.dim - rank(h.matrix)
 
 
-def is_unital_hom(h, tol=BASIS_TOL):
-    return op_norm(h.apply(unit(h.source)) - unit(h.target)) <= tol
+def is_unital_hom(h):
+    return op_norm(h.apply(unit(h.source)) - unit(h.target)) <= BASIS_TOL
 
 
 @dataclass

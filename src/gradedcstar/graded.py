@@ -311,10 +311,10 @@ class GradedElement:
         self.spec = spec
         self.comps = comps
 
-    def support(self, tol=0.0):
-        """Indices whose component's norm exceeds tol or is NaN."""
+    def support(self):
+        """Indices whose component's norm is nonzero or NaN."""
         return frozenset(
-            i for i, c in enumerate(self.comps) if not fd.op_norm(c) <= tol
+            i for i, c in enumerate(self.comps) if not fd.op_norm(c) <= 0.0
         )
 
     def copy(self):
@@ -423,7 +423,7 @@ class QFamily:
         self.components = tuple(components)
         self.tensors = tensors
 
-    def validate(self, tol=AXIOM_TOL):
+    def validate(self):
         """Check a') q_{i,i} = multiplication, b') the adjoint symmetry
         q_{i,j}(x, y)* = q_{j,i}(y*, x*) and c') the mixed associativity
         q(q(x,y),z) = q(x,q(y,z)); True, or QAxiomViolation.
@@ -443,7 +443,7 @@ class QFamily:
             *-preserving, c') on (j, j, i) multiplicative, and c') on
             (m, i, j), for m <= k, is axiom (b).
         """
-        spec_from_q(self, tol)
+        spec_from_q(self)
         return True
 
 
@@ -458,13 +458,13 @@ def q_family_from_spec(spec):
     return QFamily(spec.L, spec.components, tensors)
 
 
-def phi_from_q(q, tol=AXIOM_TOL):
+def phi_from_q(q):
     """Recover the structure morphisms: phi_{i,j}(y) = q_{j,i}(y, 1_{A_i}),
-    the maps of spec_from_q(q, tol)."""
-    return dict(spec_from_q(q, tol).phi)
+    the maps of spec_from_q(q)."""
+    return dict(spec_from_q(q).phi)
 
 
-def spec_from_q(q, tol=AXIOM_TOL):
+def spec_from_q(q):
     """The validated spec whose q family is q, read off q as
     phi_{i,j}(y) = q_{j,i}(y, 1_{A_i}), which every unital component
     allows; QAxiomViolation when there is none (see QFamily.validate).
@@ -473,7 +473,7 @@ def spec_from_q(q, tol=AXIOM_TOL):
     tensor is missing or not (dim A_{i^j}, dim A_i, dim A_j);
     QAxiomViolation chained from validate_spec's failure on the maps, or
     naming the first ordered pair whose tensor differs from the spec's own
-    q family by more than tol (a NaN fails).
+    q family by more than AXIOM_TOL (a NaN fails).
     """
     L, comps = q.L, q.components
     for i, j in itertools.product(range(L.n), repeat=2):
@@ -490,13 +490,13 @@ def spec_from_q(q, tol=AXIOM_TOL):
         phi[(i, j)] = StarHom(comps[j], comps[i], m)
     spec = GradedSpec(L, comps, phi)
     try:
-        validate_spec(spec, tol)
+        validate_spec(spec, AXIOM_TOL)
     except ValidationFailure as exc:
         raise QAxiomViolation(f"the maps read off q fail validation: {exc}") from exc
     want = q_family_from_spec(spec).tensors
     for pair in sorted(want):
         r = fd.maxabs(q.tensors[pair] - want[pair])
-        if not r <= tol:
+        if not r <= AXIOM_TOL:
             i, j = pair
             raise QAxiomViolation(
                 f"q differs from the q family of its own maps at pair "
@@ -614,8 +614,8 @@ def validate_spec(spec, tol=AXIOM_TOL):
         del prod  # a stack of products can be the largest array in a run
         return np.abs(diff)
 
-    def triples(k, pairs):
-        return (len(below[k][0]) + 1) * len(pairs)
+    # one (i, j, m) triple for every ordered pair (i, j) and m <= i ^ j
+    pairs_checked = int(L.le.sum(axis=0)[np.asarray(L.meet, dtype=np.intp)].sum())
 
     # generator route: left factors E_p0 and E_0q only. With every block
     # of side 1 they are the whole basis, and the basis-pair route below
@@ -625,9 +625,7 @@ def validate_spec(spec, tol=AXIOM_TOL):
         k_eps, k_delta, k_zeta = _axiom_b_kappas(comps)
         budget = (tol - k_delta * hom_bound - k_zeta * id_res) / k_eps
         b_res = 0.0
-        pairs_checked = 0
         for k, pairs, g, h in _meet_groups(spec, rows_of, left):
-            pairs_checked += triples(k, pairs)
             diff = residuals(k, g, h)
             if diff is not None:
                 b_res = np.maximum(b_res, fd.maxabs(diff))
@@ -641,12 +639,10 @@ def validate_spec(spec, tol=AXIOM_TOL):
             )
 
     b_res = 0.0
-    pairs_checked = 0
     first = None  # (i, j, k, |residual|) of the first failing pair, row-major
     for k, pairs, g, h in _meet_groups(spec, rows_of):
         if first is not None and pairs[0] > first[:2]:
             break
-        pairs_checked += triples(k, pairs)
         diff = residuals(k, g, h)
         if diff is None:
             continue
@@ -1130,14 +1126,14 @@ def components_commutative(spec):
     return all(all(d == 1 for d in c.blocks) for c in spec.components)
 
 
-def total_commutative(spec, tol=AXIOM_TOL):
+def total_commutative(spec):
     """Basis test on the total algebra: xy = yx for all basis pairs."""
     for i, a, _ in spec.graded_basis():
         xa = spec.basis_element(i, a)
         for j, b, _ in spec.graded_basis():
             yb = spec.basis_element(j, b)
             d = gmul(xa, yb) - gmul(yb, xa)
-            if any(not fd.frob_norm(c) <= tol for c in d.comps):
+            if any(not fd.frob_norm(c) <= AXIOM_TOL for c in d.comps):
                 return False
     return True
 
@@ -1151,7 +1147,7 @@ def covering_pairs(L):
     return list(zip(*(a.tolist() for a in np.nonzero(cover))))
 
 
-def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
+def complete_phi_by_chains(L, components, partial):
     """Fill in phi for all comparable pairs from covering-pair data.
 
     Path independence on chains, which the compatibility axiom demands,
@@ -1162,9 +1158,9 @@ def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
     Every chain from i to j steps to a cover t and then runs from t to j,
     so every chain's composition agrees with C_{i,j}. Disagreement is a
     hard error; the result is the given map where there is one, else
-    C_{i,j}. Each step compares within tol, so two chains of depth d can
-    differ by up to about d x tol and pass, where comparing each chain
-    with the first would refuse them.
+    C_{i,j}. Each step compares within AXIOM_TOL, so two chains of depth
+    d can differ by up to about d x AXIOM_TOL and pass, where comparing
+    each chain with the first would refuse them.
     """
     covers = covering_pairs(L)
     for i, j in covers:
@@ -1180,34 +1176,34 @@ def complete_phi_by_chains(L, components, partial, tol=AXIOM_TOL):
     size = le.astype(float) @ le.astype(float)  # |[i, j]| where i <= j
     ii, jj = np.nonzero(le & ~np.eye(L.n, dtype=bool))
     order = np.lexsort((jj, ii, size[ii, jj]))
-    chain = {(i, i): fd.identity_hom(c) for i, c in enumerate(components)}
+    chain = {(i, i): np.eye(c.dim, dtype=complex) for i, c in enumerate(components)}
     for i, j in zip(ii[order].tolist(), jj[order].tolist()):
-        base, *others = [
-            fd.compose(partial[(i, t)], chain[(t, j)]) for t in up[i] if le[t, j]
-        ]
-        for h in others:
-            r = fd.maxabs(base.matrix - h.matrix)
-            if not r <= tol:
+        # covers come first, so each is shape-checked here before any use
+        h = partial.get((i, j))
+        if h is not None and (h.source, h.target) != (components[j], components[i]):
+            raise fd.ShapeMismatch(
+                f"given phi for ({L.names[i]}, {L.names[j]}) maps "
+                f"{h.source} -> {h.target}, its chain composition "
+                f"{components[j]} -> {components[i]}"
+            )
+        base, *others = [partial[(i, t)].matrix @ chain[(t, j)] for t in up[i] if le[t, j]]
+        for m in others:
+            r = fd.maxabs(base - m)
+            if not r <= AXIOM_TOL:
                 raise PathDependence(
                     f"chain compositions for ({L.names[i]}, {L.names[j]}) "
                     f"disagree by {r:.3e}"
                 )
         chain[(i, j)] = base
-        if (i, j) in partial:
-            h = partial[(i, j)]
-            if (h.source, h.target) != (base.source, base.target):
-                raise fd.ShapeMismatch(
-                    f"given phi for ({L.names[i]}, {L.names[j]}) maps "
-                    f"{h.source} -> {h.target}, its chain composition "
-                    f"{base.source} -> {base.target}"
-                )
-            r = fd.maxabs(base.matrix - h.matrix)
-            if not r <= tol:
+        if h is not None:
+            r = fd.maxabs(base - h.matrix)
+            if not r <= AXIOM_TOL:
                 raise PathDependence(
                     f"given phi for ({L.names[i]}, {L.names[j]}) disagrees "
                     f"with its chain composition by {r:.3e}"
                 )
     return {
-        (i, j): partial[(i, j)] if i != j and (i, j) in partial else chain[(i, j)]
+        (i, j): partial[(i, j)] if i != j and (i, j) in partial
+        else StarHom(components[j], components[i], chain[(i, j)])
         for i, j in L.comparable_pairs()
     }

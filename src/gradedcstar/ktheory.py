@@ -139,13 +139,13 @@ class WedderburnData:
         return ranks
 
 
-def _orthonormal_span(vectors, rtol=fd.RANK_RTOL):
+def _orthonormal_span(vectors):
     """Columns: an orthonormal basis of the span of the given vectors."""
     stacked = np.asarray(vectors)
     u, s, _ = np.linalg.svd(stacked.T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
-    keep = int(np.sum(s > rtol * s[0]))
+    keep = int(np.sum(s > fd.RANK_RTOL * s[0]))
     return u[:, :keep]
 
 
@@ -235,7 +235,7 @@ def _refine(w, hermitians, count):
     return pieces
 
 
-def wedderburn(basis, tol=PROJECTION_TOL):
+def wedderburn(basis):
     """Decompose the *-algebra spanned by the given elements.
 
     The spanning set need not be independent. The span must be closed
@@ -259,11 +259,11 @@ def wedderburn(basis, tol=PROJECTION_TOL):
     onb_mats = q.T.reshape(r, side, side)
 
     star_resid = _in_span_residual(q, _adjoints(onb_mats).reshape(r, -1))
-    if not star_resid <= tol:
+    if not star_resid <= PROJECTION_TOL:
         raise NotStarClosed(f"adjoints leave the span by {star_resid:.3e}")
     products = fd.pair_products(fd.AlgebraShape([side]), q, q).reshape(r, r, side, side)
     prod_resid = _in_span_residual(q, products.reshape(r * r, side * side))
-    if not prod_resid <= tol:
+    if not prod_resid <= PROJECTION_TOL:
         raise NotMultiplicativelyClosed(
             f"products leave the span by {prod_resid:.3e}"
         )
@@ -278,7 +278,7 @@ def wedderburn(basis, tol=PROJECTION_TOL):
         _norms(unit_mat @ onb_mats - onb_mats),
         _norms(onb_mats @ unit_mat - onb_mats),
     )
-    if not unit_resid <= tol * max(1.0, float(np.linalg.norm(unit_mat))):
+    if not unit_resid <= PROJECTION_TOL * max(1.0, float(np.linalg.norm(unit_mat))):
         raise NotUnitalSpan(
             f"no unit inside the span (best residual {unit_resid:.3e})"
         )
@@ -289,10 +289,10 @@ def wedderburn(basis, tol=PROJECTION_TOL):
     _, s, vh = np.linalg.svd(cmat, full_matrices=False)
     if s.size and s[0] > 0:
         # absolute floor: the basis is unit-norm, so commutator singular
-        # values below tol are numerically central (a fully commutative
-        # span leaves only rounding dust here, and a relative cut would
-        # mistake that dust for full rank)
-        center_rank = int(np.sum(s > max(fd.RANK_RTOL * s[0], tol)))
+        # values below PROJECTION_TOL are numerically central (a fully
+        # commutative span leaves only rounding dust here, and a relative
+        # cut would mistake that dust for full rank)
+        center_rank = int(np.sum(s > max(fd.RANK_RTOL * s[0], PROJECTION_TOL)))
     else:
         center_rank = 0
     center_coords = vh[center_rank:, :].conj()
@@ -321,7 +321,7 @@ def wedderburn(basis, tol=PROJECTION_TOL):
         *[_norms(p @ projections[a + 1 :]) for a, p in enumerate(projections)],
         _norms(projections.sum(axis=0) - unit_mat),
     )
-    if not worst <= tol:
+    if not worst <= PROJECTION_TOL:
         raise DecompositionError(f"projection system residual {worst:.3e}")
 
     blocks = []
@@ -353,7 +353,7 @@ def wedderburn(basis, tol=PROJECTION_TOL):
         central_projections=[fd.from_ambient(ambient, p) for p, _, _, _ in blocks],
         unit=fd.from_ambient(ambient, unit_mat),
         matrix_units=[
-            _matrix_units(c, v, n, m, onb_mats, herm_span, tol)
+            _matrix_units(c, v, n, m, onb_mats, herm_span)
             for c, (_, v, n, m) in enumerate(blocks)
         ],
     )
@@ -368,7 +368,7 @@ def wedderburn(basis, tol=PROJECTION_TOL):
     return data
 
 
-def _matrix_units(c, v, n, m, onb_mats, herm_span, tol):
+def _matrix_units(c, v, n, m, onb_mats, herm_span):
     """Matrix units for block c, whose central projection is the range of
     the isometry v, by a fixed rule.
 
@@ -405,7 +405,7 @@ def _matrix_units(c, v, n, m, onb_mats, herm_span, tol):
         _norms(_adjoints(units) - units.transpose(1, 0, 2, 3)),
         *[_norms(units[:, b, None] @ units[None, b] - units) for b in range(n)],
     )
-    if not worst <= tol * 10:
+    if not worst <= PROJECTION_TOL * 10:
         raise DecompositionError(
             f"block {c}: matrix unit residual {worst:.3e}"
         )
@@ -443,8 +443,8 @@ def verify_k0(spec):
     it is on record. The matrix is then invertible over the integers, with
     determinant 1:
       - diagonal block i holds the block traces of phi_{i,i}(E^(b)_00);
-        phi_{i,i} is the identity within tol, so the block rounds to the
-        identity matrix exactly;
+        phi_{i,i} is the identity within gr.AXIOM_TOL, so the block
+        rounds to the identity matrix exactly;
       - entries with t not <= i are structural zeros of pi;
       - so the matrix is block-unitriangular along any linear extension
         of <=, and its determinant is 1.

@@ -182,14 +182,14 @@ def trivial_action(group, spec):
     return GradedAction(group, spec, maps)
 
 
-def build_action(group, spec, maps, tol=ACTION_TOL):
+def build_action(group, spec, maps):
     """Validate and assemble a graded action.
 
     Checks per component: each map is an invertible *-homomorphism of
     that component, the identity element acts as the identity, and the
     maps compose along the group law. Across components: every map
-    commutes with every structure morphism. Maps for the identity
-    element may be omitted and default to the identity.
+    commutes with every structure morphism, all within ACTION_TOL. Maps
+    for the identity element may be omitted and default to the identity.
     """
     n = spec.L.n
     g_ord = group.order
@@ -228,7 +228,7 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
         shape = spec.components[i]
         mats = np.stack([full[(g, i)].matrix for g in gs])
         stacks.append(mats)
-        not_star = fd.check_starhoms(shape, shape, mats, tol)[3]
+        not_star = fd.check_starhoms(shape, shape, mats, ACTION_TOL)[3]
         for p, exc in not_star.items():
             failures.append(((gs[p], i), (
                 f"map for ({group.names[gs[p]]}, {i}) is not a "
@@ -245,7 +245,7 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
         raise ActionInvalid(min(failures)[1])
     for i in range(n):
         e_resid = fd.maxabs(stacks[i][group.identity] - np.eye(spec.components[i].dim))
-        if not e_resid <= tol:
+        if not e_resid <= ACTION_TOL:
             raise ActionInvalid(
                 f"identity element acts nontrivially on index {i} "
                 f"(residual {e_resid:.3e})"
@@ -259,7 +259,7 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
         ],
         axis=-1,
     )
-    bad = np.flatnonzero(~(resid <= tol))
+    bad = np.flatnonzero(~(resid <= ACTION_TOL))
     if bad.size:
         g, h, i = np.unravel_index(bad[0], resid.shape)
         raise ActionInvalid(
@@ -272,7 +272,7 @@ def build_action(group, spec, maps, tol=ACTION_TOL):
             continue
         phi = spec.pi_block(i, j)
         resid = np.abs(stacks[i] @ phi - phi @ stacks[j]).max(axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(~(resid <= tol))
+        bad = np.flatnonzero(~(resid <= ACTION_TOL))
         if bad.size:
             g = bad[0]
             raise ActionInvalid(
@@ -307,7 +307,7 @@ def _tensor_basis_permutation(sa, sb):
     return perm
 
 
-def tensor_spec(a, b, tol=gr.AXIOM_TOL):
+def tensor_spec(a, b):
     """The graded tensor product over the product semilattice.
 
     Components multiply blockwise and structure maps act factorwise, so
@@ -340,9 +340,9 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
         dim the largest component dimension. With
         beta' = max(beta, zeta sqrt(dim) nu^2),
         beta_T <= beta'_a nu_b^2 + nu_a^2 beta'_b + beta'_a beta'_b.
-    These bound every quantity validate_spec(product, tol) compares with
-    tol, so when all four are <= tol it would pass: tol and the bounds are
-    recorded on the product, which can then be a certified factor in
+    These bound every quantity validate_spec(product, AXIOM_TOL) compares
+    with AXIOM_TOL, so when all four are within it, it would pass: they
+    are recorded on the product, which can then be a certified factor in
     turn. Otherwise, a factor without bounds included, the product is
     validated in full and raises what validate_spec raises.
     """
@@ -369,10 +369,10 @@ def tensor_spec(a, b, tol=gr.AXIOM_TOL):
     pi[~L.le[np.ix_(owner, owner)]] = 0
     out = gr.GradedSpec._of_pi(L, comps, pi)
     bounds = _tensor_bounds(a, b)
-    if bounds is not None and all(x <= tol for x in bounds):
-        out._set_verdict(tol, bounds)
+    if bounds is not None and all(x <= gr.AXIOM_TOL for x in bounds):
+        out._set_verdict(gr.AXIOM_TOL, bounds)
     else:
-        gr.validate_spec(out, tol)
+        gr.validate_spec(out, gr.AXIOM_TOL)
     return out
 
 
@@ -475,7 +475,7 @@ def _block_permutations(alpha, shape, group, i):
     return sigma
 
 
-def _implementing_unitaries(maps, n, tol=ACTION_TOL):
+def _implementing_unitaries(maps, n):
     """u[x] with maps[x] = Ad u[x], for a stack of automorphisms of M_n.
 
     w is the largest column of maps[x](E_00) = (u e_0)(u e_0)*, scaled to
@@ -487,7 +487,7 @@ def _implementing_unitaries(maps, n, tol=ACTION_TOL):
     norms = np.linalg.norm(e00, axis=1)
     q = norms.argmax(axis=1)
     top = norms[np.arange(k), q]
-    if not (top > tol).all():
+    if not (top > ACTION_TOL).all():
         raise RealizationFault("a stabilizer's map sends the matrix unit E_00 of its block to 0")
     w = e00[np.arange(k), :, q] / top[:, None]
     ep0 = maps[:, :, np.arange(n) * n].reshape(k, n, n, n)
@@ -623,7 +623,7 @@ def _crossed_spec(spec, g, reals):
     return gr.GradedSpec._of_pi(spec.L, [re.shape for re in reals], pi)
 
 
-def _check_transport(act, reals, tol=TRANSPORT_TOL):
+def _check_transport(act, reals):
     """Each realization must be a *-isomorphism of the convolution algebra
     C(G, A_i) onto its block algebra.
 
@@ -654,14 +654,14 @@ def _check_transport(act, reals, tol=TRANSPORT_TOL):
         want = np.einsum("nam,smb,pstn->satbp", table, alpha, block[:, mul], optimize=True)
         resids.append(fd.maxabs(got - want.reshape(got.shape)))
     worst = fd.maxabs(resids)
-    if not worst <= tol:
+    if not worst <= TRANSPORT_TOL:
         raise TransportMismatch(
             f"output products deviate from convolution by {worst:.3e}"
         )
     return worst
 
 
-def build_crossed_product(act, tol=gr.AXIOM_TOL):
+def build_crossed_product(act):
     """Full crossed-product construction with its coordinate data.
 
     Realizes each component, transports the structure maps, validates the
@@ -703,7 +703,7 @@ def build_crossed_product(act, tol=gr.AXIOM_TOL):
     irreps = {}
     reals = [_realize_component(act, i, irreps) for i in range(spec.L.n)]
     out = _crossed_spec(spec, act.group.order, reals)
-    gr.validate_spec(out, tol)
+    gr.validate_spec(out, gr.AXIOM_TOL)
     _check_transport(act, reals)
     return CrossedProduct(action=act, spec=out, realizations=reals)
 

@@ -119,7 +119,7 @@ def _sorted(chars):
     return [chars[k] for k in order]
 
 
-def brute_force_characters(spec, seed=None, tol=CHAR_TOL):
+def brute_force_characters(spec, seed=None):
     """All characters of the total algebra, found by diagonalizing the
     multiplication operator of a generic self-adjoint element.
 
@@ -147,7 +147,7 @@ def brute_force_characters(spec, seed=None, tol=CHAR_TOL):
         if n > 1 and (gaps.min() < EIG_SEPARATION):
             last = f"eigenvalue gap {gaps.min():.3e} below {EIG_SEPARATION}"
             continue
-        chars, failure = _read_characters(spec, table, eigvecs, tol)
+        chars, failure = _read_characters(spec, table, eigvecs)
         if failure is not None:
             last = failure
             continue
@@ -164,7 +164,7 @@ def _random_hermitian(spec, rng):
     )
 
 
-def _read_characters(spec, table, eigvecs, tol):
+def _read_characters(spec, table, eigvecs):
     n = spec.total_dim
     chars = []
     for t in range(n):
@@ -175,8 +175,8 @@ def _read_characters(spec, table, eigvecs, tol):
         resid = np.einsum("bhu,h->bu", table, w) - np.outer(values, w)
         if not fd.maxabs(resid) <= 1e-6:
             return None, f"eigenvector {t} is not a joint eigenvector"
-        r = check_character(spec, values, tol, table=table)
-        if not r <= tol:
+        r = check_character(spec, values, CHAR_TOL, table=table)
+        if not r <= CHAR_TOL:
             return None, f"functional {t} fails character axioms by {r:.3e}"
         chars.append(Character(values=values))
     return chars, None
@@ -218,40 +218,40 @@ def graded_characters(spec, tol=CHAR_TOL):
     ]
 
 
-def _require_all_scalar(spec, tol):
+def _require_all_scalar(spec):
     """NotAllScalar unless every component is the scalars and every
-    structure map the identity within tol (a NaN fails), naming the first
-    offending component, else the first pair in row-major order."""
+    structure map the identity within CHAR_TOL (a NaN fails), naming the
+    first offending component, else the first pair in row-major order."""
     for c in spec.components:
         if c.blocks != (1,):
             raise NotAllScalar(f"component {c} is not the scalars")
     # every component is the scalars, so each map is one entry of Pi, and
     # Pi is 0 off the order
-    bad = np.argwhere(~(np.abs(spec.pi - spec.L.le) <= tol))
+    bad = np.argwhere(~(np.abs(spec.pi - spec.L.le) <= CHAR_TOL))
     if bad.size:
         raise NotAllScalar(
             f"structure map for pair {tuple(bad[0].tolist())} is not the identity"
         )
 
 
-def finishing_correspondence(spec, tol=CHAR_TOL):
+def finishing_correspondence(spec):
     """For an all-scalar spec: pair every character with the index set
     where it equals 1. Pairs come in lexicographic order on rounded value
     vectors.
 
-    Every component must be the scalars and |Pi - L.le| <= tol hold
-    entrywise, every structure map the identity within tol; that one
+    Every component must be the scalars and |Pi - L.le| <= CHAR_TOL hold
+    entrywise, every structure map the identity within CHAR_TOL; that one
     comparison runs before validation, and NotAllScalar names the first
     pair, row-major, where it fails. Character (i, 0), row i of Pi, is
-    then the indicator of the upset of i, row i of L.le, within tol. The
-    upsets of single elements are exactly the nonempty finishing
+    then the indicator of the upset of i, row i of L.le, within CHAR_TOL.
+    The upsets of single elements are exactly the nonempty finishing
     sub-semilattices (see enumerate_finishing_subsemilattices), and
     distinct indices have distinct upsets, so the comparison checks the
     bijection and the indicator formula that inverts it.
     """
-    _require_all_scalar(spec, tol)
+    _require_all_scalar(spec)
     L = spec.L
-    chars = graded_characters(spec, tol)
+    chars = graded_characters(spec, CHAR_TOL)
     pairs = []
     for ch in _sorted(chars):
         mset = L.finishing_set(ch.tag[0])
@@ -268,7 +268,7 @@ class RestrictionReport:
     nondegeneracy_check: str = "unital"
 
 
-def restriction_spectrum_map(spec, M, tol=CHAR_TOL):
+def restriction_spectrum_map(spec, M):
     """Push every character of the spec down to the sub-spec over a
     cofinal sub-semilattice M.
 
@@ -312,9 +312,9 @@ def restriction_spectrum_map(spec, M, tol=CHAR_TOL):
                 f"structure map for ({L.names[i]}, {L.names[m]}) is not "
                 f"unital; the non-degeneracy substitute fails"
             )
-    source_chars = graded_characters(spec, tol)
+    source_chars = graded_characters(spec, CHAR_TOL)
     sub_spec, remap = gr.restrict_spec(spec, Msorted)
-    sub_chars = graded_characters(sub_spec, tol)
+    sub_chars = graded_characters(sub_spec, CHAR_TOL)
     if not source_chars:  # every component is zero
         return RestrictionReport(sub_spec, remap, contraction, [])
     # M's columns of Pi, in the sub-spec's order; row (i, t) pulls back
@@ -326,8 +326,8 @@ def restriction_spectrum_map(spec, M, tol=CHAR_TOL):
     mine = owner == np.repeat(list(contraction.values()), dims)[:, None]
     pullback = np.where(mine, restricted, 0)
     target = np.abs(pullback).argmax(axis=1)
-    pulled = (np.abs(pullback - np.eye(len(cols))[target]) <= tol).all(axis=1)
-    diff = ~(np.abs(restricted - sub_spec.pi[target]) <= tol)
+    pulled = (np.abs(pullback - np.eye(len(cols))[target]) <= CHAR_TOL).all(axis=1)
+    diff = ~(np.abs(restricted - sub_spec.pi[target]) <= CHAR_TOL)
     bad = np.flatnonzero(~pulled | diff.any(axis=1))
     if bad.size:
         g = bad[0]

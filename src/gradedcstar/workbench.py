@@ -6,8 +6,8 @@ names plus meet table), "components" (name -> block list), and "phi"
 row-major over the canonical matrix-unit basis, every entry a [re, im]
 pair. Optional "closure": "chains" lets phi be given on covering pairs
 only; the loader composes them by induction on interval length and
-insists that every chain gives the same map, within tolerance. Groups,
-actions, and elements use the smaller schemas below.
+insists that every chain gives the same map, within graded.AXIOM_TOL.
+Groups, actions, and elements use the smaller schemas below.
 
 Serialized floats use Python's shortest round-trip repr, so emitting and
 re-parsing a document reproduces every matrix bit for bit.
@@ -182,22 +182,22 @@ def spec_to_document(spec, metadata=None):
     return doc
 
 
-def document_to_spec(doc, tol=gr.AXIOM_TOL):
-    """Parse and fully validate a spec document.
+def document_to_spec(doc):
+    """Parse and fully validate a spec document, at gr.AXIOM_TOL.
 
     Malformed structure raises DocumentError naming the offending spot;
     a well-formed document whose mathematics fails raises the validation
     error itself.
     """
-    spec = parse_spec(doc, tol)
-    gr.validate_spec(spec, tol)
+    spec = parse_spec(doc)
+    gr.validate_spec(spec, gr.AXIOM_TOL)
     return spec
 
 
-def parse_spec(doc, tol=gr.AXIOM_TOL):
+def parse_spec(doc):
     """Build the spec a document describes, without the numeric axiom
-    checks of validate_spec. Chain closure still insists, to tol, that
-    compositions along different chains agree (PathDependence)."""
+    checks of validate_spec. Chain closure still insists, to gr.AXIOM_TOL,
+    that compositions along different chains agree (PathDependence)."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     for section in ("semilattice", "components", "phi"):
@@ -212,8 +212,6 @@ def parse_spec(doc, tol=gr.AXIOM_TOL):
         L = sl.Semilattice(meet, names)
     except InputError as exc:
         raise DocumentError(f"semilattice: {exc}") from exc
-    if len(set(L.names)) != L.n:
-        raise DocumentError("semilattice: names must be distinct")
     index = {name: i for i, name in enumerate(L.names)}
 
     comp_doc = doc["components"]
@@ -272,7 +270,7 @@ def parse_spec(doc, tol=gr.AXIOM_TOL):
 
     closure = doc.get("closure")
     if closure == "chains":
-        phi = gr.complete_phi_by_chains(L, components, phi, tol)
+        phi = gr.complete_phi_by_chains(L, components, phi)
     elif closure is not None:
         raise DocumentError(f"closure: unrecognized mode {closure!r}")
 

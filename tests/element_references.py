@@ -130,7 +130,7 @@ def ideal_leak_reference(spec, ideal_blocks, tol=gr.AXIOM_TOL, products=None):
         """(index, blocks) over the support of gmul(E_x, E_y)."""
         if (x, y) not in products:
             prod = gr.gmul(spec.basis_element(*x), spec.basis_element(*y))
-            products[(x, y)] = [(k, prod.comps[k].mats) for k in prod.support(tol=0.0)]
+            products[(x, y)] = [(k, prod.comps[k].mats) for k in prod.support()]
         return products[(x, y)]
 
     ideal_basis = [(i, a) for i, a, _ in spec.graded_basis() if in_ideal(i, a)]

@@ -7,6 +7,8 @@ hand. Tolerances are stated inline.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,17 @@ def test_norm_satisfies_cstar_identity_on_random_samples(corpus):
             n = gr.gnorm(spec, x)
             lhs = gr.gnorm(spec, gr.gmul(gr.gadjoint(x), x))
             assert abs(lhs - n * n) <= 1e-8 * (1 + n * n)
+
+
+def test_readme_example_runs():
+    # the README's Python block, as written, and the C*-identity it claims
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    ns = {}
+    exec(block, ns)
+    spec, x = ns["spec"], ns["x"]
+    lhs = gr.gnorm(spec, gr.gmul(gr.gadjoint(x), x))
+    assert lhs == pytest.approx(gr.gnorm(spec, x) ** 2, rel=1e-12)
 
 
 def test_norm_matches_block_decomposition_of_faithful_image(corpus):

@@ -503,6 +503,16 @@ MALFORMED = {
         lambda d: d["spec"]["semilattice"].update(names=5),
         "semilattice: names must be a list",
     ),
+    "duplicate-names": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["semilattice"]["names"].__setitem__(1, "{0}"),
+        "semilattice: element names are not distinct",
+    ),
+    "names-equal-as-strings": (
+        ["validate", "spec"],
+        lambda d: d["spec"]["semilattice"].update(names=[1, "1", "a"]),
+        "semilattice: element names are not distinct",
+    ),
     "meet-floats": (
         ["validate", "spec"], _float_meet, "semilattice: meet: row 0, column 0 must be an integer"
     ),

@@ -323,6 +323,23 @@ class TestNoPerPairObjects:
 
 # ----------------------------------------------------------- validation
 
+@st.composite
+def intersection_semilattices(draw):
+    """The meet-semilattice of a random family of subsets of a 4-element
+    set, closed under intersection, with intersection as meet (over a
+    large enough set, every finite meet-semilattice is one of these)."""
+    seeds = draw(st.lists(st.frozensets(st.integers(0, 3)), min_size=1, max_size=6))
+    family = set(seeds)
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+    index = {s: k for k, s in enumerate(sets)}
+    return sl.Semilattice([[index[a & b] for b in sets] for a in sets])
+
+
 class TestValidateSpec:
     def test_corpus_passes(self, corpus):
         for name, spec in corpus.items():
@@ -402,6 +419,19 @@ class TestValidateSpec:
         # one check per ordered pair (i, j) and each m under i ^ j:
         # (0,0),(0,1),(1,0) see only m=0; (1,1) sees m=0 and m=1
         assert report.pairs_checked == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(intersection_semilattices(), st.sampled_from([[1], [2], [1, 1], [2, 1]]))
+    def test_pairs_checked_counts_every_triple(self, L, blocks):
+        # identity maps on one shape: valid on every semilattice, and the
+        # shape picks the route (a block of side 2 takes the generator one)
+        shape = fd.AlgebraShape(blocks)
+        spec = gr.GradedSpec.from_pi(L, [shape] * L.n, np.kron(L.le, np.eye(shape.dim)))
+        want = sum(
+            L.leq(m, L.meet_of(i, j))
+            for i, j, m in itertools.product(range(L.n), repeat=3)
+        )
+        assert gr.validate_spec(spec).pairs_checked == want
 
 
 # ------------------------------------- axiom (b) against the reference loop
@@ -1587,6 +1617,21 @@ class TestChainClosure:
                 ),
             ):
                 gr.complete_phi_by_chains(sl.chain(3), [SCALAR] * 3, partial)
+
+    def test_wrongly_shaped_cover_rejected(self):
+        # phi_{0,1} given as a map C^4 -> C where A_1 = M_2: the same
+        # dimension, so only the shapes tell them apart
+        cover = fd.StarHom(fd.AlgebraShape([1, 1, 1, 1]), SCALAR, np.ones((1, 4)))
+        partial = {(0, 1): cover, (1, 2): unital_embedding(M2)}
+        with pytest.raises(
+            fd.ShapeMismatch,
+            match=(
+                r"^given phi for \(0, 1\) maps AlgebraShape\(\[1, 1, 1, 1\]\) -> "
+                r"AlgebraShape\(\[1\]\), its chain composition "
+                r"AlgebraShape\(\[2\]\) -> AlgebraShape\(\[1\]\)$"
+            ),
+        ):
+            gr.complete_phi_by_chains(sl.chain(3), [SCALAR, M2, SCALAR], partial)
 
     def test_agrees_with_enumeration(self):
         # scalar 0/1 covers, M_2 corner or unital embeddings and random

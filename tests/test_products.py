@@ -1010,11 +1010,12 @@ class TestCrossedProduct:
         )
         assert reference_convolution_axioms(act, 0) < 1e-12
 
-    def test_transport_check_wiring(self):
+    def test_transport_check_wiring(self, monkeypatch):
         act = translation_action(pr.cyclic_group(2))
         cp = crossed(act)
+        monkeypatch.setattr(pr, "TRANSPORT_TOL", -1.0)
         with pytest.raises(pr.TransportMismatch):
-            pr._check_transport(act, cp.realizations, tol=-1.0)
+            pr._check_transport(act, cp.realizations)
 
     def test_independence_check_wiring(self):
         act = translation_action(pr.cyclic_group(2))
