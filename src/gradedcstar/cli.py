@@ -26,6 +26,9 @@ from . import workbench as wb
 from .errors import GradedCstarError, NumericFailure, ValidationFailure
 from .seeding import resolve_seed
 
+# an imaginary part at most this large is not printed
+IMAG_DISPLAY_CUT = 1e-10
+
 
 def _load_spec(path):
     return wb.document_to_spec(wb.load_document(path))
@@ -40,7 +43,7 @@ def _emit(doc, out_path):
 
 def _fmt_complex(z):
     z = complex(z)
-    if abs(z.imag) <= 1e-10:
+    if abs(z.imag) <= IMAG_DISPLAY_CUT:
         return f"{z.real:.6g}"
     return f"{z.real:.6g}{z.imag:+.6g}i"
 

@@ -8,9 +8,11 @@ pair i <= j. The axioms checked here are
   b) phi_{m,k}(phi_{k,i}(x) phi_{k,j}(y)) = phi_{m,i}(x) phi_{m,j}(y)
      for every pair (i, j) with k = i ^ j and every m <= k,
 
-the structure morphisms being *-homomorphisms. validate_spec checks them
-on matrix-unit generators first, accepting within a derived error bound,
-and over every canonical basis pair (exact by bilinearity) otherwise. Every
+the structure morphisms being *-homomorphisms. validate_spec decides a
+commutative spec whose pi is exactly 0/1 with boolean arithmetic; it checks
+any other on matrix-unit generators first, accepting within a derived
+error bound, and over every canonical basis pair (exact by bilinearity)
+otherwise. Every
 component is unital and finite-dimensional, so its multiplier algebra is
 itself; the general theory's multiplier wrappers never appear and nothing
 is lost by working with the components directly.
@@ -43,6 +45,10 @@ from .findim import AlgebraShape, StarHom
 from .semilattice import Semilattice
 
 AXIOM_TOL = 1e-9
+
+# about how many uint64 words each array of one step of _zero_one_failure
+# holds
+_BITSET_STEP_WORDS = 1 << 18
 
 
 class MissingHom(InputError):
@@ -535,17 +541,91 @@ def validate_spec(spec, tol=AXIOM_TOL):
 
     Checks phi_{i,i} = id, that every phi is a *-homomorphism, and the
     two-variable compatibility axiom for every (i, j) and every m below
-    i ^ j. The last two run on matrix-unit generators first (see
-    fd.check_starhoms and _axiom_b_kappas) and over every canonical basis
-    pair when those cannot certify them; the basis-pair checks decide
-    every failure. Raises on the first failure; returns the max residuals
-    of the checks that decided on success, and records tol on the spec
-    as validated_tol and the bounds it certified as validated_bounds. A
-    NaN residual fails.
+    i ^ j. Three routes decide, in turn:
+      - the exact route, on commutative components whose pi is exactly
+        0/1 and at tol >= 0 (see _zero_one_table and _zero_one_failure):
+        it accepts with every residual 0.0, which is what the checks
+        below compute on such a spec, since every sum they form is over
+        0/1 products and exact; a failure of axiom (b) there is named
+        from the basis-pair residuals of the failing pair alone;
+      - the generator route for the *-homs and axiom (b), on matrix-unit
+        generators (see fd.check_starhoms and _axiom_b_kappas);
+      - the basis-pair route over every canonical basis pair when the
+        generators cannot certify the axioms; it decides every other
+        failure.
+    Raises on the first failure; returns the max residuals of the checks
+    that decided on success, and records tol on the spec as validated_tol
+    and the bounds it certified as validated_bounds. A NaN residual
+    fails.
     """
     L = spec.L
     pi = spec.pi
     comps = spec.components
+    meet = np.asarray(L.meet, dtype=np.intp)
+    # one (i, j, m) triple for every ordered pair (i, j) and m <= i ^ j
+    pairs_checked = int(L.le.sum(axis=0)[meet].sum())
+
+    # Axiom (b) says pi_m(E_a E_b) = pi_m(E_a) pi_m(E_b) for m <= k = i ^ j,
+    # and E_a E_b = q_{i,j}(E_a, E_b) = pi_k(E_a) pi_k(E_b) lies in A_k.
+    # One pair product over the rows of every m < k (ascending) and then
+    # of k gives both sides; m = k holds by the definition of q. The pairs
+    # sharing k and both factors' sizes take one stacked pair product.
+    below = {}  # k -> (m < k ascending, rows, shape, split, pi_{m,k} transposed)
+
+    def rows_of(k):
+        if k not in below:
+            ms = [m for m in np.flatnonzero(L.le[:, k]).tolist() if m != k]
+            rows = np.concatenate(
+                [spec.offsets[m] + np.arange(comps[m].dim) for m in ms + [k]]
+            )
+            split = len(rows) - comps[k].dim
+            shape = AlgebraShape([d for m in ms + [k] for d in comps[m].blocks])
+            below[k] = (ms, rows, shape, split, pi[rows[:split], spec.span(k)].T)
+        return below[k][1]
+
+    def residuals(k, g, h):
+        """|pi_m(x) pi_m(y) - pi_m(xy)| for every m < k, rows of A_m
+        side by side, or None when nothing lies below k."""
+        ms, _, shape, split, down = below[k]
+        if not ms:
+            return None
+        prod = fd.pair_products(shape, g, h)
+        diff = prod[..., split:] @ down
+        diff -= prod[..., :split]
+        del prod  # a stack of products can be the largest array in a run
+        return np.abs(diff)
+
+    def raise_first_offender(i, j, k, diff):
+        """AxiomBViolation at the first m < k whose rows of diff, the
+        residuals of the pair (i, j), exceed tol, if one does."""
+        off = 0
+        for m in below[k][0]:
+            block = diff[..., off : off + comps[m].dim]
+            off += comps[m].dim
+            r = fd.maxabs(block)
+            if not r <= tol:
+                # the first pair, row-major, within rounding of the largest
+                flat = block.reshape(-1)
+                near = (flat >= r * (1 - 1e-12)) | np.isnan(flat)
+                a, b = divmod(int(near.argmax()) // comps[m].dim, comps[j].dim)
+                raise AxiomBViolation(
+                    L.names[i], L.names[j], L.names[m],
+                    spec.basis_label(i, a), spec.basis_label(j, b), r,
+                )
+
+    table = _zero_one_table(spec) if 0 <= tol else None
+    if table is not None:
+        first = _zero_one_failure(spec, meet, table)
+        if first is None:
+            spec._set_verdict(tol, SpecBounds(0.0, 0.0, 0.0, 0.0))
+            return SpecValidationReport(0.0, 0.0, 0.0, 0.0, pairs_checked)
+        # every residual of the pair is 0 or 1: this raises unless tol >= 1
+        i, j = first
+        k = int(meet[i, j])
+        rows = rows_of(k)
+        g, h = pi[rows, spec.span(i)][None], pi[rows, spec.span(j)][None]
+        raise_first_offender(i, j, k, residuals(k, g, h)[0])
+
     id_res = 0.0
     for i in range(L.n):
         r = fd.maxabs(spec.pi_block(i, i) - np.eye(comps[i].dim))
@@ -584,39 +664,6 @@ def validate_spec(spec, tol=AXIOM_TOL):
         e = failing[(i, j)]
         raise HomNotStar(f"phi[{L.names[i]},{L.names[j]}]: {e}") from e
 
-    # Axiom (b) says pi_m(E_a E_b) = pi_m(E_a) pi_m(E_b) for m <= k = i ^ j,
-    # and E_a E_b = q_{i,j}(E_a, E_b) = pi_k(E_a) pi_k(E_b) lies in A_k.
-    # One pair product over the rows of every m < k (ascending) and then
-    # of k gives both sides; m = k holds by the definition of q. The pairs
-    # sharing k and both factors' sizes take one stacked pair product.
-    below = {}  # k -> (m < k ascending, rows, shape, split, pi_{m,k} transposed)
-
-    def rows_of(k):
-        if k not in below:
-            ms = [m for m in np.flatnonzero(L.le[:, k]).tolist() if m != k]
-            rows = np.concatenate(
-                [spec.offsets[m] + np.arange(comps[m].dim) for m in ms + [k]]
-            )
-            split = len(rows) - comps[k].dim
-            shape = AlgebraShape([d for m in ms + [k] for d in comps[m].blocks])
-            below[k] = (ms, rows, shape, split, pi[rows[:split], spec.span(k)].T)
-        return below[k][1]
-
-    def residuals(k, g, h):
-        """|pi_m(x) pi_m(y) - pi_m(xy)| for every m < k, rows of A_m
-        side by side, or None when nothing lies below k."""
-        ms, _, shape, split, down = below[k]
-        if not ms:
-            return None
-        prod = fd.pair_products(shape, g, h)
-        diff = prod[..., split:] @ down
-        diff -= prod[..., :split]
-        del prod  # a stack of products can be the largest array in a run
-        return np.abs(diff)
-
-    # one (i, j, m) triple for every ordered pair (i, j) and m <= i ^ j
-    pairs_checked = int(L.le.sum(axis=0)[np.asarray(L.meet, dtype=np.intp)].sum())
-
     # generator route: left factors E_p0 and E_0q only. With every block
     # of side 1 they are the whole basis, and the basis-pair route below
     # does the same work.
@@ -652,23 +699,107 @@ def validate_spec(spec, tol=AXIOM_TOL):
             first = (*pairs[bad[0]], k, diff[bad[0]])
         b_res = max(b_res, float(r.max()))
     if first is not None:
-        i, j, k, diff = first
-        off = 0
-        for m in below[k][0]:
-            block = diff[..., off : off + comps[m].dim]
-            off += comps[m].dim
-            r = fd.maxabs(block)
-            if not r <= tol:
-                # the first pair, row-major, within rounding of the largest
-                flat = block.reshape(-1)
-                near = (flat >= r * (1 - 1e-12)) | np.isnan(flat)
-                a, b = divmod(int(near.argmax()) // comps[m].dim, comps[j].dim)
-                raise AxiomBViolation(
-                    L.names[i], L.names[j], L.names[m],
-                    spec.basis_label(i, a), spec.basis_label(j, b), r,
-                )
+        raise_first_offender(*first)
     spec._set_verdict(tol, SpecBounds(id_res, star_res, hom_bound, b_res))
     return SpecValidationReport(id_res, mult_res, star_res, b_res, pairs_checked)
+
+
+def _zero_one_table(spec):
+    """The table of the exact route of validate_spec, or None where it
+    does not apply.
+
+    It applies when every block of every component is 1 x 1 and pi is
+    exactly 0/1 (real, no NaN), its diagonal blocks are identities and
+    each row of each block holds at most one 1. A 0/1 matrix C^a -> C^b
+    maps the minimal projections e_p to 0/1 vectors, which multiply
+    entrywise; it is a *-hom iff the images of e_p and e_q are disjoint
+    for p != q, that is iff each row holds at most one 1. Then every
+    residual of the identity and *-hom checks is exactly 0. table[t, j]
+    is the coordinate of A_j at which row t of pi reads 1, or -1 where it
+    reads none.
+    """
+    pi = spec.pi
+    if not components_commutative(spec) or pi.imag.any():
+        return None
+    b = pi.real == 1
+    if not (b | (pi.real == 0)).all():
+        return None
+    owner = _owners(spec.components)
+    if not np.array_equal(b & (owner[:, None] == owner), np.eye(owner.size, dtype=bool)):
+        return None
+    r, c = np.nonzero(b)
+    key = r * spec.L.n + owner[c]  # ascending: row-major, owners ascend
+    if (np.diff(key) == 0).any():
+        return None
+    table = np.full((owner.size, spec.L.n), -1)
+    table.flat[key] = c
+    return table
+
+
+def _zero_one_failure(spec, meet, table):
+    """The first ordered pair (i, j), row-major, at which the 0/1 pi of
+    _zero_one_table fails axiom (b), or None when it holds.
+
+    For coordinates x of A_i and y of A_j, k = i ^ j and B = pi, axiom (b)
+    on the minimal projections e_x, e_y reads, products entrywise,
+        B[:, span k] (B[span k, x] B[span k, y]) = B[:, x] B[:, y]:
+    e_x e_y = sum over z in span k of B[z, x] B[z, y] e_z, and pi is
+    multiplicative there. Each row of B[:, span k] holds at most one 1,
+    so the left side is the OR of the columns z of span k with
+    table[z, i] = x and table[z, j] = y. With the columns of B packed into
+    bitsets over the rows, the (z, i, j) with z in span(i ^ j) are sorted
+    by (x, y) once, and each run of equal (x, y) ORs its columns into one
+    left side; a broadcast AND forms the right sides. Both are compared a
+    step of x at a time, each step holding about _BITSET_STEP_WORDS words,
+    so there is no Python loop over pairs and no array of D^3 entries,
+    D = total_dim. Rows below k are where the two sides can differ; the
+    rows of k agree because B's diagonal blocks are identities, and every
+    other row is 0 on both sides.
+    """
+    n, dim = spec.L.n, spec.total_dim
+    dims = np.array([c.dim for c in spec.components], dtype=np.intp)
+    meet = meet.reshape(-1)
+    reps = dims[meet]
+    i, j = np.divmod(np.repeat(np.arange(n * n), reps), n)  # once per z
+    z = np.arange(i.size)
+    z -= np.repeat(np.cumsum(reps) - reps - np.asarray(spec.offsets)[meet], reps)
+    x, y = table[z, i], table[z, j]
+    # these index arrays, one entry per (i, j, z), are the largest the
+    # route holds outside its steps: free each once it is read
+    del i, j
+    hit = (x >= 0) & (y >= 0)
+    key = x[hit] * dim + y[hit]
+    del x, y
+    order = np.argsort(key, kind="stable")
+    key, z = key[order], z[hit][order]
+    del order, hit
+    first_of_run = np.ones(key.size, dtype=bool)  # of a run of equal keys
+    first_of_run[1:] = key[1:] != key[:-1]
+    packed = np.packbits(spec.pi.real == 1, axis=0).T  # column t of B, bytes over the rows
+    cols = np.zeros((dim, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    cols[:, : packed.shape[1]] = packed
+    cols = cols.view(np.uint64)
+    words = cols.shape[1]
+    # steps of x: a new one starts where the running count of words (both
+    # sides and the hit columns of each x) passes a multiple of the step
+    step = np.cumsum((dim + np.bincount(key // dim, minlength=dim)) * words) // _BITSET_STEP_WORDS
+    edges = [0, *(np.flatnonzero(step[1:] != step[:-1]) + 1).tolist(), dim]
+    owner = _owners(spec.components)
+    first = None  # i * n + j of the first failing pair found so far
+    for x0, x1 in zip(edges, edges[1:]):
+        if first is not None and owner[x0] * n > first:
+            break
+        a, b = np.searchsorted(key, [x0 * dim, x1 * dim])
+        lhs = np.zeros(((x1 - x0) * dim, words), dtype=np.uint64)
+        if a < b:
+            runs = np.flatnonzero(first_of_run[a:b])
+            lhs[key[a:b][runs] - x0 * dim] = np.bitwise_or.reduceat(cols[z[a:b]], runs)
+        lhs = lhs.reshape(x1 - x0, dim, words)
+        xs, ys = np.nonzero((lhs != cols[x0:x1, None] & cols).any(axis=2))
+        if xs.size:
+            found = int((owner[xs + x0] * n + owner[ys]).min())
+            first = found if first is None else min(first, found)
+    return None if first is None else divmod(first, n)
 
 
 def require_verdict(spec, tol):

@@ -40,6 +40,8 @@ from .seeding import make_rng  # noqa: F401
 PROJECTION_TOL = 1e-7
 EIG_SEPARATION = 1e-7
 RANK_ROUND_TOL = 1e-6
+ROUND_TRIP_TOL = 1e-6
+LINK_FLOOR = 1e-10
 
 
 class NotUnitalSpan(InputError):
@@ -361,7 +363,7 @@ def wedderburn(basis):
     # round-trip: block coordinates must invert on the spanning ONB
     back = data._from_blocks(data._block_coordinates(onb_mats))
     worst = fd.maxabs(_norms(back - onb_mats))
-    if not worst <= 1e-6:
+    if not worst <= ROUND_TRIP_TOL:
         raise DecompositionError(
             f"block coordinates fail to invert (residual {worst:.3e})"
         )
@@ -391,7 +393,7 @@ def _matrix_units(c, v, n, m, onb_mats, herm_span):
         sizes = _norms(corners)
         k = int(np.argmax(sizes))
         scale = float(sizes[k]) ** 2 / m
-        if not scale >= 1e-10:
+        if not scale >= LINK_FLOOR:
             raise DecompositionError(
                 f"block {c}: no spanning element links minimal "
                 f"projections 0 and {t}"

@@ -30,6 +30,7 @@ from .errors import DegenerateGenerator, InputError, ValidationFailure
 from .seeding import make_rng, resolve_seed
 
 CHAR_TOL = 1e-8
+JOINT_EIGVEC_TOL = 1e-6
 EIG_SEPARATION = 1e-7
 RETRY_BUDGET = 8
 
@@ -94,8 +95,9 @@ def _product_table(spec):
     return table
 
 
-def check_character(spec, values, tol=CHAR_TOL, table=None):
-    """Max residual of multiplicativity and *-symmetry on basis pairs."""
+def check_character(spec, values, table=None):
+    """Max residual of multiplicativity and *-symmetry on basis pairs;
+    the caller compares it with its tolerance."""
     if table is None:
         table = _product_table(spec)
     prod_vals = np.einsum("ghu,u->gh", table, values)
@@ -173,9 +175,9 @@ def _read_characters(spec, table, eigvecs):
         values = np.einsum("bhu,u,h->b", table, np.conj(w), w)
         # w must be a joint eigenvector of every basis multiplication
         resid = np.einsum("bhu,h->bu", table, w) - np.outer(values, w)
-        if not fd.maxabs(resid) <= 1e-6:
+        if not fd.maxabs(resid) <= JOINT_EIGVEC_TOL:
             return None, f"eigenvector {t} is not a joint eigenvector"
-        r = check_character(spec, values, CHAR_TOL, table=table)
+        r = check_character(spec, values, table=table)
         if not r <= CHAR_TOL:
             return None, f"functional {t} fails character axioms by {r:.3e}"
         chars.append(Character(values=values))

@@ -499,7 +499,11 @@ def _certified(spec):
     the maps are identities, lambda -> lambda 1 or pullbacks along
     G/H_i -> G/H_j, unital *-homomorphisms that compose exactly. So every
     residual that validate_spec forms is an integer combination of 0/1
-    entries, computed exactly in floating point, and 0."""
+    entries, computed exactly in floating point, and 0. On commutative
+    components that argument is validate_spec's exact route in code
+    (graded._zero_one_table and graded._zero_one_failure), which would
+    accept these specs with the same verdict; the m2-chain demo, whose
+    bottom block is M_2, rests on the argument alone."""
     spec._set_verdict(gr.AXIOM_TOL, gr.SpecBounds(0.0, 0.0, 0.0, 0.0))
     return spec
 

@@ -50,7 +50,7 @@ def graded_characters_reference(spec, tol=sp.CHAR_TOL):
                     f"characters {chars[a].tag} and {chars[b].tag} coincide"
                 )
     for ch in chars:
-        r = sp.check_character(spec, ch.values, tol)
+        r = sp.check_character(spec, ch.values)
         if not r <= tol:
             raise NotACharacter(
                 f"coordinate {ch.tag} of pi fails the character axioms by {r:.3e}"

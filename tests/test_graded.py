@@ -1,5 +1,7 @@
 import itertools
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -792,6 +794,225 @@ class TestAxiomBAgainstReference:
         monkeypatch.setattr(fd, "pair_products", lambda *a: calls.append(1) or real(*a))
         gr.validate_spec(all_scalar_spec(sl.chain(12)))
         assert len(calls) <= 12
+
+
+# ------------------------------------------------- the exact 0/1 route
+
+def pi_with(spec, *edits):
+    """A verdict-free copy of spec whose pi has each (rows, cols, value)
+    edit written into it."""
+    pi = spec.pi.copy()
+    for rows, cols, value in edits:
+        pi[rows, cols] = value
+    return gr.GradedSpec.from_pi(spec.L, spec.components, pi)
+
+
+@st.composite
+def zero_one_all_scalar(draw):
+    """An all-scalar spec whose maps are identities or 0: the order
+    matrix of a random semilattice with some comparable pairs zeroed."""
+    L = draw(intersection_semilattices())
+    ii, jj = np.nonzero(L.le & ~np.eye(L.n, dtype=bool))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=ii.size, max_size=ii.size)), dtype=bool)
+    pi = L.le.astype(float)
+    pi[ii[zero], jj[zero]] = 0.0
+    return gr.GradedSpec.from_pi(L, [SCALAR] * L.n, pi)
+
+
+@st.composite
+def zero_one_pullbacks(draw):
+    """Coset-style functions on {0, 1}^3 modulo the coordinates in s, for
+    s in a random family of subsets of {0, 1, 2} closed under
+    intersection, ordered by inclusion, with pullbacks as maps: a valid
+    commutative spec whose pi is 0/1, with dim A_s = 2^(3 - |s|). Each
+    map of a pair i < j is then kept, replaced by a random pullback (each
+    coordinate of A_i sent to a random one of A_j) or shrunk (random rows
+    zeroed), which can break axiom (b)."""
+    seeds = draw(st.lists(st.frozensets(st.integers(0, 2)), min_size=1, max_size=5))
+    family = set(seeds)
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    sets = sorted(family, key=lambda s: (len(s), sorted(s)))
+    L = sl.Semilattice([[sets.index(a & b) for b in sets] for a in sets])
+    points = np.array(list(itertools.product((0, 1), repeat=3)))
+    # the class of each point modulo s: its coordinates off s, as a number
+    label = [
+        points[:, [c for c in range(3) if c not in s]] @ (1 << np.arange(3 - len(s)))
+        for s in sets
+    ]
+    comps = [fd.AlgebraShape([1] * 2 ** (3 - len(s))) for s in sets]
+    off = np.cumsum([0] + [c.dim for c in comps])
+    pi = np.zeros((off[-1], off[-1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for i, j in L.comparable_pairs():
+        block = np.zeros((comps[i].dim, comps[j].dim))
+        block[label[i], label[j]] = 1.0
+        kind = draw(st.sampled_from(["keep", "keep", "pullback", "shrink"])) if i != j else "keep"
+        if kind == "pullback":
+            block[:] = 0.0
+            block[np.arange(comps[i].dim), rng.integers(comps[j].dim, size=comps[i].dim)] = 1.0
+        elif kind == "shrink":
+            block[rng.random(comps[i].dim) < 0.5] = 0.0
+        pi[off[i] : off[i + 1], off[j] : off[j + 1]] = block
+    return gr.GradedSpec.from_pi(L, comps, pi)
+
+
+def outcome(spec, tol=gr.AXIOM_TOL):
+    """validate_spec on a verdict-free copy of spec: the report with the
+    verdict it records, or the failure's type and message."""
+    spec = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi)
+    try:
+        report = gr.validate_spec(spec, tol)
+    except ValidationFailure as exc:
+        return type(exc), str(exc)
+    return report, spec.validated_tol, spec.validated_bounds
+
+
+def basis_pair_outcome(spec, tol=gr.AXIOM_TOL):
+    """outcome with the exact route switched off."""
+    with mock.patch.object(gr, "_zero_one_table", lambda spec: None):
+        return outcome(spec, tol)
+
+
+# the benchmark's reject shapes: chain(12) with the map (0, 11) zeroed,
+# and coset-s3 with phi_{0,3} shrunk onto half its cosets
+CHAIN12_ZERO = pi_with(all_scalar_spec(sl.chain(12)), (0, 11, 0.0))
+S3_SHRUNK = pi_with(wb.build_coset_spec(*wb.coset_s3_family())[0], (slice(0, 3), 11, 0.0))
+# the chain 0 < 1 < 2 < 3 with dims 8, 4, 2, 1: axiom (b) fails for the
+# pair (1, 3) at the first coordinate of A_1 and for (1, 2) at its last
+STEPPED = gr.GradedSpec.from_pi(
+    sl.chain(4),
+    [fd.AlgebraShape([1] * d) for d in (8, 4, 2, 1)],
+    np.array(
+        [
+            [float(c) for c in row]
+            for row in (
+                "100000001000101",
+                "010000001000101",
+                "001000000100101",
+                "000100000100101",
+                "000010000010011",
+                "000001000010011",
+                "000000100001001",
+                "000000010001001",
+                "000000001000100",
+                "000000000100101",
+                "000000000010010",
+                "000000000001011",
+                "000000000000101",
+                "000000000000011",
+                "000000000000001",
+            )
+        ]
+    ),
+)
+
+
+class TestZeroOneRoute:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(zero_one_all_scalar(), zero_one_pullbacks()))
+    @example(CHAIN12_ZERO)
+    @example(S3_SHRUNK)
+    @example(STEPPED)
+    def test_matches_reference(self, spec):
+        # every map is a *-hom with identity diagonals: the route applies
+        assert gr._zero_one_table(spec) is not None
+        got = outcome(spec)
+        assert got == basis_pair_outcome(spec)
+        try:
+            want = validate_spec_reference(spec)
+        except ValidationFailure as exc:
+            assert got == (type(exc), str(exc))
+            return
+        report, tol, bounds = got
+        assert report == gr.SpecValidationReport(0.0, 0.0, 0.0, 0.0, want[1])
+        assert (tol, bounds) == (gr.AXIOM_TOL, gr.SpecBounds(0.0, 0.0, 0.0, 0.0))
+
+    def test_reject_shapes_fail_axiom_b(self):
+        assert outcome(CHAIN12_ZERO) == (
+            gr.AxiomBViolation,
+            "compatibility fails at indices (i=1, j=11, m=0), "
+            "basis pair (1:E0[0,0], 11:E0[0,0]), residual 1.000e+00",
+        )
+        assert outcome(S3_SHRUNK)[0] is gr.AxiomBViolation
+
+    def test_one_pair_decides_a_failure(self, monkeypatch):
+        # the exact route accepts with no pair product, and names a
+        # failure from the residuals of the failing pair alone
+        calls = []
+        real = fd.pair_products
+        monkeypatch.setattr(fd, "pair_products", lambda *a: calls.append(a[1].shape) or real(*a))
+        gr.validate_spec(all_scalar_spec(sl.chain(12)))
+        assert calls == []
+        with pytest.raises(gr.AxiomBViolation):
+            gr.validate_spec(pi_with(CHAIN12_ZERO))
+        # the pair (1, 11): one left factor over the rows of 0 and 1
+        assert calls == [(1, 2, 1)]
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, np.inf])
+    def test_failure_within_tol_passes_on_the_basis_pairs(self, tol):
+        # every residual of a 0/1 spec is 0 or 1: at tol >= 1 axiom (b)
+        # holds within tol, and the basis-pair route reports residual 1
+        got = outcome(CHAIN12_ZERO, tol)
+        assert got == basis_pair_outcome(CHAIN12_ZERO, tol)
+        assert got[0].axiom_b_residual == 1.0
+
+    @pytest.mark.parametrize(
+        "spec, tol",
+        [
+            # one 0 entry moved to 1e-300: not exact, so the basis pairs
+            # decide; the unshrunk coset spec passes with residual 1e-300
+            (pi_with(S3_SHRUNK, (0, 11, 1e-300)), gr.AXIOM_TOL),
+            (pi_with(wb.build_coset_spec(*wb.coset_s3_family())[0], (0, 7, 1e-300)), gr.AXIOM_TOL),
+            (all_scalar_spec(sl.chain(5)), np.nan),
+            (all_scalar_spec(sl.chain(5)), -1.0),
+            (CHAIN12_ZERO, np.nan),
+        ],
+    )
+    def test_other_specs_and_tolerances_take_the_basis_pairs(self, spec, tol):
+        with mock.patch.object(gr, "_zero_one_failure", side_effect=AssertionError):
+            got = outcome(spec, tol)
+        assert got == basis_pair_outcome(spec, tol)
+
+    def test_scale(self):
+        # a verdict-free all-scalar chain(128), valid and with its longest
+        # map zeroed
+        L = sl.chain(128)
+        spec = gr.GradedSpec.from_pi(L, [SCALAR] * L.n, L.le)
+        assert outcome(spec) == basis_pair_outcome(spec)
+        zeroed = pi_with(spec, (0, 127, 0.0))
+        assert outcome(zeroed) == basis_pair_outcome(zeroed)
+        assert outcome(zeroed)[0] is gr.AxiomBViolation
+
+    def test_no_cubic_array_at_chain_500(self):
+        # one array of D^3 bits would be 500^3 / 8 bytes, 15 MiB
+        L = sl.chain(500)
+        spec = gr.GradedSpec.from_pi(L, [SCALAR] * L.n, L.le)
+        tracemalloc.start()
+        try:
+            report = gr.validate_spec(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.axiom_b_residual == 0.0
+        assert peak < 24 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(zero_one_all_scalar(), zero_one_pullbacks()))
+    @example(CHAIN12_ZERO)
+    @example(S3_SHRUNK)
+    @example(STEPPED)
+    def test_steps_of_one_coordinate_find_the_same_pair(self, spec):
+        # with a step per coordinate x the first failing pair is found
+        # across steps, as in the single step these small specs take
+        table = gr._zero_one_table(spec)
+        meet = np.asarray(spec.L.meet, dtype=np.intp)
+        want = gr._zero_one_failure(spec, meet, table)
+        with mock.patch.object(gr, "_BITSET_STEP_WORDS", 1):
+            assert gr._zero_one_failure(spec, meet, table) == want
 
 
 # ------------------------------------------------------------- q family
