@@ -177,7 +177,8 @@ class GradedSpec:
         self.L = L
         self.components = tuple(components)
         off = _offsets(components)
-        self.offsets = off[:-1]
+        self.offsets = np.array(off[:-1], dtype=np.intp)
+        self.offsets.flags.writeable = False
         self.total_dim = off[-1]
         pi.flags.writeable = False
         self.pi = pi
@@ -201,8 +202,10 @@ class GradedSpec:
         return self.pi[self.span(i), self.span(j)]
 
     def structure_map(self, i, j):
-        """phi_{i,j}: A_j -> A_i for i <= j."""
-        if not (0 <= i < self.L.n and 0 <= j < self.L.n and self.L.leq(i, j)):
+        """phi_{i,j}: A_j -> A_i for i <= j. InputError names an index
+        that is not an integer or out of range, as _sorted_indices does."""
+        _sorted_indices(self.L, (i, j))
+        if not self.L.le[i, j]:
             raise MissingHom(
                 f"({self.L.names[i]}, {self.L.names[j]}) is not comparable"
             )
@@ -226,9 +229,9 @@ class GradedSpec:
         """(index, local basis position, global position) for every basis
         element of the total algebra."""
         out = []
-        for i, c in enumerate(self.components):
+        for i, (off, c) in enumerate(zip(self.offsets.tolist(), self.components)):
             for a in range(c.dim):
-                out.append((i, a, self.offsets[i] + a))
+                out.append((i, a, off + a))
         return out
 
     def basis_label(self, i, a):
@@ -248,7 +251,8 @@ class GradedSpec:
 
     def span(self, i):
         """Coordinates of index i in the graded basis, as a slice."""
-        return slice(self.offsets[i], self.offsets[i] + self.components[i].dim)
+        start = self.offsets.item(i)
+        return slice(start, start + self.components[i].dim)
 
     def __repr__(self):
         dims = [c.dim for c in self.components]
@@ -292,7 +296,7 @@ class _PhiView(Mapping):
     def __getitem__(self, key):
         try:
             return self._spec.structure_map(*key)
-        except (MissingHom, TypeError, IndexError):
+        except (InputError, TypeError):
             raise KeyError(key) from None
 
     def __iter__(self):
@@ -389,10 +393,9 @@ def _meet_groups(spec, rows_of, left=None):
     dims = [c.dim for c in spec.components]
     lefts = dims if left is None else [len(cols) for cols in left]
     groups = {}
-    for i in range(L.n):
-        for j in range(L.n):
-            groups.setdefault((L.meet_of(i, j), lefts[i], dims[j]), []).append((i, j))
-    offsets = np.asarray(spec.offsets)
+    for i, row in enumerate(L.meet.tolist()):
+        for j, k in enumerate(row):
+            groups.setdefault((k, lefts[i], dims[j]), []).append((i, j))
     if left is not None:
         left = [off + cols for off, cols in zip(spec.offsets, left)]  # columns of pi
     for (k, di, dj), pairs in groups.items():
@@ -405,16 +408,16 @@ def _meet_groups(spec, rows_of, left=None):
         rows = np.arange(spec.total_dim)[rows][:, None]
         ii, jj = np.transpose(pairs)
         if left is None:
-            gcols = offsets[ii, None] + np.arange(di)
+            gcols = spec.offsets[ii, None] + np.arange(di)
         else:
             gcols = np.stack([left[i] for i in ii])
-        hcols = offsets[jj, None] + np.arange(dj)
+        hcols = spec.offsets[jj, None] + np.arange(dj)
         yield k, pairs, pi[rows, gcols[:, None]], pi[rows, hcols[:, None]]
 
 
 def q_from_phi(spec, i, j, x, y):
     """q_{i,j}(x, y) = phi_{k,i}(x) phi_{k,j}(y) in A_k, k = i ^ j."""
-    k = spec.L.meet_of(i, j)
+    k = spec.L.meet[i, j]
     return fd.mul(
         spec.structure_map(k, i).apply(x), spec.structure_map(k, j).apply(y)
     )
@@ -482,8 +485,8 @@ def spec_from_q(q):
     q family by more than AXIOM_TOL (a NaN fails).
     """
     L, comps = q.L, q.components
-    for i, j in itertools.product(range(L.n), repeat=2):
-        shape = tuple(comps[a].dim for a in (L.meet_of(i, j), i, j))
+    for (i, j), k in np.ndenumerate(L.meet):
+        shape = tuple(comps[a].dim for a in (k, i, j))
         if np.shape(q.tensors.get((i, j))) != shape:
             raise fd.ShapeMismatch(
                 f"q for pair ({L.names[i]}, {L.names[j]}) has shape "
@@ -561,9 +564,8 @@ def validate_spec(spec, tol=AXIOM_TOL):
     L = spec.L
     pi = spec.pi
     comps = spec.components
-    meet = np.asarray(L.meet, dtype=np.intp)
     # one (i, j, m) triple for every ordered pair (i, j) and m <= i ^ j
-    pairs_checked = int(L.le.sum(axis=0)[meet].sum())
+    pairs_checked = int(L.le.sum(axis=0)[L.meet].sum())
 
     # Axiom (b) says pi_m(E_a E_b) = pi_m(E_a) pi_m(E_b) for m <= k = i ^ j,
     # and E_a E_b = q_{i,j}(E_a, E_b) = pi_k(E_a) pi_k(E_b) lies in A_k.
@@ -615,13 +617,13 @@ def validate_spec(spec, tol=AXIOM_TOL):
 
     table = _zero_one_table(spec) if 0 <= tol else None
     if table is not None:
-        first = _zero_one_failure(spec, meet, table)
+        first = _zero_one_failure(spec, table)
         if first is None:
             spec._set_verdict(tol, SpecBounds(0.0, 0.0, 0.0, 0.0))
             return SpecValidationReport(0.0, 0.0, 0.0, 0.0, pairs_checked)
         # every residual of the pair is 0 or 1: this raises unless tol >= 1
         i, j = first
-        k = int(meet[i, j])
+        k = int(L.meet[i, j])
         rows = rows_of(k)
         g, h = pi[rows, spec.span(i)][None], pi[rows, spec.span(j)][None]
         raise_first_offender(i, j, k, residuals(k, g, h)[0])
@@ -645,14 +647,13 @@ def validate_spec(spec, tol=AXIOM_TOL):
     order = np.argsort(key, kind="stable")
     cuts = np.flatnonzero(np.diff(key[order])) + 1
     groups = np.split(order, cuts) if key.size else []
-    offsets = np.asarray(spec.offsets)
     mult_res = star_res = hom_bound = 0.0
     failing = {}
     for group in groups:
         gi, gj = ii[group], jj[group]
         source, target = comps[gj[0]], comps[gi[0]]
-        rows = offsets[gi, None] + np.arange(target.dim)
-        cols = offsets[gj, None] + np.arange(source.dim)
+        rows = spec.offsets[gi, None] + np.arange(target.dim)
+        cols = spec.offsets[gj, None] + np.arange(source.dim)
         mats = pi[rows[:, :, None], cols[:, None, :]]
         star, mult, bound, failures = fd.check_starhoms(source, target, mats, tol)
         failing.update({(int(gi[p]), int(gj[p])): e for p, e in failures.items()})
@@ -736,7 +737,7 @@ def _zero_one_table(spec):
     return table
 
 
-def _zero_one_failure(spec, meet, table):
+def _zero_one_failure(spec, table):
     """The first ordered pair (i, j), row-major, at which the 0/1 pi of
     _zero_one_table fails axiom (b), or None when it holds.
 
@@ -758,11 +759,11 @@ def _zero_one_failure(spec, meet, table):
     """
     n, dim = spec.L.n, spec.total_dim
     dims = np.array([c.dim for c in spec.components], dtype=np.intp)
-    meet = meet.reshape(-1)
+    meet = spec.L.meet.reshape(-1)
     reps = dims[meet]
     i, j = np.divmod(np.repeat(np.arange(n * n), reps), n)  # once per z
     z = np.arange(i.size)
-    z -= np.repeat(np.cumsum(reps) - reps - np.asarray(spec.offsets)[meet], reps)
+    z -= np.repeat(np.cumsum(reps) - reps - spec.offsets[meet], reps)
     x, y = table[z, i], table[z, j]
     # these index arrays, one entry per (i, j, z), are the largest the
     # route holds outside its steps: free each once it is read
@@ -855,7 +856,7 @@ def gmul(x, y):
     out = spec.zero_element()
     for i in x.support():
         for j in y.support():
-            k = spec.L.meet_of(i, j)
+            k = spec.L.meet[i, j]
             out.comps[k] = out.comps[k] + q_from_phi(spec, i, j, x.comps[i], y.comps[j])
     return out
 
@@ -972,7 +973,7 @@ def build_morphism(spec, target, psi, tol=AXIOM_TOL):
     m = GradedMorphism(spec, target, psi)
     L = spec.L
     if m.graded_target:
-        if target.L is not L and target.L.meet != L.meet:
+        if target.L is not L and not np.array_equal(target.L.meet, L.meet):
             raise SpecMismatch("graded target lives over a different semilattice")
         groups = {}  # (source, target) shape -> members
         for i, h in enumerate(m.psi):
@@ -1082,12 +1083,11 @@ def restrict_spec(spec, M):
     M = _sorted_indices(spec.L, M)
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
-    new_of = np.full(spec.L.n, -1)  # old index -> new index, -1 off M
+    new_of = np.full(spec.L.n, -1, dtype=np.intp)  # old index -> new index, -1 off M
     new_of[M] = np.arange(len(M))
-    meet = np.asarray(spec.L.meet, dtype=np.intp)
     # a meet-closed subset of a checked semilattice is one: no check
     subL = Semilattice._of_table(
-        new_of[meet[np.ix_(M, M)]], [spec.L.names[a] for a in M], spec.L.le[np.ix_(M, M)]
+        new_of[spec.L.meet[np.ix_(M, M)]], [spec.L.names[a] for a in M], spec.L.le[np.ix_(M, M)]
     )
     coords = new_of[_owners(spec.components)] >= 0
     sub = GradedSpec._of_pi(
@@ -1098,13 +1098,13 @@ def restrict_spec(spec, M):
 
 
 def _sorted_indices(L, M):
-    """The distinct members of M, ascending; InputError names the first
+    """The distinct members of M as ints, ascending; InputError names the first
     non-integer in M, else the least member that is out of range."""
     M = list(M)
     for a in M:
         if not _is_int(a):
             raise InputError(f"index {a!r} is not an integer")
-    M = sorted(set(M))
+    M = sorted({int(a) for a in M})
     for a in M:
         if not 0 <= a < L.n:
             raise InputError(f"index {a} is out of range for {L.n} indices")
@@ -1123,7 +1123,7 @@ class FinishingSplit:
     """
 
     def __init__(self, spec, M):
-        M = frozenset(M)
+        M = frozenset(_sorted_indices(spec.L, M))
         if not spec.L.is_finishing_subsemilattice(M) or not M:
             raise NotFinishing(
                 f"{sorted(M)} is not a nonempty finishing sub-semilattice"

@@ -66,25 +66,17 @@ class FiniteGroup:
 
     Construction checks associativity, a two-sided identity, and
     two-sided inverses over the whole table, so an instance in hand obeys
-    the axioms. The inverse table is derived and stored.
+    the axioms. The table mul and the derived inverse table are stored
+    as read-only np.intp arrays.
     """
 
     __slots__ = ("order", "mul", "identity", "inverse", "names")
 
     def __init__(self, mul, names=None):
-        table = tuple(tuple(int(x) for x in row) for row in mul)
-        n = len(table)
-        if n == 0:
+        if len(mul) == 0:
             raise NotAGroup("empty multiplication table")
-        for row in table:
-            if len(row) != n:
-                raise NotAGroup("multiplication table is not square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise NotAGroup(f"table entry {x} out of range 0..{n - 1}")
-        self.mul = table
-        self.order = n
-        table = np.asarray(table, dtype=np.intp)
+        self.mul = table = sl._int_table(mul, "multiplication table", "table entry", NotAGroup)
+        self.order = n = len(table)
         # the first e with e x = x e = x for every x
         units = np.flatnonzero(((table == np.arange(n)) & (table.T == np.arange(n))).all(1))
         if not units.size:
@@ -98,7 +90,8 @@ class FiniteGroup:
         lacking = np.flatnonzero(~both.any(axis=1))
         if lacking.size:
             raise NotAGroup(f"element {lacking[0]} has no two-sided inverse")
-        self.inverse = tuple(both.argmax(axis=1).tolist())
+        self.inverse = both.argmax(axis=1)
+        self.inverse.flags.writeable = False
         if names is None:
             names = tuple(str(i) for i in range(n))
         else:
@@ -106,12 +99,6 @@ class FiniteGroup:
             if len(names) != n or len(set(names)) != n:
                 raise NotAGroup("names must be distinct, one per element")
         self.names = names
-
-    def op(self, a, b):
-        return self.mul[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
 
     def __repr__(self):
         return f"FiniteGroup(order {self.order})"
@@ -251,10 +238,9 @@ def build_action(group, spec, maps):
                 f"(residual {e_resid:.3e})"
             )
     # composition: resid[g, h, i] for g after h on index i
-    mul = np.asarray(group.mul)
     resid = np.stack(
         [
-            np.abs(m[:, None] @ m[None] - m[mul]).max(axis=(-2, -1), initial=0.0)
+            np.abs(m[:, None] @ m[None] - m[group.mul]).max(axis=(-2, -1), initial=0.0)
             for m in stacks
         ],
         axis=-1,
@@ -265,7 +251,7 @@ def build_action(group, spec, maps):
         raise ActionInvalid(
             f"composition fails on index {i}: "
             f"{group.names[g]} after {group.names[h]} is not "
-            f"{group.names[mul[g, h]]} (residual {resid[g, h, i]:.3e})"
+            f"{group.names[group.mul[g, h]]} (residual {resid[g, h, i]:.3e})"
         )
     for (i, j) in spec.L.comparable_pairs():
         if i == j:
@@ -464,13 +450,13 @@ def _block_permutations(alpha, shape, group, i):
     # sigma[e] sigma[e] = sigma[e] makes sigma[e] the identity: permutations
     # are invertible
     compose = sigma[np.arange(g)[:, None, None], sigma[None]]
-    bad = np.argwhere((compose != sigma[np.asarray(group.mul)]).any(axis=-1))
+    bad = np.argwhere((compose != sigma[group.mul]).any(axis=-1))
     if bad.size:
         s, t = bad[0]
         raise RealizationFault(
             f"the block permutations of index {i} are not a group action: "
             f"{group.names[s]} after {group.names[t]} is not "
-            f"{group.names[group.mul[s][t]]}"
+            f"{group.names[group.mul[s, t]]}"
         )
     return sigma
 
@@ -541,7 +527,7 @@ def _realize_component(act, i, irreps):
         return ComponentRealization(0, empty, np.zeros((0, 0)), np.zeros((0, 0)))
     group = act.group
     g = group.order
-    mul, inv = np.asarray(group.mul), np.asarray(group.inverse)
+    mul, inv = group.mul, group.inverse
     alpha = np.stack([act.maps[(s, i)].matrix for s in range(g)])
     sigma = _block_permutations(alpha, shape, group, i)
     blocks, parts, seen = [], [], set()
@@ -633,7 +619,7 @@ def _check_transport(act, reals):
     R_i(d_st (x) E_a alpha_s(E_b)) = R_i(d_s (x) E_a) R_i(d_t (x) E_b).
     Star identity: R_i(d_{s^-1} (x) alpha_{s^-1}(E_a*)) = R_i(d_s (x) E_a)*.
     """
-    g, mul, inv = act.group.order, np.asarray(act.group.mul), np.asarray(act.group.inverse)
+    g, mul, inv = act.group.order, act.group.mul, act.group.inverse
     resids = []
     for i, (re, shape) in enumerate(zip(reals, act.spec.components)):
         d = shape.dim

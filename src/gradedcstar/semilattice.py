@@ -1,9 +1,9 @@
 """Finite meet-semilattices as validated meet tables.
 
 Elements are dense indices 0..n-1 with optional display names. The n x n meet
-table is the single source of truth; the partial order is derived from it
-once, as the read-only boolean matrix le (le[i, j] iff meet[i][j] == i), and
-the order queries read that matrix.
+table, a read-only np.intp array, is the single source of truth; the partial
+order is derived from it once, as the read-only boolean matrix le (le[i, j]
+iff meet[i, j] == i), and the order queries read that matrix.
 """
 
 import numpy as np
@@ -44,21 +44,14 @@ class Semilattice:
 
     Construction runs the full exhaustive check (idempotency, commutativity,
     associativity; the glb property of the derived order follows), so an
-    instance in hand is always valid. Immutable by convention. The order
-    is the read-only boolean matrix le: le[i, j] iff i <= j.
+    instance in hand is always valid. Immutable by convention. The meet
+    table is the read-only np.intp array meet, and the order the
+    read-only boolean matrix le: le[i, j] iff i <= j.
     """
 
     def __init__(self, meet, names=None):
-        table = tuple(tuple(int(x) for x in row) for row in meet)
-        n = len(table)
-        for row in table:
-            if len(row) != n:
-                raise InputError("meet table is not square")
-            for x in row:
-                if not 0 <= x < n:
-                    raise InputError(f"meet table entry {x} out of range 0..{n - 1}")
-        self.meet = table
-        self.n = n
+        self.meet = table = _int_table(meet, "meet table", "meet table entry", InputError)
+        self.n = n = len(table)
         if names is None:
             names = tuple(str(i) for i in range(n))
         else:
@@ -68,7 +61,6 @@ class Semilattice:
             if len(set(names)) != n:
                 raise InputError("element names are not distinct")
         self.names = names
-        table = np.asarray(table, dtype=np.intp).reshape(n, n)
         self._check(table)
         self.le = table == np.arange(n)[:, None]
         self.le.flags.writeable = False
@@ -80,11 +72,8 @@ class Semilattice:
         names: the unchecked store for a product or a meet-closed subset
         of checked semilattices."""
         L = cls.__new__(cls)
-        L.meet = tuple(map(tuple, table.tolist()))
-        L.n = len(L.meet)
-        L.names = tuple(names)
-        L.le = le
-        L.le.flags.writeable = False
+        L.meet, L.n, L.names, L.le = table, len(table), tuple(names), le
+        table.flags.writeable = le.flags.writeable = False
         return L
 
     def _check(self, table):
@@ -108,21 +97,17 @@ class Semilattice:
 
     def leq(self, i, j):
         """Derived order: i <= j iff i ^ j = i."""
-        return self.meet[i][j] == i
-
-    def meet_of(self, i, j):
-        return self.meet[i][j]
+        return bool(self.le[i, j])
 
     def meet_of_set(self, S):
         """Greatest lower bound of a nonempty index set; order-independent."""
-        it = iter(sorted(S))
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise EmptySet("meet of the empty set is undefined") from None
-        for x in it:
-            acc = self.meet[acc][x]
-        return acc
+        S = sorted(S)
+        if not S:
+            raise EmptySet("meet of the empty set is undefined")
+        acc = S[0]
+        for x in S[1:]:
+            acc = self.meet[acc, x]
+        return int(acc)
 
     def bottom(self):
         """Index of the least element, or None."""
@@ -143,7 +128,8 @@ class Semilattice:
 
     def is_subsemilattice(self, S):
         S = frozenset(S)
-        return all(self.meet[i][j] in S for i in S for j in S)
+        m = np.fromiter(S, np.intp)
+        return S.issuperset(self.meet[m[:, None], m].ravel().tolist())
 
     def is_finishing_subsemilattice(self, S):
         """Upward-closed and closed under meet. The empty set passes vacuously."""
@@ -156,12 +142,13 @@ class Semilattice:
 
     def generated_subsemilattice(self, M):
         """Smallest meet-closed superset of M (closure under pairwise meet)."""
-        S = set(M)
+        S = frozenset(M)
         while True:
-            new = {self.meet[i][j] for i in S for j in S} - S
-            if not new:
-                return frozenset(S)
-            S |= new
+            m = np.fromiter(S, np.intp)
+            closed = S.union(self.meet[m[:, None], m].ravel().tolist())
+            if closed == S:
+                return S
+            S = closed
 
     def enumerate_finishing_subsemilattices(self):
         """All nonempty finishing sub-semilattices, in sorted-bitset order.
@@ -200,12 +187,39 @@ def _first_nonassociative(table):
     return None
 
 
+def _int_table(rows, name, entry, error):
+    """rows, a square table of integers 0..n-1, as a new read-only np.intp
+    array. error names the first offender in row-major order: a row that
+    is not n long, an entry that is not an integer (a float, a string) or
+    one out of range; Semilattice and FiniteGroup both read their tables
+    here."""
+    n = len(rows)
+    try:
+        table = np.array(rows)
+    except (TypeError, ValueError):  # ragged below the rows
+        table = None
+    if table is None or table.shape != (n, n) or table.dtype.kind not in "iu":
+        for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+            if len(row) != n:
+                raise error(f"{name} is not square")
+            for x in row:
+                if not isinstance(x, (int, np.integer)):
+                    raise error(f"{entry} {x!r} is not an integer")
+                if not 0 <= x < n:
+                    raise error(f"{entry} {x} out of range 0..{n - 1}")
+        table = np.array(rows, dtype=np.intp).reshape(n, n)
+    bad = np.flatnonzero((table < 0) | (table >= n))
+    if bad.size:
+        raise error(f"{entry} {table.flat[bad[0]]} out of range 0..{n - 1}")
+    table = table.astype(np.intp, copy=False)
+    table.flags.writeable = False
+    return table
+
+
 def _componentwise_table(t1, t2):
-    """The componentwise operation of two square integer tables on pairs,
+    """The componentwise operation of two square integer arrays on pairs,
     row-major: (i, j) -> i * len(t2) + j."""
     n1, n2 = len(t1), len(t2)
-    t1 = np.asarray(t1, dtype=np.intp).reshape(n1, n1)
-    t2 = np.asarray(t2, dtype=np.intp).reshape(n2, n2)
     # axes (i1, i2, j1, j2), flattened to rows i1 * n2 + i2, columns j1 * n2 + j2
     return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
 

@@ -91,7 +91,7 @@ def _product_table(spec):
     table = np.zeros((n, n, n), dtype=complex)
     span = spec.span
     for (i, j), t in gr.q_family_from_spec(spec).tensors.items():
-        table[span(i), span(j), span(spec.L.meet_of(i, j))] = t.transpose(1, 2, 0)
+        table[span(i), span(j), span(spec.L.meet[i, j])] = t.transpose(1, 2, 0)
     return table
 
 

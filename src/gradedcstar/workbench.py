@@ -162,7 +162,7 @@ def spec_to_document(spec, metadata=None):
         "format": "gradedcstar-spec",
         "semilattice": {
             "names": list(L.names),
-            "meet": [list(row) for row in L.meet],
+            "meet": L.meet.tolist(),
         },
         "components": {
             L.names[i]: list(spec.components[i].blocks) for i in range(L.n)
@@ -281,7 +281,7 @@ def group_to_document(group):
     return {
         "format": "gradedcstar-group",
         "names": list(group.names),
-        "mul": [list(row) for row in group.mul],
+        "mul": group.mul.tolist(),
     }
 
 
@@ -524,12 +524,12 @@ def _check_subgroup(group, subset):
     members = frozenset(elems)
     if group.identity not in members:
         raise NotASubgroup(f"{elems} does not contain the identity")
-    for a in members:
-        if group.inverse[a] not in members:
+    m = np.fromiter(members, np.intp)  # in iteration order, which decides the message
+    for inverse, products in zip(group.inverse[m].tolist(), group.mul[m[:, None], m].tolist()):
+        if inverse not in members:
             raise NotASubgroup(f"{elems} is not closed under inverses")
-        for b in members:
-            if group.mul[a][b] not in members:
-                raise NotASubgroup(f"{elems} is not closed under products")
+        if not members.issuperset(products):
+            raise NotASubgroup(f"{elems} is not closed under products")
     return members
 
 
@@ -537,10 +537,10 @@ def left_cosets(group, members):
     """Left cosets of a subgroup, ordered by least representative."""
     seen = set()
     cosets = []
-    for g in range(group.order):
+    for g, row in enumerate(group.mul[:, np.fromiter(members, np.intp)].tolist()):
         if g in seen:
             continue
-        coset = frozenset(group.mul[g][h] for h in members)
+        coset = frozenset(row)
         seen |= coset
         cosets.append(coset)
     return cosets
@@ -600,14 +600,13 @@ def build_coset_spec(group, subgroups):
         pullback.
     """
     spec, cosets = _coset_spec(group, subgroups)
-    mul = np.asarray(group.mul)
     alphas = []  # alphas[i][s]: alpha_s on index i, one gather of labels
     for cs in cosets:
         label = np.empty(group.order, dtype=int)
         for k, coset in enumerate(cs):
             label[list(coset)] = k
         reps = [min(coset) for coset in cs]
-        alphas.append(np.eye(len(cs))[:, label[mul[:, reps]]].transpose(1, 0, 2))
+        alphas.append(np.eye(len(cs))[:, label[group.mul[:, reps]]].transpose(1, 0, 2))
     maps = {
         (s, i): fd.StarHom(c, c, alphas[i][s])
         for s in range(group.order)

@@ -109,7 +109,7 @@ def finishing_correspondence_reference(spec, tol=sp.CHAR_TOL):
     pairs = []
     seen = set()
     for ch in chars:
-        vals = ch.values[np.asarray(spec.offsets)]
+        vals = ch.values[spec.offsets]
         snapped = np.abs(vals - 1) <= tol
         if not np.all(snapped | (np.abs(vals) <= tol)):
             raise BijectionFailure(
@@ -156,7 +156,7 @@ def restriction_reference(spec, M, tol=sp.CHAR_TOL):
             )
         least = upper[0]
         for m in upper[1:]:
-            least = L.meet_of(least, m)
+            least = L.meet[least, m]
         if least not in upper:
             raise sp.NoLeastElement(f"M above {L.names[i]} has no least element")
         contraction[i] = least

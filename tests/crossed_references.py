@@ -40,8 +40,7 @@ def transport_reference(act, out, reals, tol=pr.TRANSPORT_TOL):
     group = act.group
     g = group.order
     L = spec.L
-    mul = np.asarray(group.mul)
-    inv = np.asarray(group.inverse)
+    mul, inv = group.mul, group.inverse
     alpha = [
         np.stack([act.maps[(s, i)].matrix for s in range(g)])
         for i in range(L.n)
@@ -64,7 +63,7 @@ def transport_reference(act, out, reals, tol=pr.TRANSPORT_TOL):
         adj = np.conj(reals[i].matrix)[fd.adjoint_permutation(out.components[i])]
         resids.append(fd.maxabs(star.reshape(adj.shape) - adj))
         for j in range(L.n):
-            k = L.meet_of(i, j)
+            k = L.meet[i, j]
             if 0 in (spec.components[j].dim, spec.components[k].dim):
                 continue
             got = fd.pair_products(

@@ -172,7 +172,7 @@ def q_axioms_reference(q, tol=gr.AXIOM_TOL):
             )
     for i in range(n):
         for j in range(n):
-            k = L.meet_of(i, j)
+            k = L.meet[i, j]
             pi = fd.adjoint_permutation(comps[i])
             pj = fd.adjoint_permutation(comps[j])
             pk = fd.adjoint_permutation(comps[k])
@@ -188,9 +188,9 @@ def q_axioms_reference(q, tol=gr.AXIOM_TOL):
                 )
     for i in range(n):
         for j in range(n):
-            ij = L.meet_of(i, j)
+            ij = L.meet[i, j]
             for k in range(n):
-                jk = L.meet_of(j, k)
+                jk = L.meet[j, k]
                 lhs = np.einsum(
                     "wuc,uab->wabc", q.tensors[(ij, k)], q.tensors[(i, j)], optimize=True
                 )
@@ -237,7 +237,7 @@ def morphism_reference(spec, target, psi, tol=gr.AXIOM_TOL):
     q = gr.q_family_from_spec(spec).tensors
     for j in range(L.n):
         for k in range(L.n):
-            t = L.meet_of(j, k)
+            t = L.meet[j, k]
             resid = np.linalg.norm(
                 np.moveaxis(q[(j, k)], 0, -1) @ m.psi[t].matrix.T
                 - fd.pair_products(target, m.psi[j].matrix, m.psi[k].matrix),

@@ -108,7 +108,26 @@ class TestConstruction:
     def test_total_dim_and_offsets(self):
         spec = mixed_diamond_spec()
         assert spec.total_dim == 4 + 4 + 1 + 1
-        assert spec.offsets == [0, 4, 8, 9]
+        assert spec.offsets.tolist() == [0, 4, 8, 9]
+        assert spec.offsets.dtype == np.intp
+        with pytest.raises(ValueError):
+            spec.offsets[1] = 0
+
+    def test_structure_map_names_a_bad_index(self):
+        # a negative index must not be read as a name through wrap-around
+        spec = wb.demo_spec("chain-3")
+        for key, message in [
+            ((-1, 2), "index -1 is out of range for 3 indices"),
+            ((0, -1), "index -1 is out of range for 3 indices"),
+            ((0, 3), "index 3 is out of range for 3 indices"),
+            ((0.5, 1), "index 0.5 is not an integer"),
+            ((2, 0), "(2, 0) is not comparable"),
+        ]:
+            with pytest.raises(InputError) as e:
+                spec.structure_map(*key)
+            assert str(e.value) == message
+            with pytest.raises(KeyError):
+                spec.phi[key]
 
 
 class TestStoredPi:
@@ -224,7 +243,7 @@ class TestFromPi:
         for name, spec in corpus.items():
             again = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi)
             assert again.pi.tobytes() == spec.pi.tobytes(), name
-            assert again.offsets == spec.offsets and again.total_dim == spec.total_dim
+            assert np.array_equal(again.offsets, spec.offsets) and again.total_dim == spec.total_dim
             assert gr.validate_spec(again) == gr.validate_spec(spec), name
 
     def test_wrong_shape(self):
@@ -430,7 +449,7 @@ class TestValidateSpec:
         shape = fd.AlgebraShape(blocks)
         spec = gr.GradedSpec.from_pi(L, [shape] * L.n, np.kron(L.le, np.eye(shape.dim)))
         want = sum(
-            L.leq(m, L.meet_of(i, j))
+            L.leq(m, L.meet[i, j])
             for i, j, m in itertools.product(range(L.n), repeat=3)
         )
         assert gr.validate_spec(spec).pairs_checked == want
@@ -452,7 +471,7 @@ def axiom_b_reference(spec, tol=gr.AXIOM_TOL, generators=False):
         if generators:
             cols = fd.unit_columns(spec.components[i])
         for j in range(L.n):
-            k = L.meet_of(i, j)
+            k = L.meet[i, j]
             below = [m for m in range(L.n) if L.leq(m, k)]
             prod_k = fd.pair_products(
                 spec.components[k], spec.phi[(k, i)].matrix[:, cols], spec.phi[(k, j)].matrix
@@ -1009,10 +1028,9 @@ class TestZeroOneRoute:
         # with a step per coordinate x the first failing pair is found
         # across steps, as in the single step these small specs take
         table = gr._zero_one_table(spec)
-        meet = np.asarray(spec.L.meet, dtype=np.intp)
-        want = gr._zero_one_failure(spec, meet, table)
+        want = gr._zero_one_failure(spec, table)
         with mock.patch.object(gr, "_BITSET_STEP_WORDS", 1):
-            assert gr._zero_one_failure(spec, meet, table) == want
+            assert gr._zero_one_failure(spec, table) == want
 
 
 # ------------------------------------------------------------- q family
@@ -1023,7 +1041,7 @@ def assert_q_matches_per_pair(spec, name=""):
     fam = gr.q_family_from_spec(spec)
     assert set(fam.tensors) == {(i, j) for i in range(spec.L.n) for j in range(spec.L.n)}
     for (i, j), t in fam.tensors.items():
-        k = spec.L.meet_of(i, j)
+        k = spec.L.meet[i, j]
         want = fd.pair_products(
             spec.components[k], spec.phi[(k, i)].matrix, spec.phi[(k, j)].matrix
         )
@@ -1164,7 +1182,7 @@ class TestArithmetic:
             for i in range(spec.L.n):
                 for j in range(spec.L.n):
                     prod = gr.gmul(spec.component_unit(i), spec.component_unit(j))
-                    want = spec.component_unit(spec.L.meet_of(i, j))
+                    want = spec.component_unit(spec.L.meet[i, j])
                     assert graded_close(prod, want), (name, i, j)
 
     def test_product_involution(self, corpus, rng):
@@ -1442,6 +1460,15 @@ class TestFinishingSplit:
     def test_empty_set_rejected(self, corpus):
         with pytest.raises(gr.NotFinishing):
             gr.FinishingSplit(corpus["all-scalar-diamond"], set())
+
+    def test_bad_indices_rejected(self, corpus):
+        spec = corpus["all-scalar-diamond"]
+        for M, message in [({4}, "index 4 is out of range for 4 indices"),
+                           ({-1}, "index -1 is out of range for 4 indices"),
+                           ({0.5, 3}, "index 0.5 is not an integer")]:
+            with pytest.raises(InputError) as e:
+                gr.FinishingSplit(spec, M)
+            assert str(e.value) == message
 
     def test_project_finishing_shortcut(self, corpus):
         spec = corpus["all-scalar-chain3"]

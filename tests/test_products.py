@@ -387,49 +387,70 @@ class TestFiniteGroup:
         message = finite_group_reference(mul)
         if message is None:
             group = pr.FiniteGroup(mul)
-            assert all(mul[a][group.inv(a)] == group.identity for a in range(len(mul)))
+            assert all(mul[a][group.inverse[a]] == group.identity for a in range(len(mul)))
             return
         with pytest.raises(pr.NotAGroup) as got:
             pr.FiniteGroup(mul)
         assert str(got.value) == message
 
+    @pytest.mark.parametrize("mul, message", [
+        ([[0, 1.7], [1, 0]], "table entry 1.7 is not an integer"),  # not Z2
+        ([[0, 1], [1, "0"]], "table entry '0' is not an integer"),
+        ([[0, 1], [1, 2.5]], "table entry 2.5 is not an integer"),
+        ([[0, 2], [1, 0.5]], "table entry 2 out of range 0..1"),
+        ([[0, 1], [1]], "multiplication table is not square"),
+        ([], "empty multiplication table"),
+    ])
+    def test_table_entries_must_be_integers_in_range(self, mul, message):
+        with pytest.raises(pr.NotAGroup) as got:
+            pr.FiniteGroup(mul)
+        assert str(got.value) == message
+
+    def test_tables_are_read_only_intp_arrays(self):
+        g = pr.product_group(pr.cyclic_group(2), pr.symmetric_group(3))
+        for table in (g.mul, g.inverse):
+            assert table.dtype == np.intp
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert (g.mul[np.arange(g.order), g.inverse] == g.identity).all()
+
     def test_cyclic_small(self):
         g = pr.cyclic_group(4)
         assert g.order == 4
         assert g.identity == 0
-        assert g.inv(1) == 3
-        assert g.op(2, 3) == 1
+        assert g.inverse[1] == 3
+        assert g.mul[2, 3] == 1
 
     def test_order_one(self):
         g = pr.cyclic_group(1)
         assert g.order == 1
-        assert g.inverse == (0,)
+        assert np.array_equal(g.inverse, [0])
 
     def test_symmetric_three(self):
         s3 = pr.symmetric_group(3)
         assert s3.order == 6
         assert s3.identity == 0
         assert any(
-            s3.op(a, b) != s3.op(b, a)
+            s3.mul[a, b] != s3.mul[b, a]
             for a in range(6)
             for b in range(6)
         )
         for a in range(6):
-            assert s3.op(a, s3.inv(a)) == 0
+            assert s3.mul[a, s3.inverse[a]] == 0
 
     def test_product_of_cyclics(self):
         v4 = pr.product_group(pr.cyclic_group(2), pr.cyclic_group(2))
         z2, z3 = pr.cyclic_group(2), pr.cyclic_group(3)
         z6 = pr.product_group(z2, z3)
-        assert z6.mul == tuple(
-            tuple((a1 + b1) % 2 * 3 + (a2 + b2) % 3 for b1 in range(2) for b2 in range(3))
+        assert np.array_equal(z6.mul, [
+            [(a1 + b1) % 2 * 3 + (a2 + b2) % 3 for b1 in range(2) for b2 in range(3)]
             for a1 in range(2)
             for a2 in range(3)
-        )
+        ])
         assert v4.order == 4
-        assert all(v4.inv(a) == a for a in range(4))
+        assert all(v4.inverse[a] == a for a in range(4))
         assert all(
-            v4.op(a, b) == v4.op(b, a) for a in range(4) for b in range(4)
+            v4.mul[a, b] == v4.mul[b, a] for a in range(4) for b in range(4)
         )
         assert v4.names[3] == "(1,1)"
 

@@ -1,5 +1,6 @@
 """Semilattice table validation and the finishing-set combinatorics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,13 +103,13 @@ def semilattices(draw):
 def test_chain_min_table_is_valid():
     L = chain(3)
     assert L.n == 3
-    assert L.meet_of(1, 2) == 1
+    assert L.meet[1, 2] == 1
 
 
 def test_diamond_is_valid_and_has_expected_order():
     L = diamond()
     a, b = L.index_of("a"), L.index_of("b")
-    assert L.meet_of(a, b) == L.index_of("0")
+    assert L.meet[a, b] == L.index_of("0")
     assert L.leq(L.index_of("0"), a)
     assert not L.leq(a, b)
     assert not L.leq(b, a)
@@ -142,6 +143,82 @@ def test_out_of_range_entry_rejected():
 
     with pytest.raises(InputError):
         Semilattice([[0, 5], [5, 1]])
+
+
+def oracle_table_message(table):
+    """The message for the first ragged row, non-integer entry or entry
+    out of range, row-major, by loops; None if there is none."""
+    n = len(table)
+    for row in table:
+        if len(row) != n:
+            return "meet table is not square"
+        for x in row:
+            if not isinstance(x, int):
+                return f"meet table entry {x!r} is not an integer"
+            if not 0 <= x < n:
+                return f"meet table entry {x} out of range 0..{n - 1}"
+    return None
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 0], [0, 1.9]], "meet table entry 1.9 is not an integer"),  # not the 2-chain
+    ([[0, 0], [0, "1"]], "meet table entry '1' is not an integer"),
+    (np.array([[0.0, 0.0], [0.0, 1.0]]), "meet table entry 0.0 is not an integer"),
+    ([[0, 1.5], [0, 5]], "meet table entry 1.5 is not an integer"),
+    ([[0, 5], [0, 1.5]], "meet table entry 5 out of range 0..1"),
+    ([[0, 0], [0]], "meet table is not square"),
+])
+def test_non_integer_entries_are_refused(table, message):
+    from gradedcstar.errors import InputError
+
+    with pytest.raises(InputError) as e:
+        Semilattice(table)
+    assert str(e.value) == message
+
+
+@st.composite
+def tables_of_mixed_entries(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.integers(-1, n), st.floats(allow_nan=False), st.text(max_size=1)
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_of_mixed_entries())
+def test_entry_checks_name_the_first_offender(table):
+    from gradedcstar.errors import InputError, ValidationFailure
+
+    message = oracle_table_message(table)
+    try:
+        Semilattice(table)
+    except InputError as e:
+        assert str(e) == message
+    except ValidationFailure:
+        assert message is None
+    else:
+        assert message is None
+
+
+def test_tables_are_read_only_intp_arrays():
+    table = np.minimum.outer(np.arange(3), np.arange(3))
+    spec = wb.build_all_scalar(diamond())
+    for L in (Semilattice(table), product_semilattice(chain(2), diamond()),
+              restrict_spec(spec, [0, 1])[0].L):
+        assert L.meet.dtype == np.intp
+        with pytest.raises(ValueError):
+            L.meet[0, 0] = 1
+    table[0, 0] = 0  # the caller's array stays writeable
+
+
+def test_queries_hand_out_python_ints():
+    L = product_semilattice(chain(3), diamond())
+    values = [L.meet_of_set({5, 10}), L.bottom(), L.top(), *L.comparable_pairs()[3]]
+    for S in (L.generated_subsemilattice({5, 10}), L.atoms(), L.finishing_set(5)):
+        values.extend(S)
+    assert all(type(v) is int for v in values)
+    assert type(L.leq(0, 5)) is bool and type(L.is_subsemilattice({0, 5})) is bool
 
 
 # ------------------------------------------------------------ basic queries
@@ -236,7 +313,7 @@ def test_chain2_times_chain2_is_a_grid():
     P = product_semilattice(chain(2), chain(2))
     assert P.n == 4
     # (0,1) and (1,0) are incomparable with meet (0,0)
-    assert P.meet_of(1, 2) == 0
+    assert P.meet[1, 2] == 0
     assert P.bottom() == 0
     assert P.top() == 3
 
@@ -246,7 +323,7 @@ def test_product_with_singleton_is_isomorphic():
     P = product_semilattice(L, chain(1))
     assert P.n == L.n
     assert all(
-        P.meet_of(i, j) == L.meet_of(i, j) for i in range(L.n) for j in range(L.n)
+        P.meet[i, j] == L.meet[i, j] for i in range(L.n) for j in range(L.n)
     )
 
 
@@ -285,7 +362,7 @@ def test_product_and_restriction_run_no_semilattice_check(monkeypatch):
         assert remap == {old: new for new, old in enumerate(M)}
         got.append(sub.L)
     for g, w in zip(got, want):
-        assert (g.n, g.meet, g.names) == (w.n, w.meet, w.names)
+        assert (g.n, g.names) == (w.n, w.names) and np.array_equal(g.meet, w.meet)
         assert g.le.dtype == bool and (g.le == w.le).all()
         assert not g.le.flags.writeable
 
@@ -336,6 +413,25 @@ def test_order_matrix_queries_match_leq(L, raw):
     assert L.is_finishing_subsemilattice(S) == (upward and L.is_subsemilattice(S))
 
 
+def oracle_closure(table, M):
+    """The pairwise-meet closure of M and whether M is meet-closed, by loops."""
+    S = set(M)
+    while True:
+        new = {table[i][j] for i in S for j in S} - S
+        if not new:
+            return frozenset(S), S == set(M)
+        S |= new
+
+
+@settings(max_examples=60, deadline=None)
+@given(semilattices(), st.sets(st.integers(0, 20), max_size=5))
+def test_closure_queries_match_the_loops(L, raw):
+    M = {x % L.n for x in raw}
+    closure, closed = oracle_closure(L.meet.tolist(), M)
+    assert L.generated_subsemilattice(M) == closure
+    assert L.is_subsemilattice(M) is closed
+
+
 @settings(max_examples=40, deadline=None)
 @given(semilattices(), st.sets(st.integers(0, 20), max_size=4))
 def test_generated_is_idempotent_and_monotone(L, raw):
@@ -352,7 +448,7 @@ def test_meet_is_the_greatest_lower_bound(L):
     n = L.n
     for i in range(n):
         for j in range(n):
-            m = L.meet_of(i, j)
+            m = L.meet[i, j]
             assert L.leq(m, i) and L.leq(m, j)
             for c in range(n):
                 if L.leq(c, i) and L.leq(c, j):

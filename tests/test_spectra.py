@@ -489,7 +489,7 @@ def assert_same_restriction(spec, M):
     got = sp.restriction_spectrum_map(spec, M)
     assert got.contraction == want.contraction
     assert got.remap == want.remap
-    assert got.sub_spec.L.meet == want.sub_spec.L.meet
+    assert np.array_equal(got.sub_spec.L.meet, want.sub_spec.L.meet)
     assert got.sub_spec.L.names == want.sub_spec.L.names
     assert_same_characters([a for a, _ in got.assignments], [a for a, _ in want.assignments])
     assert_same_characters([b for _, b in got.assignments], [b for _, b in want.assignments])

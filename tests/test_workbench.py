@@ -1,5 +1,6 @@
 """Documents, builders, reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from gradedcstar import graded as gr
 from gradedcstar import products as pr
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
-from gradedcstar.errors import InputError
+from gradedcstar.errors import GradedCstarError, InputError
 
 from conftest import SCALAR, standard_corpus
 
@@ -45,7 +46,7 @@ class TestSpecDocuments:
         doc = json.loads(json.dumps(wb.spec_to_document(spec)))
         back = wb.document_to_spec(doc)
         assert back.L.names == spec.L.names
-        assert back.L.meet == spec.L.meet
+        assert np.array_equal(back.L.meet, spec.L.meet)
         assert tuple(back.components) == tuple(spec.components)
         assert set(back.phi) == set(spec.phi)
         for key in spec.phi:
@@ -254,8 +255,48 @@ class TestOtherDocuments:
     def test_group_round_trip(self):
         g = pr.symmetric_group(3)
         back = wb.document_to_group(json.loads(json.dumps(wb.group_to_document(g))))
-        assert back.mul == g.mul
+        assert np.array_equal(back.mul, g.mul)
         assert back.names == g.names
+
+    def test_table_documents_keep_their_bytes(self):
+        # the tables are arrays; their documents hold the same JSON ints
+        L = sl.product_semilattice(sl.chain(3), sl.diamond())
+        doc = json.dumps(wb.spec_to_document(wb.build_all_scalar(L)))
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "b606c5258f5004f4e5d5dde4e10732a03b9623b8bbc28d7877997c44075311dc"
+        )
+        assert json.dumps(wb.group_to_document(pr.symmetric_group(3))) == (
+            '{"format": "gradedcstar-group", "names": ["012", "021", "102", "120", "201", '
+            '"210"], "mul": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4], '
+            '[3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]}'
+        )
+
+    def test_messages_show_no_numpy_scalars(self):
+        # numpy 2 prints np.int64(3) in a repr: no message may show one
+        s3 = pr.symmetric_group(3)
+        spec = wb.demo_spec("coset-s3")
+        pi = np.array(wb.demo_spec("chain-4").pi)
+        pi[0, 3] = 0
+        broken = gr.GradedSpec.from_pi(sl.chain(4), [SCALAR] * 4, pi)
+        calls = [
+            lambda: sl.Semilattice(np.array([[0, 1], [0, 1]])),
+            lambda: sl.Semilattice(np.array([[1, 0], [0, 1]])),
+            lambda: sl.Semilattice(np.array([[0, 2, 0], [2, 1, 2], [0, 2, 2]])),
+            lambda: sl.Semilattice(np.array([[0, 3], [0, 1]])),
+            lambda: sl.Semilattice(np.array([[0.0, 0.0], [0.0, 1.0]])),
+            lambda: pr.FiniteGroup(np.array([[0, 1], [1, 1]])),
+            lambda: pr.FiniteGroup(np.array([[0, 1, 2], [1, 0, 0], [2, 1, 2]])),
+            lambda: wb.build_coset_spec(s3, [{0, 3}, {0}]),
+            lambda: wb.build_coset_spec(s3, [{0}, {0, 1, 3}]),
+            lambda: gr.restrict_spec(spec, np.array([1, 2])),
+            lambda: spec.structure_map(np.intp(3), np.intp(1)),
+            lambda: spec.structure_map(np.intp(7), np.intp(1)),
+            lambda: gr.validate_spec(broken, gr.AXIOM_TOL),
+        ]
+        for call in calls:
+            with pytest.raises(GradedCstarError) as e:
+                call()
+            assert "np." not in str(e.value), str(e.value)
 
     def test_action_round_trip(self):
         spec, act = wb.build_coset_spec(*wb.coset_z4_family())
