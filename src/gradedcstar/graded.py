@@ -42,7 +42,7 @@ import numpy as np
 from . import findim as fd
 from .errors import InputError, ValidationFailure
 from .findim import AlgebraShape, StarHom
-from .semilattice import Semilattice
+from .semilattice import Semilattice, _is_int
 
 AXIOM_TOL = 1e-9
 
@@ -203,8 +203,8 @@ class GradedSpec:
 
     def structure_map(self, i, j):
         """phi_{i,j}: A_j -> A_i for i <= j. InputError names an index
-        that is not an integer or out of range, as _sorted_indices does."""
-        _sorted_indices(self.L, (i, j))
+        that is not an integer or out of range, as L.indices does."""
+        self.L.indices((i, j))
         if not self.L.le[i, j]:
             raise MissingHom(
                 f"({self.L.names[i]}, {self.L.names[j]}) is not comparable"
@@ -257,11 +257,6 @@ class GradedSpec:
     def __repr__(self):
         dims = [c.dim for c in self.components]
         return f"GradedSpec({self.L!r}, component dims {dims})"
-
-
-def _is_int(a):
-    """An integer that is not a bool: what an index of a semilattice is."""
-    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
 def _offsets(components):
@@ -1080,7 +1075,7 @@ def restrict_spec(spec, M):
 
     The sub-spec's axioms are a subset of the spec's, so it inherits the
     spec's validated_tol and validated_bounds."""
-    M = _sorted_indices(spec.L, M)
+    M = spec.L.indices(M)
     if not spec.L.is_subsemilattice(M):
         raise InputError(f"{M} is not meet-closed")
     new_of = np.full(spec.L.n, -1, dtype=np.intp)  # old index -> new index, -1 off M
@@ -1097,20 +1092,6 @@ def restrict_spec(spec, M):
     return sub, {old: int(new_of[old]) for old in M}
 
 
-def _sorted_indices(L, M):
-    """The distinct members of M as ints, ascending; InputError names the first
-    non-integer in M, else the least member that is out of range."""
-    M = list(M)
-    for a in M:
-        if not _is_int(a):
-            raise InputError(f"index {a!r} is not an integer")
-    M = sorted({int(a) for a in M})
-    for a in M:
-        if not 0 <= a < L.n:
-            raise InputError(f"index {a} is out of range for {L.n} indices")
-    return M
-
-
 class FinishingSplit:
     """The split exact sequence along a finishing index set M.
 
@@ -1123,7 +1104,7 @@ class FinishingSplit:
     """
 
     def __init__(self, spec, M):
-        M = frozenset(_sorted_indices(spec.L, M))
+        M = frozenset(spec.L.indices(M))
         if not spec.L.is_finishing_subsemilattice(M) or not M:
             raise NotFinishing(
                 f"{sorted(M)} is not a nonempty finishing sub-semilattice"

@@ -15,7 +15,9 @@ block coordinates, one block orbit at a time, by Green's imprimitivity
 theorem for finite groups: over an orbit O of blocks of side n with
 stabilizer H it is M_|O| (x) M_n (x) C_omega(H), where omega is the
 2-cocycle of the unitaries that implement H on a block. Only the
-|H|-dimensional twisted group algebra is decomposed, by wedderburn; the
+|H|-dimensional twisted group algebra needs its irreps: when it is
+commutative, as for every cyclic H, they are its twisted characters,
+written down in closed form, and otherwise wedderburn decomposes it. The
 block permutation, the cosets and the unitaries are read off the action
 maps. The change of basis is kept so the structure maps transport
 correctly. Nothing draws random numbers, so the output is a function of
@@ -482,14 +484,39 @@ def _implementing_unitaries(maps, n):
 
 def _twisted_irreps(hmul, omega):
     """The irreducible representations of the twisted group algebra
-    C_conj(omega)(H), from wedderburn on its left-regular matrices
-    lambda(h) e_k = conj(omega(h, k)) e_hk.
+    C_conj(omega)(H), spanned by lambda_h with lambda_h lambda_k =
+    conj(omega(h, k)) lambda_hk.
 
     hmul is H's multiplication table over positions in H. Returns one
     stack (|H|, m, m) of pi(h) per irrep, ordered by degree m, then by the
     character values over H in its order, largest first (real part before
     imaginary, rounded to 6 digits).
+
+    When hmul and omega are both symmetric, lambda_h lambda_k = lambda_k
+    lambda_h, so the algebra is commutative: its irreps are its |H|
+    characters, each unique as a map, and _twisted_characters writes them
+    down. Every cocycle of a cyclic group is a coboundary, hence symmetric,
+    so this covers every cyclic stabilizer. Otherwise wedderburn decomposes
+    the left-regular matrices (_wedderburn_irreps).
     """
+    if (hmul == hmul.T).all() and (omega == omega.T).all():
+        chars = _twisted_characters(hmul, omega.conj())
+        pis = list(chars[:, :, None, None])
+    else:
+        pis = _wedderburn_irreps(hmul, omega)
+    return sorted(pis, key=_irrep_key)
+
+
+def _irrep_key(pi):
+    """The order of _twisted_irreps: degree, then the negated character
+    values over H, real part before imaginary, rounded to 6 digits."""
+    chars = -np.round(np.trace(pi, axis1=1, axis2=2), 6) + 0.0
+    return len(pi[0]), tuple(zip(chars.real.tolist(), chars.imag.tolist()))
+
+
+def _wedderburn_irreps(hmul, omega):
+    """The irreps of C_conj(omega)(H), unordered, from wedderburn on its
+    left-regular matrices lambda(h) e_k = conj(omega(h, k)) e_hk."""
     k = len(hmul)
     lam = np.zeros((k, k, k), dtype=complex)
     x, y = np.indices((k, k))
@@ -497,13 +524,64 @@ def _twisted_irreps(hmul, omega):
     ambient = fd.AlgebraShape([k])
     elems = [fd.AlgElement(ambient, [m]) for m in lam]
     data = kt.wedderburn(elems)
-    pis = [np.stack(block) for block in zip(*(data.coordinates(x).mats for x in elems))]
+    return [np.stack(block) for block in zip(*(data.coordinates(x).mats for x in elems))]
 
-    def key(pi):
-        chars = -np.round(np.trace(pi, axis1=1, axis2=2), 6) + 0.0
-        return len(pi[0]), tuple(zip(chars.real.tolist(), chars.imag.tolist()))
 
-    return sorted(pis, key=key)
+def _twisted_characters(hmul, wbar):
+    """chars[c, h]: the |H| characters of a commutative C_wbar(H), with
+    chi(h) chi(k) = wbar(h, k) chi(hk), unordered.
+
+    They are built along a chain of subgroups K, from K = {e} with
+    chi(e) = wbar(e, e) (lambda_e / wbar(e, e) is the unit). Take the first
+    g outside K and the least r >= 1 with g^r in K. Then lambda_g^j =
+    c_j lambda_{g^j} with c_1 = 1 and c_{j+1} = c_j wbar(g^j, g), so a
+    character of K extends to <K, g>, the disjoint union of the cosets
+    g^j K for 0 <= j < r, in exactly r ways: chi(g) = z runs over the r-th
+    roots of c_r chi(g^r), and chi(g^j k) = z^j chi(k) / (c_j wbar(g^j, k)).
+    Each step multiplies the count of characters and the order of K by r.
+
+    omega comes rounded to 12 digits, so it is a cocycle only up to that
+    rounding, which the products c_j would accumulate along the powers of
+    g. Since chi(h) = wbar(h, k) chi(hk) / chi(k) for every k, each chi(h)
+    is then replaced by the mean of the right side over k, which spreads
+    the rounding evenly, as wedderburn's spectral projections do. The
+    identity chi(h) chi(k) = wbar(h, k) chi(hk) is checked on every pair
+    within TRANSPORT_TOL, which a NaN fails.
+    """
+    n = len(hmul)
+    e = int(np.flatnonzero((hmul == np.arange(n)).all(axis=1))[0])
+    chars = np.zeros((1, n), dtype=complex)
+    chars[0, e] = wbar[e, e]
+    inside = np.zeros(n, dtype=bool)
+    inside[e] = True
+    while not inside.all():
+        g = int(np.argmin(inside))
+        powers, c = [g], [1.0 + 0j]  # g^j and c_j for j = 1, 2, ...
+        while not inside[powers[-1]]:
+            c.append(c[-1] * wbar[powers[-1], g])
+            powers.append(int(hmul[powers[-1], g]))
+        r = len(powers)
+        members = np.flatnonzero(inside)
+        roots = (c[-1] * chars[:, powers[-1]])[:, None] ** (1 / r) * np.exp(
+            2j * np.pi * np.arange(r) / r
+        )  # roots[x, t]: the t-th r-th root for the character x of K
+        grown = np.repeat(chars, r, axis=0)
+        z = roots.reshape(-1, 1)
+        for j in range(1, r):
+            gj = powers[j - 1]
+            grown[:, hmul[gj, members]] = (
+                z**j * grown[:, members] / (c[j - 1] * wbar[gj, members])
+            )
+        chars = grown
+        inside[hmul[np.ix_(powers[:-1], members)]] = True
+    chars = np.mean(wbar * chars[:, hmul] / chars[:, None, :], axis=2)
+    resid = fd.maxabs(chars[:, :, None] * chars[:, None, :] - wbar * chars[:, hmul])
+    if not resid <= TRANSPORT_TOL:
+        raise RealizationFault(
+            f"a stabilizer's twisted characters are not multiplicative "
+            f"(residual {resid:.3e})"
+        )
+    return chars
 
 
 def _realize_component(act, i, irreps):
@@ -517,8 +595,12 @@ def _realize_component(act, i, irreps):
     on sum_k C^n (x) C^deg(pi): rho(a) acts on summand k as (block b of
     alpha_{g_k^-1}(a)) (x) 1, and U_s carries summand k to summand l by
     u_h (x) pi(h), where s g_k = g_l h. R(d_s (x) a) = rho(a) U_s.
-    irreps memoizes the twisted group algebras' decompositions on
-    (H's table, omega).
+    irreps memoizes the twisted group algebras' irreps on (H's table,
+    omega), with omega rounded to 12 digits. For abelian H with omega
+    symmetric, C_conj(omega)(H) is commutative and _twisted_irreps writes
+    its |H| characters down without wedderburn; a cyclic H always
+    qualifies, since every 2-cocycle of a cyclic group is a coboundary,
+    and a coboundary mu(h) mu(k) / mu(hk) of an abelian group is symmetric.
     """
     shape = act.spec.components[i]
     d = shape.dim

@@ -126,23 +126,39 @@ class Semilattice:
         """{j : k <= j}, the upward closure of k. Upward- and meet-closed."""
         return frozenset(np.flatnonzero(self.le[k]).tolist())
 
+    def indices(self, M):
+        """The distinct members of M as ints, ascending. InputError names
+        the first member that is not an integer, else the least one outside
+        0..n-1: a negative index would otherwise read the table from its
+        end."""
+        M = list(M)
+        for a in M:
+            if not _is_int(a):
+                raise InputError(f"index {a!r} is not an integer")
+        M = sorted({int(a) for a in M})
+        for a in M:
+            if not 0 <= a < self.n:
+                raise InputError(f"index {a} is out of range for {self.n} indices")
+        return M
+
     def is_subsemilattice(self, S):
-        S = frozenset(S)
-        m = np.fromiter(S, np.intp)
-        return S.issuperset(self.meet[m[:, None], m].ravel().tolist())
+        """Closed under meet; S is read through indices."""
+        S = self.indices(S)
+        m = np.asarray(S, dtype=np.intp)
+        return set(S).issuperset(self.meet[m[:, None], m].ravel().tolist())
 
     def is_finishing_subsemilattice(self, S):
         """Upward-closed and closed under meet. The empty set passes vacuously."""
-        S = frozenset(S)
+        S = self.indices(S)
         inside = np.zeros(self.n, dtype=bool)
-        inside[list(S)] = True
+        inside[S] = True
         if (self.le[inside] & ~inside).any():
             return False
         return self.is_subsemilattice(S)
 
     def generated_subsemilattice(self, M):
         """Smallest meet-closed superset of M (closure under pairwise meet)."""
-        S = frozenset(M)
+        S = frozenset(self.indices(M))
         while True:
             m = np.fromiter(S, np.intp)
             closed = S.union(self.meet[m[:, None], m].ravel().tolist())
@@ -170,6 +186,11 @@ class Semilattice:
         below = self.le.sum(axis=0)
         below[b] = 0
         return frozenset(np.flatnonzero(below == 2).tolist())
+
+
+def _is_int(a):
+    """An integer that is not a bool: what an index of a semilattice is."""
+    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
 def _first_nonassociative(table):

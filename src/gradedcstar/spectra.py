@@ -285,7 +285,7 @@ def restriction_spectrum_map(spec, M):
     phi_{i, m(i)} (recorded in the report as nondegeneracy_check).
     """
     L = spec.L
-    Msorted = gr._sorted_indices(L, M)
+    Msorted = L.indices(M)
     if not L.is_subsemilattice(Msorted):
         raise InputError(f"{Msorted} is not a sub-semilattice")
     if not gr.components_commutative(spec):

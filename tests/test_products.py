@@ -957,6 +957,35 @@ class TestTensorCertificate:
             assert len(calls) == 1
 
 
+def xz_action():
+    """Z2 x Z2 on the m2-chain by Ad of Z^a X^b on M_2 and trivially on C.
+    XZ = -ZX, so the implementing unitaries carry the nontrivial cocycle
+    of Z2 x Z2."""
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    group = pr.product_group(pr.cyclic_group(2), pr.cyclic_group(2))
+    maps = {}
+    for a in range(2):
+        for b in range(2):
+            u = np.linalg.matrix_power(z, a) @ np.linalg.matrix_power(x, b)
+            maps[(2 * a + b, 0)] = map_from(M2, lambda m, u=u: [u @ m[0] @ u.T])
+            maps[(2 * a + b, 1)] = fd.identity_hom(SCALAR)
+    return pr.build_action(group, m2_chain_spec(), maps)
+
+
+def inner_z2_action():
+    """Z2 on the m2-chain by Ad s on M_2, for a self-adjoint unitary s whose
+    first column is largest in a complex entry: the implementing unitary
+    read off the action is s times that entry's phase c, so
+    omega(1, 1) = c^2 is a phase other than 1, a coboundary."""
+    t, phase = 1.0, np.exp(0.7j)
+    s = np.array([[np.cos(t), phase * np.sin(t)], [np.conj(phase) * np.sin(t), -np.cos(t)]])
+    maps = {
+        (1, 0): map_from(M2, lambda m: [s @ m[0] @ s]),
+        (1, 1): fd.identity_hom(SCALAR),
+    }
+    return pr.build_action(pr.cyclic_group(2), m2_chain_spec(), maps)
+
+
 class TestCrossedProduct:
     def test_trivial_group_reproduces_spec(self):
         for spec in (m2_chain_spec(), mixed_diamond_spec()):
@@ -1095,16 +1124,7 @@ class TestCrossedProduct:
         # whose twisted group algebra is M_2: M_2 gives one block of side
         # 1 * 2 * 2. The action on C is trivial, so C gives the four
         # characters of Z2 x Z2.
-        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-        group = pr.product_group(pr.cyclic_group(2), pr.cyclic_group(2))
-        spec = m2_chain_spec()
-        maps = {}
-        for a in range(2):
-            for b in range(2):
-                u = np.linalg.matrix_power(z, a) @ np.linalg.matrix_power(x, b)
-                maps[(2 * a + b, 0)] = map_from(M2, lambda m, u=u: [u @ m[0] @ u.T])
-                maps[(2 * a + b, 1)] = fd.identity_hom(SCALAR)
-        act = pr.build_action(group, spec, maps)
+        act = xz_action()
         cp = crossed(act)
         assert [c.blocks for c in cp.spec.components] == [(4,), (1, 1, 1, 1)]
         assert pr._check_transport(act, cp.realizations) < 1e-12
@@ -1143,25 +1163,46 @@ class TestCrossedProduct:
     @pytest.mark.parametrize(
         "make, sides",
         [
-            (lambda: pr.trivial_action(pr.cyclic_group(2), all_scalar_spec(sl.diamond())), [2]),
-            (lambda: wb.build_coset_spec(*wb.coset_s3_family())[1], [1, 2, 3, 6]),
+            (lambda: pr.trivial_action(pr.cyclic_group(2), all_scalar_spec(sl.diamond())), []),
+            (inner_z2_action, []),
+            (lambda: wb.build_coset_spec(*wb.coset_s3_family())[1], [6]),
+            (xz_action, [4]),
         ],
-        ids=["diamond-z2", "coset-s3"],
+        ids=["diamond-z2", "m2-z2", "coset-s3", "z2xz2-xz"],
     )
     def test_wedderburn_runs_once_per_stabilizer_algebra(self, make, sides, monkeypatch):
-        # wedderburn sees only the |H|-dimensional twisted group algebras,
-        # once per distinct (H's table, omega): the four indices of the
-        # diamond share Z2 with the trivial cocycle
-        seen = []
-        decompose = kt.wedderburn
+        # each distinct (H's table, omega) is decomposed once, and wedderburn
+        # sees only the twisted group algebras that are not commutative: S3's
+        # group algebra, and M_2 from the cocycle of Z2 x Z2 on M_2 by Ad of
+        # Z^a X^b. Cyclic stabilizers, and m2-z2's cocycle with omega(1, 1) a
+        # phase other than 1, get their characters in closed form.
+        keys, seen = [], []
+        decompose, irreps = kt.wedderburn, pr._twisted_irreps
 
         def counted(basis, *args):
             seen.append(basis[0].shape.side)
             return decompose(basis, *args)
 
+        def keyed(hmul, omega):
+            keys.append((hmul.tobytes(), omega.tobytes()))
+            return irreps(hmul, omega)
+
         monkeypatch.setattr(kt, "wedderburn", counted)
+        monkeypatch.setattr(pr, "_twisted_irreps", keyed)
         pr.build_crossed_product(make())
+        assert len(set(keys)) == len(keys)
         assert sorted(seen) == sides
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: pr.trivial_action(pr.cyclic_group(2), all_scalar_spec(sl.diamond())),
+            inner_z2_action,
+        ],
+        ids=["diamond-z2", "m2-z2"],
+    )
+    def test_twisted_characters_match_the_oracle(self, make):
+        assert_matches_oracle(pr.build_crossed_product(make()))
 
     def test_block_permutations_must_form_an_action(self):
         # every element of Z3 swaps the two points: each map permutes the
@@ -1218,3 +1259,94 @@ class TestCrossedProduct:
             pr.build_action(act.group, spec, maps)
         with pytest.raises(gr.HomNotStar):
             pr.build_crossed_product(pr.GradedAction(act.group, spec, maps))
+
+
+# ------------------------------------------------- twisted characters
+# A commutative twisted group algebra gets its characters in closed form;
+# the wedderburn route it replaced, sorted the same way, is the oracle.
+
+ABELIAN = [pr.cyclic_group(n) for n in range(1, 13)] + [
+    pr.product_group(pr.cyclic_group(a), pr.cyclic_group(b))
+    for a, b in ((2, 2), (2, 4), (3, 3))
+]
+
+
+def _character_residual(pis, hmul, omega):
+    chars = np.stack([pi[:, 0, 0] for pi in pis])
+    return fd.maxabs(chars[:, :, None] * chars[:, None, :] - omega.conj() * chars[:, hmul])
+
+
+@st.composite
+def coboundary_cocycles(draw):
+    """(H's table, omega) for an abelian H and omega(h, k) =
+    mu(h) mu(k) / mu(hk) with random phases mu, rounded to 12 digits as
+    _realize_component rounds every cocycle."""
+    group = draw(st.sampled_from(ABELIAN))
+    turns = draw(st.lists(
+        st.floats(0.0, 1.0, exclude_max=True), min_size=group.order, max_size=group.order
+    ))
+    mu = np.exp(2j * np.pi * np.asarray(turns))
+    omega = mu[:, None] * mu[None, :] / mu[group.mul]
+    return group.mul, np.round(omega, 12) + 0.0
+
+
+class TestTwistedCharacters:
+    @settings(max_examples=120, deadline=None)
+    @given(coboundary_cocycles())
+    def test_match_the_wedderburn_route(self, case):
+        hmul, omega = case
+        got = pr._twisted_irreps(hmul, omega)
+        try:
+            want = sorted(pr._wedderburn_irreps(hmul, omega), key=pr._irrep_key)
+        except kt.DecompositionError:
+            # the oracle's refinement can fail to split near-equal
+            # eigenvalues; such a draw tells nothing about the characters
+            assume(False)
+        assert [pi.shape for pi in got] == [(len(hmul), 1, 1)] * len(hmul)
+        assert [pi.shape for pi in want] == [pi.shape for pi in got]
+        assert max(fd.maxabs(a - b) for a, b in zip(got, want)) <= 1e-12
+        # a rounded cocycle is a cocycle only up to its rounding, which
+        # bounds how multiplicative any characters can be: the oracle's
+        # own residual reaches about 1.2e-12
+        resid = _character_residual(got, hmul, omega)
+        assert resid <= max(1e-12, _character_residual(want, hmul, omega) + 1e-14)
+
+    @pytest.mark.parametrize(
+        "group, omega",
+        [
+            (pr.symmetric_group(3), np.ones((6, 6), dtype=complex)),
+            # u_(a,b) = Z^a X^b: omega((a, b), (a', b')) = (-1)^(b a')
+            (
+                pr.product_group(pr.cyclic_group(2), pr.cyclic_group(2)),
+                np.array([[(-1.0) ** (x % 2 * (y // 2)) for y in range(4)] for x in range(4)])
+                + 0j,
+            ),
+        ],
+        ids=["s3", "z2xz2-xz"],
+    )
+    def test_noncommutative_algebras_take_wedderburn(self, group, omega, monkeypatch):
+        seen = []
+        decompose = kt.wedderburn
+
+        def counted(basis, *args):
+            seen.append(basis[0].shape.side)
+            return decompose(basis, *args)
+
+        monkeypatch.setattr(kt, "wedderburn", counted)
+        irreps = pr._twisted_irreps(group.mul, omega)
+        assert seen == [group.order]
+        assert sum(len(pi[0]) ** 2 for pi in irreps) == group.order
+        assert max(len(pi[0]) for pi in irreps) == 2
+
+    def test_non_multiplicative_characters_are_refused(self, monkeypatch):
+        monkeypatch.setattr(pr, "TRANSPORT_TOL", -1.0)
+        with pytest.raises(pr.RealizationFault, match="not multiplicative"):
+            pr._twisted_irreps(pr.cyclic_group(3).mul, np.ones((3, 3), dtype=complex))
+
+    def test_nan_characters_are_refused(self):
+        # omega(1, 1) = 0 gives chi(1) = 0, and the mean over k then
+        # divides by it: the characters are NaN, which the check fails
+        omega = np.ones((2, 2), dtype=complex)
+        omega[1, 1] = 0.0
+        with np.errstate(all="ignore"), pytest.raises(pr.RealizationFault, match="nan"):
+            pr._twisted_irreps(pr.cyclic_group(2).mul, omega)

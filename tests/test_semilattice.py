@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gradedcstar import semilattice as sl
 from gradedcstar import workbench as wb
+from gradedcstar.errors import InputError, ValidationFailure
 from gradedcstar.graded import covering_pairs, restrict_spec
 from gradedcstar.semilattice import (
     AssociativityViolation,
@@ -139,8 +140,6 @@ def test_nonassociative_table_names_the_triple():
 
 
 def test_out_of_range_entry_rejected():
-    from gradedcstar.errors import InputError
-
     with pytest.raises(InputError):
         Semilattice([[0, 5], [5, 1]])
 
@@ -169,8 +168,6 @@ def oracle_table_message(table):
     ([[0, 0], [0]], "meet table is not square"),
 ])
 def test_non_integer_entries_are_refused(table, message):
-    from gradedcstar.errors import InputError
-
     with pytest.raises(InputError) as e:
         Semilattice(table)
     assert str(e.value) == message
@@ -188,8 +185,6 @@ def tables_of_mixed_entries(draw):
 @settings(max_examples=100, deadline=None)
 @given(tables_of_mixed_entries())
 def test_entry_checks_name_the_first_offender(table):
-    from gradedcstar.errors import InputError, ValidationFailure
-
     message = oracle_table_message(table)
     try:
         Semilattice(table)
@@ -266,6 +261,26 @@ def test_is_finishing_subsemilattice_examples():
     # upward-closed but a ^ b = 0 is missing
     assert not L.is_finishing_subsemilattice({a, b, one})
     assert L.is_finishing_subsemilattice(frozenset(range(4)))
+
+
+@pytest.mark.parametrize(
+    "query", ["generated_subsemilattice", "is_subsemilattice", "is_finishing_subsemilattice"]
+)
+@pytest.mark.parametrize(
+    "S, message",
+    [
+        ({-1}, "index -1 is out of range for 3 indices"),
+        ({0, 3}, "index 3 is out of range for 3 indices"),
+        ([5, -2], "index -2 is out of range for 3 indices"),
+        ({0.5}, "index 0.5 is not an integer"),
+        ([1, True], "index True is not an integer"),
+    ],
+)
+def test_subset_queries_refuse_indices_outside_the_table(query, S, message):
+    # a negative index used to read the table from its end:
+    # chain(3).generated_subsemilattice({-1}) gave frozenset({-1, 2})
+    with pytest.raises(InputError, match=f"^{message}$"):
+        getattr(chain(3), query)(S)
 
 
 # ------------------------------------------------------------- enumeration
