@@ -486,22 +486,10 @@ def check_starhom_residuals(source, star, mult, tol=BASIS_TOL):
 
 # --------------------------------------------------- matrix-unit generators
 
-# The generator routes below accept only when a bound on the full check's
-# residuals is <= tol. The bounds are derived for tol <= GENERATOR_TOL_MAX;
-# a looser tolerance goes straight to the full checks.
+# The generator route below accepts only when a bound on the full check's
+# residuals is <= tol. The bound is derived for tol <= GENERATOR_TOL_MAX;
+# a looser tolerance goes straight to the full check.
 GENERATOR_TOL_MAX = 1 / 16
-
-
-@lru_cache(maxsize=256)
-def unit_columns(shape):
-    """Basis positions of E_p0 and E_0q in every block, ascending: the
-    2n - 1 matrix units that generate a block of side n as an algebra
-    (E_pq = E_p0 E_0q). For a block of side 1 that is its whole basis."""
-    parts = [np.zeros(0, dtype=int)]
-    for d, off in zip(shape.blocks, shape.block_offsets()):
-        units = np.arange(d * d)
-        parts.append(off + units[(units < d) | (units % d == 0)])
-    return _read_only(np.concatenate(parts))
 
 
 def unit_kappa(shape):

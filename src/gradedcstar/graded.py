@@ -10,8 +10,9 @@ pair i <= j. The axioms checked here are
 
 the structure morphisms being *-homomorphisms. validate_spec decides a
 commutative spec whose pi is exactly 0/1 with boolean arithmetic; it checks
-any other on matrix-unit generators first, accepting within a derived
-error bound, and over every canonical basis pair (exact by bilinearity)
+axiom (b) on any other spec with a block of side at least 2 as the
+composition of pi's blocks, accepting each pair within a derived error
+bound, and over every canonical basis pair (exact by bilinearity)
 otherwise. Every
 component is unital and finite-dimensional, so its multiplier algebra is
 itself; the general theory's multiplier wrappers never appear and nothing
@@ -33,6 +34,7 @@ the direct sum (build_morphism).
 """
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -49,6 +51,10 @@ AXIOM_TOL = 1e-9
 # about how many uint64 words each array of one step of _zero_one_failure
 # holds
 _BITSET_STEP_WORDS = 1 << 18
+
+# about how many entries each array of one step of _composition_bounds
+# holds
+_COMPOSITION_STEP = 1 << 18
 
 
 class MissingHom(InputError):
@@ -373,39 +379,30 @@ def from_gvector(spec, v):
 
 # ------------------------------------------------------------ the q family
 
-def _meet_groups(spec, rows_of, left=None):
-    """The ordered pairs (i, j) grouped by (k = i ^ j, the number of left
-    columns of A_i, dim A_j), groups in row-major order of their first pair.
+def _meet_groups(spec, rows_of):
+    """The ordered pairs (i, j) grouped by (k = i ^ j, dim A_i, dim A_j),
+    groups in row-major order of their first pair.
 
-    left[i] holds the basis positions of A_i the left factor runs over;
-    all of them when left is None. Yields (k, pairs, g, h) with
-    g[p] = pi[rows, span(i)][:, left[i]] and h[p] = pi[rows, span(j)] for
-    the p-th pair (i, j) and rows = rows_of(k) (a slice or an index array):
-    the stacks one pair_products call takes. A group of one pair, as
-    most are, gets its slices without a gather when left is None.
+    Yields (k, pairs, g, h) with g[p] = pi[rows, span(i)] and
+    h[p] = pi[rows, span(j)] for the p-th pair (i, j) and rows = rows_of(k)
+    (a slice or an index array): the stacks one pair_products call takes.
+    A group of one pair, as most are, gets its slices without a gather.
     """
     L, pi = spec.L, spec.pi
     dims = [c.dim for c in spec.components]
-    lefts = dims if left is None else [len(cols) for cols in left]
     groups = {}
     for i, row in enumerate(L.meet.tolist()):
         for j, k in enumerate(row):
-            groups.setdefault((k, lefts[i], dims[j]), []).append((i, j))
-    if left is not None:
-        left = [off + cols for off, cols in zip(spec.offsets, left)]  # columns of pi
+            groups.setdefault((k, dims[i], dims[j]), []).append((i, j))
     for (k, di, dj), pairs in groups.items():
         rows = rows_of(k)
         if len(pairs) == 1:
             (i, j), = pairs
-            g = pi[rows, spec.span(i)] if left is None else pi[rows][:, left[i]]
-            yield k, pairs, g[None], pi[rows, spec.span(j)][None]
+            yield k, pairs, pi[rows, spec.span(i)][None], pi[rows, spec.span(j)][None]
             continue
         rows = np.arange(spec.total_dim)[rows][:, None]
         ii, jj = np.transpose(pairs)
-        if left is None:
-            gcols = spec.offsets[ii, None] + np.arange(di)
-        else:
-            gcols = np.stack([left[i] for i in ii])
+        gcols = spec.offsets[ii, None] + np.arange(di)
         hcols = spec.offsets[jj, None] + np.arange(dj)
         yield k, pairs, pi[rows, gcols[:, None]], pi[rows, hcols[:, None]]
 
@@ -546,11 +543,13 @@ def validate_spec(spec, tol=AXIOM_TOL):
         below compute on such a spec, since every sum they form is over
         0/1 products and exact; a failure of axiom (b) there is named
         from the basis-pair residuals of the failing pair alone;
-      - the generator route for the *-homs and axiom (b), on matrix-unit
-        generators (see fd.check_starhoms and _axiom_b_kappas);
-      - the basis-pair route over every canonical basis pair when the
-        generators cannot certify the axioms; it decides every other
-        failure.
+      - on components with a block of side at least 2, after the *-homs
+        (see fd.check_starhoms), the composition route for axiom (b)
+        (see _composition_bounds): it certifies each ordered pair whose
+        bound is within tol, and the basis-pair residuals of the other
+        pairs, in row-major order, decide; the first that fails is named;
+      - the basis-pair route over every canonical basis pair on every
+        other spec.
     Raises on the first failure; returns the max residuals of the checks
     that decided on success, and records tol on the spec as validated_tol
     and the bounds it certified as validated_bounds. A NaN residual
@@ -660,28 +659,27 @@ def validate_spec(spec, tol=AXIOM_TOL):
         e = failing[(i, j)]
         raise HomNotStar(f"phi[{L.names[i]},{L.names[j]}]: {e}") from e
 
-    # generator route: left factors E_p0 and E_0q only. With every block
-    # of side 1 they are the whole basis, and the basis-pair route below
-    # does the same work.
-    if tol <= fd.GENERATOR_TOL_MAX and not components_commutative(spec):
-        left = [fd.unit_columns(c) for c in comps]
-        k_eps, k_delta, k_zeta = _axiom_b_kappas(comps)
-        budget = (tol - k_delta * hom_bound - k_zeta * id_res) / k_eps
-        b_res = 0.0
-        for k, pairs, g, h in _meet_groups(spec, rows_of, left):
-            diff = residuals(k, g, h)
-            if diff is not None:
-                b_res = np.maximum(b_res, fd.maxabs(diff))
-            if not b_res <= budget:
-                break
-        else:
-            beta = k_eps * b_res + k_delta * hom_bound + k_zeta * id_res
-            spec._set_verdict(tol, SpecBounds(id_res, star_res, hom_bound, float(beta)))
-            return SpecValidationReport(
-                id_res, mult_res, star_res, float(b_res), pairs_checked
-            )
-
     b_res = 0.0
+    if not components_commutative(spec):
+        bound, comp_res, pair_bounds = _composition_bounds(spec, hom_bound, star_res)
+        if not bound <= tol:
+            # the basis pairs decide the pairs whose own bound exceeds tol
+            beta, measured = pair_bounds()
+            certified = beta <= tol
+            for i, j in zip(*np.nonzero(~certified)):  # row-major
+                k = int(L.meet[i, j])
+                rows = rows_of(k)
+                diff = residuals(k, pi[rows, spec.span(i)][None], pi[rows, spec.span(j)][None])
+                r = fd.maxabs(diff)
+                if not r <= tol:
+                    raise_first_offender(i, j, k, diff[0])
+                b_res = max(b_res, r)
+            bound = max(float(beta[certified].max(initial=0.0)), measured(b_res))
+        spec._set_verdict(tol, SpecBounds(id_res, star_res, hom_bound, bound))
+        return SpecValidationReport(
+            id_res, mult_res, star_res, max(comp_res, b_res), pairs_checked
+        )
+
     first = None  # (i, j, k, |residual|) of the first failing pair, row-major
     for k, pairs, g, h in _meet_groups(spec, rows_of):
         if first is not None and pairs[0] > first[:2]:
@@ -806,40 +804,224 @@ def require_verdict(spec, tol):
         validate_spec(spec, tol)
 
 
-def _axiom_b_kappas(components):
-    """Amplification factors (k_eps, k_delta, k_zeta): every basis-pair
-    residual of axiom (b) is at most k_eps eps + k_delta delta
-    + k_zeta zeta, given the largest residual eps over left factors E_p0
-    and E_0q, a bound delta on every phi's basis-pair residual (Frobenius)
-    and the identity residual zeta.
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff: the relative error
+    bound of a real dot product of length n (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3)."""
+    nu = n * np.finfo(float).eps / 2
+    return nu / (1 - nu)
 
-    Take x = E_pq = E_p0 E_0q in A_i, y a basis element of A_j, k = i ^ j,
-    m < k, and write a = phi_{k,i}, b = phi_{k,j}, c = phi_{m,k},
-    al = phi_{m,i}, be = phi_{m,j}, io = phi_{k,k}. With w = a(E_0q) b(y)
-    in A_k, G1 the residual of (E_0q, y) at (i, j), G2(z) that of
-    (E_p0, z) at (i, k) for z in A_k's basis, H_a = a(E_pq) - a(E_p0) a(E_0q)
-    and H_al likewise, the residual of (x, y) is exactly
-        al(E_p0) G1 + sum_z w_z G2(z) + c(a(E_p0) (w - io(w)))
-        + c(H_a b(y)) - H_al be(y):
-    pi(gxy) = pi(g) pi(xy) = pi(g) pi(x) pi(y) = pi(gx) pi(y) with its
-    errors kept. Every phi passed the *-hom check within tol <= 1/16, so
-    the image of a matrix unit has operator norm <= 5/4. With D and S the
-    largest dimension and side of a component, entrywise:
-      - al(E_p0) G1 <= 5/4 sqrt(S) eps, a row of al(E_p0) against a column
-        of G1;
-      - the G2 term is <= eps sum_z |w_z| <= eps sqrt(D) ||w||_F
-        <= (5/4)^2 sqrt(D S) eps;
-      - ||c(v)||_max <= 5/4 sum_z |v_z| <= 5/4 sqrt(D) ||v||_F, which
-        bounds the H_a term by (5/4)^2 sqrt(D) delta and, with
-        ||w - io(w)||_1 <= D zeta sum_z |w_z|, the io term by
-        (5/4)^4 D^2 sqrt(S) zeta;
-      - H_al be(y) <= 5/4 delta.
-    Rounded up, the residual is at most 3 sqrt(D S) eps + 3 sqrt(D) delta
-    + 3 D^2 sqrt(S) zeta.
+
+def _squared_norms(a, subscripts="...r,...r->...", *weights):
+    """|a|^2 summed as the einsum subscripts say, over the last axis by
+    default, each term times the real weights."""
+    real = np.einsum(subscripts, a.real, a.real, *weights)
+    return real + np.einsum(subscripts, a.imag, a.imag, *weights)
+
+
+def _composition_bounds(spec, hom_bound, star_bound):
+    """validate_spec's composition route for axiom (b):
+    (bound, residual, pair_bounds).
+
+    pair_bounds() is the (n, n) array beta whose entry (i, j) bounds every
+    entry of every basis-pair residual of axiom (b) at the ordered pair
+    (i, j), over every m < i ^ j, as validate_spec computes it, given that
+    every phi passed the *-hom check with Frobenius basis-pair residuals
+    at most delta = hom_bound and star residuals at most
+    sigma = star_bound; bound is the same bound with every measured term
+    at its largest, at least every entry of beta, and costs no per-pair
+    work. residual is the largest norm measured below: of D, of P - P^2
+    and of W.
+
+    The identity. For *-homs, with P = P_{m,k} = phi_{m,k}(1_k) and
+    Q_i = Q_{m,i} = phi_{m,i}(1_i), axiom (b) holds iff
+      (1) phi_{m,k} phi_{k,i} = P phi_{m,i}(-) = phi_{m,i}(-) P for all
+          m <= k <= i, and
+      (2) Q_i (1 - P) Q_j = 0 for all i, j and every m <= k = i ^ j.
+    Necessity: axiom (b) at the pair (i, k), k <= i, with y = 1_k reads
+    phi_{m,k}(phi_{k,i}(x)) = phi_{m,i}(x) P, and at (k, i) with x = 1_k
+    it reads P phi_{m,i}(y): that is (1). At x = 1_i, y = 1_j its left
+    side is, by (1), phi_{m,k}(phi_{k,i}(1_i)) phi_{m,k}(phi_{k,j}(1_j))
+    = Q_i P P Q_j = Q_i P Q_j, so Q_i Q_j = Q_i P Q_j: that is (2). Given
+    (1), x = 1_i makes P commute with Q_i, so (2) is also
+    Q_i Q_j (1 - P) = 0. Sufficiency: by (1) and P^2 = P,
+    phi_{m,k}(phi_{k,i}(x) phi_{k,j}(y)) = phi_{m,i}(x) P phi_{m,j}(y);
+    expanding phi_{m,i}(x) (1 - P) phi_{m,j}(y) with phi_{m,i}(x)
+    = phi_{m,i}(x) Q_i and phi_{m,j}(y) = Q_j phi_{m,j}(y) shows that the
+    two sides of axiom (b) differ by phi_{m,i}(x) Q_i (1 - P) Q_j
+    phi_{m,j}(y) = 0. For unital maps (2) holds trivially and (1) reads
+    pi_{m,i} = pi_{m,k} pi_{k,i}. At m = k the residual validate_spec
+    forms is 0, so only m < k is measured.
+
+    What is measured, for each k over the rows of every m < k at once,
+    with P and every Q_t computed as pi_{m,t} vec(1_t), exact elements of
+    A_m once computed, so that the expansion below holds for them as they
+    are: for the columns X of pi_{m,i}, i >= k, and G of
+    pi_{m,k} pi_{k,i}, the (1) residual D = G - X P; P - P^2; and for the
+    pairs (i, j) with meet k that are not comparable the (2) residual
+    W = Q_i (1 - P) Q_j. For a comparable pair P is Q_i or Q_j, and
+    W = (P - P^2) Q_j or Q_i (P - P^2). The other half of (1), C = G - P X,
+    is D at x* taken adjoint, up to star residuals: with sigma,
+    G(x) - G(x*)* is phi_{m,k} of the star residual of phi_{k,i} at x*
+    plus the star residuals of phi_{m,k} on the coefficients of
+    phi_{k,i}(x*), and P X(x) - (X(x*) P)* = (P - P*) X(x)
+    + P* (X(x) - X(x*)*). A Frobenius norm over the rows of every m < k
+    bounds that of each m's part: rho_ik is the largest of D over the
+    columns of A_i, and eta_k and omega_ij those of P - P^2 and W. The k
+    go in steps of consecutive k whose arrays hold about
+    _COMPOSITION_STEP entries, each step one batched matmul and one
+    pair_products call, and a second for W when a pair is not comparable.
+
+    The bound. Take x = E_a in A_i, y = E_b in A_j, k = i ^ j, m < k,
+    u = phi_{k,i}(x), v = phi_{k,j}(y), X = phi_{m,i}(x), Y = phi_{m,j}(y)
+    and V = phi_{m,k}(v), so that D = phi_{m,k}(u) - X P and C = V - P Y.
+    Expanding phi_{m,k}(u) V = (X P + D) V with P V = V - (V - P V) and
+    V = P Y + C gives, exactly,
+        phi_{m,k}(uv) - X Y = H + X C - X (V - P V) + D V - X W Y
+            - X Q_i (1 - P) (Y - Q_j Y) - (X - X Q_i) (1 - P) Y,
+    H = phi_{m,k}(uv) - phi_{m,k}(u) phi_{m,k}(v). The operator norm of a
+    term bounds its entries, and a Frobenius norm bounds an operator norm;
+    ||P|| <= q and ||1 - P|| <= 1 + q. Every index here, k, i or j, has something
+    below it. nu, the largest column 2-norm of pi, bounds ||X||, ||Y||,
+    ||u|| and ||v||; l1, the largest l1 norm of a column of pi within the
+    rows of one such index, bounds the l1 norms |u|_1, |v|_1 of their
+    coefficients; F = sqrt(dim) nu, dim the largest component dimension,
+    bounds every ||pi_{m,k}||_F; s is the largest side of such an index
+    and q the largest ||Q_t||_F. These image norms take the place of the
+    bound 5/4 on them of the matrix-unit generator route this one
+    replaced, which needed tol <= 1/16. Then:
+      - ||H|| <= delta |u|_1 |v|_1 <= delta l1^2, by bilinearity;
+      - V - phi_{m,k}(1_k) V is the sum over the diagonal units e of A_k
+        of phi_{m,k}(e v) - phi_{m,k}(e) phi_{m,k}(v), at most
+        s delta l1; X - X phi_{m,i}(1_i) and Y - phi_{m,j}(1_j) Y are at
+        most s delta likewise;
+      - ||C|| <= rho_jk + sigma (l1 + F + s nu + q), and
+        ||V|| <= ||C|| + q nu;
+      - ||W|| <= omega_ij, or q eta_k for a comparable pair.
+    Rounding (Higham, ch. 3 of the book cited at _gamma). A computed
+    complex product of matrices A B, whose dot products have at most
+    2 dim + 2 nonzero terms (zero terms add no error), is within
+    g ||A||_F ||B||_F of A B in Frobenius norm for
+    g = sqrt(2) gamma_{2 dim + 32}; the last 30 cover the few operations
+    of a norm's square root and of each term below, as the factor
+    (1 + g)^8 on the sum does for the relative errors of the norms and
+    differences. This adds
+    a = g nu (F + q) to D; g F sqrt(s) to the distance of the computed
+    P and Q_t from the units' images, which enters where the expansion
+    used them, and twice to ||P - P*||; g q^2 to P - P^2;
+    3 g q^2 (1 + q) to W, formed as (Q_i - Q_i P) Q_j; and
+    g (3 F + 1) nu^2 for the rounding of the residual validate_spec forms
+    from fl(uv), its image under pi_{m,k} and fl(XY). Where pi is exactly
+    0/1, every product and sum here is an exact integer, and g = 0 but
+    for the factor. So, with e = s delta + g F sqrt(s) nu,
+    c = rho_jk + a + sigma (l1 + F + s nu + q) + 2 g F sqrt(s) nu and
+    V' = c + q nu,
+        beta_ij <= (1 + g)^8 (nu c + (rho_ik + a) V' + nu^2 omega'_ij
+            + delta l1 (l1 + nu s) + nu g F sqrt(s) V'
+            + (q + 1)^2 nu e + g (3 F + 1) nu^2),
+    omega'_ij the bound on ||W|| above with its rounding. The bound with
+    rho_ik, rho_jk and omega'_ij at their largest is at least every
+    beta_ij; validate_spec computes the beta_ij only when it exceeds tol.
     """
-    dim = max(c.dim for c in components)
-    side = max(c.side for c in components)
-    return 3 * np.sqrt(dim * side), 3 * np.sqrt(dim), 3 * dim**2 * np.sqrt(side)
+    L, pi, comps = spec.L, spec.pi, spec.components
+    n, total = L.n, spec.total_dim
+    owner = _owners(comps)
+    dims = np.array([c.dim for c in comps])
+    starts, ends = spec.offsets.tolist(), (spec.offsets + dims).tolist()
+    g = math.sqrt(2) * _gamma(2 * int(dims.max()) + 32)
+    grow = (1 + g) ** 8
+    if not pi.imag.any() and ((pi.real == 0) | (pi.real == 1)).all():
+        g = 0.0
+    member = owner == np.arange(n)[:, None]  # index t owns coordinate c
+    below = L.le & ~np.eye(n, dtype=bool)  # [m, k]: m < k
+    ks = np.flatnonzero((below & (dims > 0)[:, None]).any(axis=0))
+    unit = np.concatenate([np.eye(d).reshape(-1) for c in comps for d in c.blocks])
+    q_all = pi @ (member * unit).T  # [span m, t]: Q_{m,t} = pi_{m,t} vec(1_t)
+    absp = np.abs(pi)
+    nu = math.sqrt((absp**2).sum(axis=0).max())
+    l1 = float((member[ks] @ absp).max(initial=0.0))
+    q = math.sqrt(_squared_norms(q_all.T).max())
+    s = max((comps[k].side for k in ks.tolist()), default=0)
+    big_f = math.sqrt(dims.max()) * nu
+    root_s = math.sqrt(s)
+    e = s * hom_bound + g * big_f * root_s * nu
+
+    def bound(rho_i, rho_j, omega):
+        a = g * nu * (big_f + q)
+        c = rho_j + a + star_bound * (l1 + big_f + s * nu + q) + 2 * g * big_f * root_s * nu
+        v = c + q * nu
+        return grow * (
+            nu * c + (rho_i + a) * v + nu**2 * omega
+            + hom_bound * l1 * (l1 + nu * s) + nu * g * big_f * root_s * v
+            + (q + 1) ** 2 * nu * e + g * (3 * big_f + 1) * nu**2
+        )
+
+    step = max(1, _COMPOSITION_STEP // max(total, 1) ** 2)
+    # the pairs, row-major, whose meet is in ks and which are not
+    # comparable, and the step of their meet
+    meets = L.meet.reshape(-1)
+    in_ks = np.zeros(n, dtype=bool)
+    in_ks[ks] = True
+    apart = np.flatnonzero(~(L.le | L.le.T).reshape(-1) & in_ks[meets])
+    apart_step = np.searchsorted(ks, meets[apart]) // step
+    steps = []  # per step: owners of the columns, rho [k, c], eta [k], W of the pairs apart
+    residual = rho_max = omega_max = 0.0
+    for first in range(0, ks.size, step):
+        chunk = ks[first : first + step]
+        kn = chunk.size
+        # the coordinates of the indices from the first to the last one
+        # below a k of the step (rows), above one (columns), and from the
+        # first k to the last (span)
+        ms = np.flatnonzero(below[:, chunk].any(axis=1)).tolist()
+        ups = np.flatnonzero(L.le[chunk].any(axis=0)).tolist()
+        rows = slice(starts[ms[0]], ends[ms[-1]])
+        cols = slice(starts[ups[0]], ends[ups[-1]])
+        span = slice(starts[chunk[0]], ends[chunk[-1]])
+        shape = AlgebraShape([d for c in comps[ms[0] : ms[-1] + 1] for d in c.blocks])
+        ok = below[owner[rows]][:, chunk].T  # [k, r]: rows of an index below k
+        # [k, r, c]: G, through the coordinates of span k alone
+        gt = (pi[rows, span] * (owner[span] == chunk[:, None])[:, None, :]) @ pi[span, cols]
+        cn = gt.shape[2]
+        q_rows = q_all[rows]
+        right = fd.pair_products(shape, np.hstack([pi[rows, cols], q_rows]), q_rows[:, chunk])
+        # [c, k]: X P, then [t, k]: Q_t P
+        rho = _squared_norms(gt - right[:cn].transpose(1, 2, 0), "krc,krc,kr->kc", ok)
+        rho = np.sqrt(rho) * L.le[chunk][:, owner[cols]]  # columns of an index above k
+        eta = q_rows[:, chunk].T - right[cn + chunk, np.arange(kn)]  # P - P^2
+        eta = np.sqrt(_squared_norms(eta, "kr,kr,kr->k", ok))
+        ii, jj = np.divmod(apart[apart_step == first // step], n)
+        w = np.zeros(0)
+        if ii.size:
+            kk = np.searchsorted(chunk, L.meet[ii, jj])
+            y = q_rows[:, ii] - right[cn + ii, kk].T  # Q_i (1 - P)
+            w = fd.pair_products(shape, y.T[:, :, None], q_rows[:, jj].T[:, :, None])[:, 0, 0]
+            w = np.sqrt(_squared_norms(w * ok[kk]))
+        steps.append((owner[cols], rho, eta, w))
+        rho_max = max(rho_max, float(rho.max(initial=0.0)))
+        residual = max(residual, rho_max, float(eta.max()), float(w.max(initial=0.0)))
+        omega_max = max(omega_max, q * (float(eta.max()) + g * q**2))
+        omega_max = max(omega_max, float(w.max(initial=0.0)) + 3 * g * q**2 * (1 + q))
+
+    def pair_bounds():
+        """(beta, measured): beta from each step's largest residuals per
+        index and pair; measured(r) bounds every computation of a
+        basis-pair residual that validate_spec computes as r, each within
+        g (3 F + 1) nu^2 of the exact one."""
+        beta = np.zeros((n, n))
+        pairs = np.flatnonzero(in_ks[meets])
+        pair_step = np.searchsorted(ks, meets[pairs]) // step
+        for first, (col_owner, rho, eta, w) in zip(range(0, ks.size, step), steps):
+            chunk = ks[first : first + step]
+            per_index = np.zeros((n, chunk.size))  # [i, k]: the largest over the columns of A_i
+            np.maximum.at(per_index, col_owner, rho.T)
+            ii, jj = np.divmod(pairs[pair_step == first // step], n)
+            kk = np.searchsorted(chunk, L.meet[ii, jj])
+            omega = q * (eta[kk] + g * q**2)  # (P - P^2) Q_j or Q_i (P - P^2)
+            omega[~(L.le[ii, jj] | L.le[jj, ii])] = w + 3 * g * q**2 * (1 + q)
+            beta[ii, jj] = bound(per_index[ii, kk], per_index[jj, kk], omega)
+        return beta, lambda r: grow * (r + 2 * g * (3 * big_f + 1) * nu**2)
+
+    return float(bound(rho_max, rho_max, omega_max)), residual, pair_bounds
 
 
 # --------------------------------------------------------- total algebra

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import re
 import tracemalloc
@@ -26,6 +27,12 @@ from conftest import (
     mixed_diamond_spec,
     standard_corpus,
     unital_embedding,
+)
+from axiom_b_references import (
+    axiom_b_kappas,
+    axiom_b_reference,
+    composition_reference,
+    validate_spec_reference,
 )
 from closure_references import complete_phi_by_enumeration
 from element_references import ideal_leak_reference, morphism_reference, q_axioms_reference
@@ -457,72 +464,6 @@ class TestValidateSpec:
 
 # ------------------------------------- axiom (b) against the reference loop
 
-def axiom_b_reference(spec, tol=gr.AXIOM_TOL, generators=False):
-    """Axiom (b) one (i, j, m) at a time, with a pair product per triple:
-    the reference validate_spec's single pair product per (i, j) must
-    match. With generators, the left factor runs over the matrix units
-    E_p0 and E_0q of A_i only. Returns (max residual, triples checked) or
-    raises on the first failing triple."""
-    L = spec.L
-    b_res = 0.0
-    pairs = 0
-    for i in range(L.n):
-        cols = np.arange(spec.components[i].dim)
-        if generators:
-            cols = fd.unit_columns(spec.components[i])
-        for j in range(L.n):
-            k = L.meet[i, j]
-            below = [m for m in range(L.n) if L.leq(m, k)]
-            prod_k = fd.pair_products(
-                spec.components[k], spec.phi[(k, i)].matrix[:, cols], spec.phi[(k, j)].matrix
-            )
-            for m in below:
-                pairs += 1
-                lhs = prod_k if m == k else prod_k @ spec.phi[(m, k)].matrix.T
-                rhs = fd.pair_products(
-                    spec.components[m], spec.phi[(m, i)].matrix[:, cols], spec.phi[(m, j)].matrix
-                )
-                diff = np.abs(lhs - rhs)
-                r = fd.maxabs(diff)
-                if not r <= tol:
-                    # the first pair, row-major, within rounding of the
-                    # largest residual
-                    flat = diff.reshape(-1)
-                    flat = int(((flat >= r * (1 - 1e-12)) | np.isnan(flat)).argmax())
-                    dj = spec.components[j].dim
-                    a, b = divmod(flat // spec.components[m].dim, dj) if dj else (0, 0)
-                    raise gr.AxiomBViolation(
-                        L.names[i], L.names[j], L.names[m],
-                        spec.basis_label(i, cols[min(a, len(cols) - 1)]),
-                        spec.basis_label(j, b),
-                        r,
-                    )
-                b_res = max(b_res, r)
-    return b_res, pairs
-
-
-def validate_spec_reference(spec, tol=gr.AXIOM_TOL):
-    """validate_spec on the basis-pair routes alone: the identity check,
-    every map's basis pairs in key order, then axiom_b_reference. Returns
-    axiom_b_reference's (max residual, triples checked)."""
-    L = spec.L
-    for i in range(L.n):
-        r = fd.maxabs(spec.phi[(i, i)].matrix - np.eye(spec.components[i].dim))
-        if not r <= tol:
-            raise gr.AxiomAViolation(
-                f"phi[{L.names[i]},{L.names[i]}] differs from the identity by {r:.3e}"
-            )
-    for i, j in sorted(spec.phi):
-        h = spec.phi[(i, j)]
-        star = fd.star_residuals(h.source, h.target, h.matrix)
-        mult = fd.mult_residuals(h.source, h.target, h.matrix)
-        try:
-            fd.check_starhom_residuals(h.source, star, mult, tol)
-        except ValidationFailure as e:
-            raise gr.HomNotStar(f"phi[{L.names[i]},{L.names[j]}]: {e}") from e
-    return axiom_b_reference(spec, tol)
-
-
 def hom_bound(spec):
     """The bound on every phi's basis-pair residual that validate_spec
     hands to the axiom (b) bound."""
@@ -623,6 +564,81 @@ FAILING_SPECS = {
     "mixed-groups-doubled": mixed_groups_antichain(doubled=(2, 4)),
 }
 
+
+def composed_chain(components, covers):
+    """The chain 0 < 1 < ... with the given maps phi_{t,t+1}, covers[t],
+    and every longer map their composition."""
+    phi = {}
+    for i, j in sl.chain(len(components)).comparable_pairs():
+        if i < j:
+            h = covers[j - 1]
+            for t in range(j - 2, i - 1, -1):
+                h = fd.compose(covers[t], h)
+            phi[(i, j)] = h
+    return gr.GradedSpec(sl.chain(len(components)), components, phi)
+
+
+def doubling_chain():
+    """M_8 > M_4 > M_2 > C (index 0 largest), x -> diag(x, x)."""
+    shapes = [fd.AlgebraShape([d]) for d in (8, 4, 2, 1)]
+    return composed_chain(shapes, [block_hom(b, a, [[0, 0]]) for a, b in zip(shapes, shapes[1:])])
+
+
+def multi_block_chain(parts):
+    """[2, 2, 1] > [2, 1] > [1] with c -> (c 1, c) and (a, b) -> the blocks
+    of [2, 2, 1] that parts names."""
+    shapes = [fd.AlgebraShape(b) for b in ([2, 2, 1], [2, 1], [1])]
+    return composed_chain(
+        shapes, [block_hom(shapes[1], shapes[0], parts), block_hom(shapes[2], shapes[1], [[0, 0], [0]])]
+    )
+
+
+def corner_chain():
+    """M_3 > M_2 > C with the unital c -> c 1 into M_2 and the corner
+    x -> diag(x, 0) of M_2 in M_3."""
+    m3 = fd.AlgebraShape([3])
+    return composed_chain([m3, M2, SCALAR], [block_hom(M2, m3, [[0]]), unital_embedding(M2)])
+
+
+def unitary(rng, d):
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return u
+
+
+def moved(spec, rng):
+    """spec carried along x -> u x u* in every block, u a random unitary
+    per block: an isomorphic spec with the zero blocks of pi kept exactly
+    and no other entry 0/1."""
+    blocks = [d for c in spec.components for d in c.blocks]
+    ad = np.zeros((spec.total_dim, spec.total_dim), dtype=complex)
+    off = 0
+    for d in blocks:
+        u = unitary(rng, d)
+        ad[off : off + d * d, off : off + d * d] = np.kron(u, u.conj())
+        off += d * d
+    return gr.GradedSpec.from_pi(spec.L, spec.components, ad @ spec.pi @ ad.conj().T)
+
+
+def rotated(spec, pair, rng):
+    """A verdict-free copy of spec with phi at pair followed by x -> u x u*,
+    u a random unitary of the one block of its target: still a *-hom, and
+    no longer compatible."""
+    i, j = pair
+    (d,) = spec.components[i].blocks
+    u = unitary(rng, d)
+    pi = spec.pi.copy()
+    pi[spec.span(i), spec.span(j)] = np.kron(u, u.conj()) @ pi[spec.span(i), spec.span(j)]
+    return gr.GradedSpec.from_pi(spec.L, spec.components, pi)
+
+
+# specs whose maps are not all unital: P_{m,k} != 1 twists (1), and (2)
+# is not trivial
+NON_UNITAL_SPECS = {
+    # (a, b) -> (a, 0, b): the middle block of the bottom is dropped
+    "dropped-block-chain": multi_block_chain([[0], [], [1]]),
+    "corner-chain": corner_chain(),
+}
+
 # conjugation angles: far below tolerance, just past it, large; None
 # replaces the map by the zero *-hom
 PERTURBATIONS = (0.0, 1e-12, 1e-6, 0.7, None)
@@ -687,10 +703,11 @@ STRADDLE = st.floats(-11.0, -7.0).map(lambda e: 10.0**e)
 
 @st.composite
 def straddling_specs(draw):
-    """An oracle or failing spec whose off-diagonal maps are conjugated,
-    which keeps them *-homs and moves axiom (b), or get a random additive
-    error, which moves the *-hom check, by sizes straddling AXIOM_TOL."""
-    specs = {**ORACLE_SPECS, **FAILING_SPECS}
+    """An oracle, failing or non-unital spec whose off-diagonal maps are
+    conjugated, which keeps them *-homs and moves axiom (b), or get a
+    random additive error, which moves the *-hom check, by sizes
+    straddling AXIOM_TOL."""
+    specs = {**ORACLE_SPECS, **FAILING_SPECS, **NON_UNITAL_SPECS}
     spec = specs[draw(st.sampled_from(sorted(specs)))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phi = {}
@@ -749,16 +766,18 @@ class TestAxiomBAgainstReference:
             return
         report = gr.validate_spec(spec)
         assert report.pairs_checked == want[1]
-        # the generator route decides when its bound on the full maximum
-        # is within tolerance, and reports the generator maximum
+        assert want[0] <= spec.validated_bounds.axiom_b
+        # the matrix-unit generator bound, kept as an oracle, holds too
         fast = axiom_b_reference(spec, generators=True)[0]
-        k_eps, k_delta, _ = gr._axiom_b_kappas(spec.components)
-        bound = k_eps * fast + k_delta * hom_bound(spec)
-        assert want[0] <= bound
-        decided = want[0]
-        if not gr.components_commutative(spec) and bound <= gr.AXIOM_TOL:
-            decided = fast
-        assert report.axiom_b_residual == pytest.approx(decided, abs=1e-12)
+        k_eps, k_delta, _ = axiom_b_kappas(spec.components)
+        assert want[0] <= k_eps * fast + k_delta * hom_bound(spec)
+        if gr.components_commutative(spec):
+            assert report.axiom_b_residual == pytest.approx(want[0], abs=1e-12)
+            return
+        # the composition residual, and the basis-pair maximum of the
+        # pairs it could not certify
+        comp = composition_reference(spec)
+        assert comp - 1e-12 <= report.axiom_b_residual <= max(comp, want[0]) + 1e-12
 
     def test_first_offender_across_dimension_groups(self):
         # Groups at meet 1 in the order of their first pair: (1, 1) of
@@ -790,9 +809,11 @@ class TestAxiomBAgainstReference:
     def test_products_formed_on_m5_chain(self, monkeypatch):
         # chain(3) of M_5 with identity maps. *-homs: one stack of the 6
         # maps, 2 * 25 relation products each (one block: no block-unit
-        # products). Axiom (b): 9 generator left factors against 25 right
-        # factors for the 3 pairs at meet 1 and the 1 pair at meet 2. The
-        # basis-pair routes form 6 * 625 + 4 * 625 = 6250.
+        # products). Axiom (b), by composition, every k at once: the 50
+        # columns of A_1 and A_2 and the units of the 3 indices, over the
+        # rows of indices 0 and 1, each times P_1 and P_2; no pair of a
+        # chain needs Q_i (1 - P) Q_j. The basis-pair routes form
+        # 6 * 625 + 4 * 625 = 6250.
         count = []
         real = fd.pair_products
 
@@ -803,7 +824,7 @@ class TestAxiomBAgainstReference:
 
         monkeypatch.setattr(fd, "pair_products", counting)
         gr.validate_spec(identity_chain(3, fd.AlgebraShape([5])))
-        assert sum(count) == 6 * 2 * 25 + 4 * 9 * 25
+        assert sum(count) == 6 * 2 * 25 + (50 + 3) * 2
 
     def test_one_pair_product_per_group(self, monkeypatch):
         # all-scalar chain(12): 11 meets with something below, one
@@ -813,6 +834,137 @@ class TestAxiomBAgainstReference:
         monkeypatch.setattr(fd, "pair_products", lambda *a: calls.append(1) or real(*a))
         gr.validate_spec(all_scalar_spec(sl.chain(12)))
         assert len(calls) <= 12
+
+
+# --------------------------------------------- the composition route
+
+@functools.cache
+def composition_pool():
+    """Specs with a block of side at least 2, no 0/1 entries but the zero
+    blocks: matrix, doubling and multi-block chains, the non-unital specs,
+    a failing spec and the crossed products of the coset specs."""
+    rng = np.random.default_rng(33)
+    pool = {
+        "m3-chain3": moved(identity_chain(3, fd.AlgebraShape([3])), rng),
+        "m5-chain3": moved(identity_chain(3, fd.AlgebraShape([5])), rng),
+        "doubling": moved(doubling_chain(), rng),
+        "multi-block": moved(multi_block_chain([[0], [0], [1]]), rng),
+        "mixed-groups-doubled": moved(FAILING_SPECS["mixed-groups-doubled"], rng),
+    }
+    pool.update({name: moved(spec, rng) for name, spec in NON_UNITAL_SPECS.items()})
+    for name, family in (("z4", wb.coset_z4_family()), ("s3", wb.coset_s3_family())):
+        pool[f"crossed-{name}"] = pr.crossed_product(wb.build_coset_spec(*family)[1])
+    return pool
+
+
+@st.composite
+def noisy_copies(draw):
+    """A verdict-free copy of a spec of composition_pool with complex
+    noise of one size, from 1e-16 to 1e-11, on every comparable block."""
+    pool = composition_pool()
+    spec = pool[draw(st.sampled_from(sorted(pool)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 10.0 ** draw(st.floats(-16.0, -11.0))
+    owner = gr._owners(spec.components)
+    noise = rng.standard_normal(spec.pi.shape) + 1j * rng.standard_normal(spec.pi.shape)
+    noise *= size * spec.L.le[np.ix_(owner, owner)]
+    return gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi + noise)
+
+
+def rotation_case(spec, seed):
+    """(base, rotated): spec moved by unitaries, and that copy with
+    phi_{0,2} rotated, from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    base = moved(spec, rng)
+    return base, rotated(base, (0, 2), rng)
+
+
+# phi_{0,2} rotated on chain(3) of M_5 and on the doubling chain, with the
+# message naming the first offender, as the matrix-unit generator route
+# named it
+ROTATED = {
+    "m5-chain3": (
+        *rotation_case(identity_chain(3, fd.AlgebraShape([5])), 2026),
+        "compatibility fails at indices (i=1, j=2, m=0), "
+        "basis pair (1:E0[2,3], 2:E0[0,3]), residual 5.252e-01",
+    ),
+    "doubling": (
+        *rotation_case(doubling_chain(), 2027),
+        "compatibility fails at indices (i=1, j=2, m=0), "
+        "basis pair (1:E0[3,3], 2:E0[0,1]), residual 6.208e-01",
+    ),
+}
+
+
+class TestCompositionRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(noisy_copies())
+    def test_noisy_copies_are_sound(self, spec):
+        # verdicts and messages are those of the basis-pair routes, and no
+        # basis-pair residual exceeds the recorded bound
+        try:
+            want = validate_spec_reference(spec)
+        except ValidationFailure as exc:
+            with pytest.raises(type(exc)) as got:
+                gr.validate_spec(spec)
+            assert str(got.value) == str(exc)
+            return
+        assert gr.validate_spec(spec).pairs_checked == want[1]
+        assert want[0] <= spec.validated_bounds.axiom_b
+
+    @pytest.mark.parametrize("name", sorted(ROTATED))
+    def test_rotated_map_names_the_first_offender_from_one_pair(self, name, monkeypatch):
+        # the certified pairs cannot fail, so the basis-pair residuals of
+        # the first uncertified pair, (1, 2), name the offender: against
+        # the unrotated spec, whose *-hom and composition checks form the
+        # same products, one pair's dim A_1 * dim A_2 more
+        base, spec, message = ROTATED[name]
+        with pytest.raises(gr.AxiomBViolation) as want:
+            axiom_b_reference(spec)
+        assert str(want.value) == message
+        count = []
+        real = fd.pair_products
+
+        def counting(shape, g, h):
+            out = real(shape, g, h)
+            count.append(out[..., 0].size)
+            return out
+
+        monkeypatch.setattr(fd, "pair_products", counting)
+        gr.validate_spec(base)
+        valid = sum(count)
+        count.clear()
+        with pytest.raises(gr.AxiomBViolation) as got:
+            gr.validate_spec(spec)
+        assert str(got.value) == message
+        assert sum(count) == valid + spec.components[1].dim * spec.components[2].dim
+
+    def test_one_k_per_step_measures_the_same(self, monkeypatch):
+        # a spec of total dimension above 512 takes one k per step; the
+        # rows and columns of a step are masked to each k's own, so only
+        # the rounding of the measured residuals, about 1e-15 here, moves
+        pool = composition_pool()
+
+        def measured(spec):
+            bound, residual, pair_bounds = gr._composition_bounds(spec, 1e-13, 1e-16)
+            return bound, residual, pair_bounds()[0]
+
+        whole = {name: measured(spec) for name, spec in pool.items()}
+        monkeypatch.setattr(gr, "_COMPOSITION_STEP", 1)
+        for name, spec in pool.items():
+            got = measured(spec)
+            assert got[0] == pytest.approx(whole[name][0], rel=1e-3), name
+            assert got[1] == pytest.approx(whole[name][1], abs=1e-14), name
+            assert np.allclose(got[2], whole[name][2], rtol=1e-3, atol=0), name
+
+    def test_zero_one_pi_certifies_with_zero_bounds(self):
+        # a 0/1 pi makes every product exact, so nothing is allowed for
+        # rounding: the builders' verdict of zero bounds is what
+        # validate_spec records
+        for name, spec in {**ORACLE_SPECS, **NON_UNITAL_SPECS}.items():
+            copy = gr.GradedSpec.from_pi(spec.L, spec.components, spec.pi)
+            gr.validate_spec(copy)
+            assert copy.validated_bounds == (0.0, 0.0, 0.0, 0.0), name
 
 
 # ------------------------------------------------- the exact 0/1 route
@@ -2307,13 +2459,15 @@ def assert_quotient_verdict(spec, selection):
     assert [s for s in calls if s is not spec] == []
     assert q.validated_tol == spec.validated_tol
     assert q.validated_bounds == spec.validated_bounds
-    # at tol = 1 every check runs over basis pairs: exact residuals
-    got = real(gr.GradedSpec.from_pi(q.L, q.components, q.pi), 1.0)
+    # at tol = 1 the *-hom checks run over basis pairs: exact residuals;
+    # axiom_b_reference gives the largest basis-pair residual of axiom (b)
+    fresh = gr.GradedSpec.from_pi(q.L, q.components, q.pi)
+    got = real(fresh, 1.0)
     bounds = q.validated_bounds
     assert got.identity_residual <= bounds.identity
     assert got.hom_star_residual <= bounds.star
     assert got.hom_mult_residual <= bounds.hom
-    assert got.axiom_b_residual <= bounds.axiom_b
+    assert axiom_b_reference(fresh, 1.0)[0] <= bounds.axiom_b
     return 0.0
 
 
